@@ -23,7 +23,6 @@ from .errors import (
     LinearSolverError,
     PicardConvergenceError,
     RelaxdiffError,
-    SingularMatrixError,
     Violation,
 )
 from .fixedpoint import (
@@ -35,7 +34,7 @@ from .fixedpoint import (
     picard_step_with_info,
     solve_frozen_slab,
 )
-from .grid import Field, Grid, assemble_laplacian, integrate, laplacian_apply
+from .grid import Field, Grid, integrate, laplacian_apply
 from .model import (
     CoefficientSpec,
     ModelSpec,
@@ -46,7 +45,7 @@ from .model import (
     validate_model,
 )
 from .snapshots import parse_snapshot, read_snapshot, write_snapshot
-from .sparse import SolverReport, SparseMatrix, cg_solve, dense_solve
+from .sparse import SolverReport, cg_solve
 from .stepper import (
     RunResult,
     RunSinks,
@@ -82,21 +81,17 @@ __all__ = [
     "RunResult",
     "RunSinks",
     "SchemeConfig",
-    "SingularMatrixError",
     "SktCoefficients",
     "SolverReport",
-    "SparseMatrix",
     "SpeciesConfig",
     "StepRecord",
     "SystemState",
     "TabulatedCoefficients",
     "Violation",
-    "assemble_laplacian",
     "build_initial",
     "cg_solve",
     "check_step",
     "cross_validate",
-    "dense_solve",
     "energy_identity_residual",
     "eval_coefficient",
     "fit_linear_bound",

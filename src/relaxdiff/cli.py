@@ -27,18 +27,16 @@ from .config import RunConfig, parse_config
 from .diagnostics import (
     CSV_HEADER,
     CheckTolerances,
+    _fmt,
     check_step,
+    invariant_rows,
     w_increment_residual,
 )
-from .errors import ConfigError, RelaxdiffError, Violation
+from .errors import ConfigError, RelaxdiffError
 from .grid import Grid, integrate
 from .model import validate_model
 from .snapshots import write_snapshot
 from .stepper import RunSinks, SchemeConfig
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 class _AbortRun(RelaxdiffError):
@@ -62,17 +60,7 @@ def run_simulate(cfg: RunConfig) -> int:
             for row in records:
                 diag.write(row.to_csv_row() + "\n")
             diag.flush()
-            violations = check_step(before, after, tolerances)
-            for i in range(after.n_species):
-                drift = abs(integrate(g, after.u[i]) - initial_masses[i])
-                if drift > tolerances.mass * max(abs(initial_masses[i]), 1e-300):
-                    violations.append(
-                        Violation(
-                            "mass drifted from the initial total",
-                            species=i + 1,
-                            detail=f"drift {drift!r}",
-                        )
-                    )
+            violations = check_step(before, after, tolerances, initial_masses)
             if violations:
                 raise _AbortRun(
                     f"step {k} (t = {after.time!r}): " + "; ".join(str(v) for v in violations)
@@ -113,12 +101,28 @@ def _restrict(fine: Grid, values: np.ndarray) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _fit_order(diffs: list[float]) -> float:
+def _study_rows(study: str, steps: list[float], diffs: list[float]) -> list[str]:
+    """converge.csv rows of one study, with the order seen between levels."""
+    rows = []
+    for k, d in enumerate(diffs):
+        order = ""
+        if k > 0 and d > 0 and diffs[k - 1] > 0:
+            order = _fmt(np.log2(diffs[k - 1] / d))
+        rows.append(f"{study},{k},{_fmt(steps[k])},{_fmt(d)},{order}")
+    return rows
+
+
+def _fit_order(lines: list[str], study: str, label: str, diffs: list[float],
+               band: tuple[float, float]) -> bool:
+    """Append the fitted order of one study; False when it leaves `band`."""
     # order p from successive differences d_k ~ C * 2^(-p k)
     logs = [np.log2(d) for d in diffs]
-    k = np.arange(len(logs))
-    slope = np.polyfit(k, logs, 1)[0]
-    return float(-slope)
+    order = float(-np.polyfit(np.arange(len(logs)), logs, 1)[0])
+    lines.append(f"{study}_fit,,,,{_fmt(order)}")
+    if band[0] <= order <= band[1]:
+        return True
+    print(f"{label} order {order:.3f} outside [{band[0]}, {band[1]}]", file=sys.stderr)
+    return False
 
 
 _DEGENERATE_FLOOR = 1e-13
@@ -144,21 +148,13 @@ def run_converge(cfg: RunConfig) -> int:
     ]
     scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in finals[0].u))
     live = [d for d in diffs if d > _DEGENERATE_FLOOR * scale]
-    for k, d in enumerate(diffs):
-        order = ""
-        if k > 0 and d > 0 and diffs[k - 1] > 0:
-            order = _fmt(np.log2(diffs[k - 1] / d))
-        lines.append(f"tau,{k},{_fmt(cfg.scheme.tau / 2**k)},{_fmt(d)},{order}")
+    lines += _study_rows("tau", [cfg.scheme.tau / 2**k for k in range(len(diffs))], diffs)
     if len(live) != len(diffs):
         print("temporal study degenerate (zero differences)", file=sys.stderr)
     elif len(diffs) < 2:
         print("temporal study has too few levels for an order fit", file=sys.stderr)
     else:
-        tau_order = _fit_order(diffs)
-        lines.append(f"tau_fit,,,,{_fmt(tau_order)}")
-        if not (0.8 <= tau_order <= 1.3):
-            print(f"temporal order {tau_order:.3f} outside [0.8, 1.3]", file=sys.stderr)
-            ok = False
+        ok = _fit_order(lines, "tau", "temporal", diffs, (0.8, 1.3))
 
     if cfg.spatial:
         grids = [cfg.grid]
@@ -185,19 +181,11 @@ def run_converge(cfg: RunConfig) -> int:
                 for i in range(len(coarse_state.u))
             )
             sdiffs.append(d)
-        for k, d in enumerate(sdiffs):
-            order = ""
-            if k > 0 and d > 0 and sdiffs[k - 1] > 0:
-                order = _fmt(np.log2(sdiffs[k - 1] / d))
-            lines.append(f"h,{k},{_fmt(grids[k].spacing[0])},{_fmt(d)},{order}")
+        lines += _study_rows("h", [g.spacing[0] for g in grids], sdiffs)
         if all(d <= _DEGENERATE_FLOOR * scale for d in sdiffs):
             print("spatial study degenerate (zero differences)", file=sys.stderr)
         else:
-            h_order = _fit_order(sdiffs)
-            lines.append(f"h_fit,,,,{_fmt(h_order)}")
-            if not (1.6 <= h_order <= 2.4):
-                print(f"spatial order {h_order:.3f} outside [1.6, 2.4]", file=sys.stderr)
-                ok = False
+            ok = _fit_order(lines, "h", "spatial", sdiffs, (1.6, 2.4)) and ok
 
     (outdir / "converge.csv").write_text("\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -246,40 +234,19 @@ def run_invariants(cfg: RunConfig) -> int:
     with open(path, "w", newline="\n") as fh:
         fh.write("step,species,check,value,threshold,status\n")
 
-        def emit(step, species, check, value, threshold):
-            status = "pass" if value <= threshold else "fail"
-            if status == "fail":
-                failures[0] += 1
-            fh.write(
-                f"{step},{species},{check},{_fmt(value)},{_fmt(threshold)},{status}\n"
-            )
-
         def on_step(k, before, after, records):
-            for i in range(after.n_species):
-                sp = i + 1
-                mass_scale = max(abs(initial_masses[i]), 1e-300)
-                emit(k, sp, "mass_drift_rel",
-                     abs(integrate(g, after.u[i]) - initial_masses[i]) / mass_scale,
-                     tolerances.mass)
-                emit(k, sp, "utilde_mass_gap_rel",
-                     abs(integrate(g, after.u_tilde[i]) - integrate(g, after.u[i]))
-                     / mass_scale,
-                     tolerances.mass)
-                emit(k, sp, "neg_u",
-                     max(0.0, -float(np.min(after.u[i].values))),
-                     tolerances.positivity)
-                emit(k, sp, "neg_utilde",
-                     max(0.0, -float(np.min(after.u_tilde[i].values))),
-                     tolerances.positivity)
-                emit(k, sp, "neg_w_increment",
-                     max(0.0, -float(np.min(after.w[i].values - before.w[i].values))),
-                     tolerances.monotonicity)
+            rows = invariant_rows(before, after, tolerances, initial_masses)
             if k % identity_stride == 0:
                 residual = w_increment_residual(
                     model, before, after, tol=cfg.scheme.linear_tol / 100,
                     tau=after.time - before.time)
-                emit(k, 0, "w_identity_residual", residual,
-                     100 * cfg.scheme.linear_tol)
+                rows.append((0, "w_identity_residual", residual, 100 * cfg.scheme.linear_tol))
+            for species, check, value, threshold in rows:
+                status = "pass" if value <= threshold else "fail"
+                failures[0] += status == "fail"
+                fh.write(
+                    f"{k},{species},{check},{_fmt(value)},{_fmt(threshold)},{status}\n"
+                )
             fh.flush()
 
         try:
@@ -322,6 +289,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = parse_config(text)
+        if args.seed is not None:
+            cfg.seed = args.seed
+            violations = validate_model(cfg.build_model())
+            if violations:
+                listing = "; ".join(str(v) for v in violations)
+                raise ConfigError(f"model validation failed: {listing}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -334,13 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg.mode = args.mode
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
-    if args.seed is not None:
-        cfg.seed = args.seed
-        violations = validate_model(cfg.build_model())
-        if violations:
-            listing = "; ".join(str(v) for v in violations)
-            print(f"config error: model validation failed: {listing}", file=sys.stderr)
-            return 2
 
     try:
         return _DISPATCH[cfg.mode](cfg)

@@ -91,7 +91,10 @@ class RunConfig:
                     f"species {idx}: init '{sp.init.split(':', 1)[0]}' cannot be "
                     "rebuilt on a refined grid"
                 )
-            fields.append(Field(g, build_initial(g, sp.init, self.seed, idx)))
+            values = build_initial(g, sp.init, self.seed, idx)
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"species {idx}: init {sp.init!r} gives non-finite values")
+            fields.append(Field(g, values))
         return ModelSpec(
             delta=tuple(sp.delta for sp in self.species),
             coefficients=tuple(sp.coefficients for sp in self.species),
@@ -227,9 +230,12 @@ class _Section:
             return default
         value, lineno = self.data[key]
         try:
-            return conv(value)
+            parsed = conv(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
+        if isinstance(parsed, float) and not np.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
+        return parsed
 
 
 def _to_bool(value: str) -> bool:

@@ -7,7 +7,7 @@ whether to abort, log, or ignore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -15,11 +15,13 @@ import numpy as np
 from .errors import Violation
 from .grid import Field, integrate
 from .model import ModelSpec, coefficient_fields
-from .stepper import SchemeConfig, SpeciesStepInfo, SystemState
-
-CSV_HEADER = (
-    "step,time,species,mass_u,mass_utilde,min_u,max_u,min_utilde,max_utilde,"
-    "w_min_increment,coef_min,coef_max,clamps,cg_iters"
+from .stepper import (
+    RunSinks,
+    SchemeConfig,
+    SpeciesStepInfo,
+    SystemState,
+    _solve_regularize,
+    run,
 )
 
 
@@ -49,23 +51,12 @@ class StepRecord:
 
     def to_csv_row(self) -> str:
         return ",".join(
-            [
-                str(self.step),
-                _fmt(self.time),
-                str(self.species),
-                _fmt(self.mass_u),
-                _fmt(self.mass_utilde),
-                _fmt(self.min_u),
-                _fmt(self.max_u),
-                _fmt(self.min_utilde),
-                _fmt(self.max_utilde),
-                _fmt(self.w_min_increment),
-                _fmt(self.coef_min),
-                _fmt(self.coef_max),
-                str(self.clamps),
-                str(self.cg_iters),
-            ]
+            str(getattr(self, f.name)) if f.type == "int" else _fmt(getattr(self, f.name))
+            for f in fields(self)
         )
+
+
+CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 
 
 @dataclass
@@ -78,9 +69,6 @@ class DiagnosticsReport:
         lines = [CSV_HEADER]
         lines.extend(row.to_csv_row() for row in self.rows)
         return "\n".join(lines) + "\n"
-
-    def for_species(self, species: int) -> list[StepRecord]:
-        return [r for r in self.rows if r.species == species]
 
 
 def step_records(
@@ -132,68 +120,77 @@ class CheckTolerances:
         return cls(mass=1e-10, positivity=10 * linear_tol, monotonicity=10 * linear_tol)
 
 
-def check_step(
-    before: SystemState, after: SystemState, tolerances: CheckTolerances
-) -> list[Violation]:
-    """Invariant audit of one step; an empty list means the step is clean.
+# What a failing row of each check means, for the Violation it becomes.
+_CONDITIONS = {
+    "mass_drift_rel": "mass drifted from the initial total",
+    "mass_step_rel": "mass drift above tolerance within the step",
+    "utilde_mass_gap_rel": "regularized mass differs from density mass",
+    "neg_u": "negative u beyond tolerance",
+    "neg_utilde": "negative u_tilde beyond tolerance",
+    "neg_w_increment": "w increment negative beyond tolerance",
+}
 
-    Checks, per species: the cell total of u moved by at most the relative
-    mass tolerance; the regularized field carries the same total as u; both
-    fields stay above -positivity; and the w increment stays above
-    -monotonicity in every cell.
+
+def invariant_rows(
+    before: SystemState,
+    after: SystemState,
+    tolerances: CheckTolerances,
+    initial_masses: Sequence[float],
+) -> list[tuple[int, str, float, float]]:
+    """The invariant table of one step: (species, check, value, threshold) rows.
+
+    A row passes when value <= threshold. Per species, in this order: the
+    drift of the cell total of u from its initial total and from its total
+    before the step, and the gap between the totals of u_tilde and u (all
+    relative); then how far u, u_tilde and the w increment dip below zero.
     """
     if before.n_species != after.n_species:
         raise ValueError("states have different species counts")
     if before.grid != after.grid:
         raise ValueError("states live on different grids")
     g = after.grid
-    out: list[Violation] = []
+    rows = []
     for i in range(after.n_species):
         sp = i + 1
+        mass_scale = max(abs(initial_masses[i]), 1e-300)
         mass_before = integrate(g, before.u[i])
         mass_after = integrate(g, after.u[i])
-        mass_scale = max(abs(mass_before), 1e-300)
-        drift = abs(mass_after - mass_before)
-        if drift > tolerances.mass * mass_scale:
-            out.append(
-                Violation(
-                    "mass drift above tolerance",
-                    species=sp,
-                    detail=f"|{mass_after!r} - {mass_before!r}| = {drift!r}",
-                )
-            )
-        gap = abs(integrate(g, after.u_tilde[i]) - mass_after)
-        if gap > tolerances.mass * mass_scale:
-            out.append(
-                Violation(
-                    "regularized mass differs from density mass",
-                    species=sp,
-                    detail=f"gap {gap!r}",
-                )
-            )
-        for name, values in (("u", after.u[i].values), ("u_tilde", after.u_tilde[i].values)):
-            j = int(np.argmin(values))
-            if values[j] < -tolerances.positivity:
-                out.append(
-                    Violation(
-                        f"negative {name} beyond tolerance",
-                        species=sp,
-                        cell=j,
-                        detail=f"value {values[j]!r}",
-                    )
-                )
-        w_inc = after.w[i].values - before.w[i].values
-        j = int(np.argmin(w_inc))
-        if w_inc[j] < -tolerances.monotonicity:
-            out.append(
-                Violation(
-                    "w increment negative beyond tolerance",
-                    species=sp,
-                    cell=j,
-                    detail=f"increment {w_inc[j]!r}",
-                )
-            )
-    return out
+        rows += [
+            (sp, "mass_drift_rel", abs(mass_after - initial_masses[i]) / mass_scale,
+             tolerances.mass),
+            (sp, "mass_step_rel",
+             abs(mass_after - mass_before) / max(abs(mass_before), 1e-300), tolerances.mass),
+            (sp, "utilde_mass_gap_rel",
+             abs(integrate(g, after.u_tilde[i]) - mass_after) / mass_scale, tolerances.mass),
+            (sp, "neg_u", max(0.0, -float(np.min(after.u[i].values))),
+             tolerances.positivity),
+            (sp, "neg_utilde", max(0.0, -float(np.min(after.u_tilde[i].values))),
+             tolerances.positivity),
+            (sp, "neg_w_increment",
+             max(0.0, -float(np.min(after.w[i].values - before.w[i].values))),
+             tolerances.monotonicity),
+        ]
+    return rows
+
+
+def check_step(
+    before: SystemState,
+    after: SystemState,
+    tolerances: CheckTolerances,
+    initial_masses: Sequence[float] | None = None,
+) -> list[Violation]:
+    """The failing rows of `invariant_rows`; an empty list means the step is clean.
+
+    Without `initial_masses` the totals before the step are the reference.
+    """
+    if initial_masses is None:
+        initial_masses = [integrate(before.grid, f) for f in before.u]
+    return [
+        Violation(_CONDITIONS[check], species=sp, detail=f"{check} {value!r} > {threshold!r}")
+        for sp, check, value, threshold in invariant_rows(before, after, tolerances,
+                                                          initial_masses)
+        if not value <= threshold
+    ]
 
 
 def w_increment_residual(
@@ -208,8 +205,6 @@ def w_increment_residual(
     The increment should equal tau * (I - delta L)^{-1} (A * u_new) with A the
     coefficients frozen at `before`; the mismatch is bounded by solver error.
     """
-    from .stepper import _solve_regularize
-
     g = after.grid
     if tau is None:
         tau = after.time - before.time
@@ -248,20 +243,10 @@ def fit_linear_bound(
     The theory predicts at most linear growth; the fit quality (max relative
     residual) indicates how far the run is from that envelope.
     """
-    from . import stepper  # deferred: stepper.run builds records from this module
-
     horizons = sorted(float(T) for T in horizons)
     if len(horizons) < 3:
         raise ValueError("at least three horizons required for a meaningful fit")
-    run_cfg = SchemeConfig(
-        tau=cfg.tau,
-        horizon=horizons[-1],
-        linear_tol=cfg.linear_tol,
-        linear_max_iter=cfg.linear_max_iter,
-        clamp_tilde_positive=cfg.clamp_tilde_positive,
-        output_stride=cfg.output_stride,
-        workers=cfg.workers,
-    )
+    run_cfg = replace(cfg, horizon=horizons[-1])
 
     sup_at: dict[float, float] = {}
     running = {"sup": 0.0}
@@ -280,7 +265,7 @@ def fit_linear_bound(
             if after.time <= T * (1 + 1e-12):
                 sup_at[T] = running["sup"]
 
-    stepper.run(m, run_cfg, stepper.RunSinks(on_step=on_step))
+    run(m, run_cfg, RunSinks(on_step=on_step))
     sups = [sup_at[T] for T in horizons]
     coeffs = np.polyfit(horizons, sups, 1)
     slope, intercept = float(coeffs[0]), float(coeffs[1])

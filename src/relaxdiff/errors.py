@@ -13,10 +13,6 @@ class DimensionMismatchError(RelaxdiffError):
     """A field or vector does not match the grid or matrix it is used with."""
 
 
-class SingularMatrixError(RelaxdiffError):
-    """Direct elimination detected a numerically singular matrix."""
-
-
 class LinearSolverError(RelaxdiffError):
     """An iterative linear solve failed (non-convergence or breakdown)."""
 

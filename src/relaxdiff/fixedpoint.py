@@ -11,7 +11,7 @@ what `cross_validate` measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +22,11 @@ from .model import ModelSpec, coefficient_fields
 from .stepper import (
     SchemeConfig,
     SystemState,
+    _next_w,
+    _regularize_all,
     _solve_implicit,
-    _solve_regularize,
     initial_state,
-    plan_steps,
+    march,
     step_with_info,
 )
 
@@ -92,34 +93,22 @@ def picard_step_with_info(
     """
     g = m.grid
     dt = cfg.tau if tau is None else float(tau)
-    u_prev_fields = state.u
 
-    def implicit_all(A_fields: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
-        iters = 0
-        out = []
-        for i in range(m.n_species):
-            u_new, rep = _solve_implicit(
-                g, state.u[i].values, A_fields[i], dt, cfg.linear_tol,
-                cfg.linear_max_iter)
-            out.append(u_new)
-            iters += rep.iterations
-        return out, iters
+    def implicit_all(A_fields: list[np.ndarray]) -> list[np.ndarray]:
+        return [_solve_implicit(g, state.u[i].values, A_fields[i], dt, cfg.linear_tol,
+                                cfg.linear_max_iter)[0] for i in range(m.n_species)]
 
     # sweep 0: freeze at the previous time level (the semi-implicit predictor)
     A_fields, _ = coefficient_fields(m, state.u_tilde, cfg.clamp_tilde_positive)
-    candidate, _ = implicit_all(A_fields)
+    candidate = implicit_all(A_fields)
 
     sweeps = 0
     change = np.inf
     while sweeps < p.max_sweeps:
         sweeps += 1
-        tilde = []
-        for i in range(m.n_species):
-            ut, _ = _solve_regularize(g, candidate[i], m.delta[i], cfg.linear_tol,
-                                      cfg.linear_max_iter)
-            tilde.append(Field(g, ut))
+        tilde = [Field(g, ut) for ut in _regularize_all(m, cfg, candidate)]
         A_fields, _ = coefficient_fields(m, tilde, cfg.clamp_tilde_positive)
-        refreshed, _ = implicit_all(A_fields)
+        refreshed = implicit_all(A_fields)
         change = _relative_l2_change(refreshed, candidate)
         candidate = refreshed
         if change < p.sweep_tol:
@@ -132,21 +121,13 @@ def picard_step_with_info(
             last_change=float(change),
         )
 
-    u_tilde_new = []
-    w_new = []
-    for i in range(m.n_species):
-        ut, _ = _solve_regularize(g, candidate[i], m.delta[i], cfg.linear_tol,
-                                  cfg.linear_max_iter)
-        u_tilde_new.append(Field(g, ut))
-        w_new.append(Field(g,
-            m.delta[i] * ut
-            + (state.w[i].values - m.delta[i] * state.u_tilde[i].values)
-            + dt * A_fields[i] * candidate[i]))
+    u_tilde_new = _regularize_all(m, cfg, candidate)
     new_state = SystemState(
         time=state.time + dt,
         u=tuple(Field(g, c) for c in candidate),
-        u_tilde=tuple(u_tilde_new),
-        w=tuple(w_new),
+        u_tilde=tuple(Field(g, ut) for ut in u_tilde_new),
+        w=tuple(_next_w(state, i, m.delta[i], u_tilde_new[i], A_fields[i], candidate[i], dt)
+                for i in range(m.n_species)),
     )
     return new_state, sweeps
 
@@ -157,24 +138,6 @@ def picard_step(
     """Fully implicit step; see `picard_step_with_info`."""
     new_state, _ = picard_step_with_info(state, m, cfg, p)
     return new_state
-
-
-def _run_semi(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
-    taus, _ = plan_steps(cfg.tau, cfg.horizon)
-    state = initial_state(m, cfg)
-    for k, dt in enumerate(taus, start=1):
-        state, _ = step_with_info(state, m, cfg, tau=dt)
-        state.time = cfg.horizon if k == len(taus) else k * cfg.tau
-    return state
-
-
-def _run_picard(m: ModelSpec, cfg: SchemeConfig, p: PicardConfig) -> SystemState:
-    taus, _ = plan_steps(cfg.tau, cfg.horizon)
-    state = initial_state(m, cfg)
-    for k, dt in enumerate(taus, start=1):
-        state, _ = picard_step_with_info(state, m, cfg, p, tau=dt)
-        state.time = cfg.horizon if k == len(taus) else k * cfg.tau
-    return state
 
 
 @dataclass(frozen=True)
@@ -227,24 +190,17 @@ def cross_validate(
         )
     rows = []
     scale = 0.0
+    start = initial_state(m, cfg)  # independent of tau, never mutated
     for k in range(halvings + 1):
-        tau_k = cfg.tau / (2**k)
-        cfg_k = SchemeConfig(
-            tau=tau_k,
-            horizon=cfg.horizon,
-            linear_tol=cfg.linear_tol,
-            linear_max_iter=cfg.linear_max_iter,
-            clamp_tilde_positive=cfg.clamp_tilde_positive,
-            output_stride=cfg.output_stride,
-            workers=cfg.workers,
-        )
-        semi = _run_semi(m, cfg_k)
-        picard = _run_picard(m, cfg_k, p)
+        cfg_k = replace(cfg, tau=cfg.tau / (2**k))
+        semi = march(start, cfg_k, lambda s, dt: step_with_info(s, m, cfg_k, tau=dt), None)
+        picard = march(start, cfg_k,
+                       lambda s, dt: picard_step_with_info(s, m, cfg_k, p, tau=dt), None)
         gap = max(
             float(np.max(np.abs(semi.u[i].values - picard.u[i].values)))
             for i in range(m.n_species)
         )
         scale = max(scale, *(float(np.max(np.abs(f.values))) for f in semi.u))
-        rows.append(CrossValidationRow(tau=tau_k, discrepancy=gap))
+        rows.append(CrossValidationRow(tau=cfg_k.tau, discrepancy=gap))
     floor = 10 * cfg.linear_tol * max(1.0, scale)
     return CrossValidationReport(rows=rows, degeneracy_floor=floor)

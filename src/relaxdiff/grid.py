@@ -8,12 +8,12 @@ mass balance of the time stepper exact rather than approximate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .sparse import SparseMatrix, from_rows
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,11 @@ class Grid:
 
     @property
     def n_cells(self) -> int:
-        out = 1
-        for n in self.cells:
-            out *= n
-        return out
+        return math.prod(self.cells)
 
     @property
     def cell_measure(self) -> float:
-        out = 1.0
-        for h in self.spacing:
-            out *= h
-        return out
+        return float(math.prod(self.spacing))
 
     @property
     def lengths(self) -> tuple[float, ...]:
@@ -84,33 +78,6 @@ class Grid:
         out = _axis_fluxes(arr, self.spacing[0], axis=1)
         out += _axis_fluxes(arr, self.spacing[1], axis=0)
         return out.reshape(-1)
-
-    def laplacian_diagonal(self) -> np.ndarray:
-        """Diagonal of the assembled Laplacian (all entries <= 0)."""
-        diag = np.zeros(self.n_cells)
-        if self.ndim == 1:
-            n, h = self.cells[0], self.spacing[0]
-            w = 1.0 / (h * h)
-            if n > 1:
-                k = np.full(n, 2.0)
-                k[0] = k[-1] = 1.0
-                diag = -k * w
-            return diag
-        n1, n2 = self.cells
-        w1 = 1.0 / (self.spacing[0] * self.spacing[0])
-        w2 = 1.0 / (self.spacing[1] * self.spacing[1])
-        k1 = np.full(n1, 2.0)
-        if n1 > 1:
-            k1[0] = k1[-1] = 1.0
-        else:
-            k1[:] = 0.0
-        k2 = np.full(n2, 2.0)
-        if n2 > 1:
-            k2[0] = k2[-1] = 1.0
-        else:
-            k2[:] = 0.0
-        grid2 = -(np.add.outer(k2 * w2, k1 * w1))
-        return grid2.reshape(-1)
 
 
 def _axis_fluxes(arr: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
@@ -166,48 +133,3 @@ def integrate(g: Grid, f: Field) -> float:
     """Cell-measure weighted sum, the discrete integral over the domain."""
     _require_on_grid(g, f)
     return g.cell_measure * float(np.sum(f.values))
-
-
-def assemble_laplacian(g: Grid) -> SparseMatrix:
-    """Matrix form of the zero-flux Laplacian (symmetric, zero row sums)."""
-    n = g.n_cells
-    rows: list[list[tuple[int, float]]] = []
-    if g.ndim == 1:
-        h = g.spacing[0]
-        w = 1.0 / (h * h)
-        for j in range(n):
-            row: list[tuple[int, float]] = []
-            k = 0
-            if j > 0:
-                row.append((j - 1, w))
-                k += 1
-            if j < n - 1:
-                row.append((j + 1, w))
-                k += 1
-            row.append((j, -(k * w)))
-            rows.append(row)
-    else:
-        n1, n2 = g.cells
-        w1 = 1.0 / (g.spacing[0] * g.spacing[0])
-        w2 = 1.0 / (g.spacing[1] * g.spacing[1])
-        for i2 in range(n2):
-            for i1 in range(n1):
-                j = i2 * n1 + i1
-                row = []
-                k1 = 0
-                k2 = 0
-                if i2 > 0:
-                    row.append((j - n1, w2))
-                    k2 += 1
-                if i1 > 0:
-                    row.append((j - 1, w1))
-                    k1 += 1
-                if i1 < n1 - 1:
-                    row.append((j + 1, w1))
-                    k1 += 1
-                if i2 < n2 - 1:
-                    row.append((j + n1, w2))
-                    k2 += 1
-                row.append((j, -(k1 * w1 + k2 * w2)))
-                rows.append(row)
-    return from_rows(n, n, rows)

@@ -163,12 +163,14 @@ def validate_model(m: ModelSpec, *, rng_seed: int = 0) -> list[Violation]:
         )
         return violations
 
+    if m.a_max is not None and not np.isfinite(m.a_max):
+        violations.append(Violation("a_max must be finite", detail=f"got {m.a_max!r}"))
     g = m.initial_data[0].grid
     for i, (delta, spec, init) in enumerate(
         zip(m.delta, m.coefficients, m.initial_data), start=1
     ):
-        if not (delta > 0):
-            violations.append(Violation("delta must be positive", species=i))
+        if not (0 < delta < np.inf):
+            violations.append(Violation("delta must be positive and finite", species=i))
         if init.grid != g:
             violations.append(Violation("initial fields must share one grid", species=i))
             continue
@@ -199,8 +201,9 @@ def _validate_coefficients(
 ) -> list[Violation]:
     out: list[Violation] = []
     if isinstance(spec, SktCoefficients):
-        if not (spec.base > 0):
-            out.append(Violation("coefficient base must be positive", species=species))
+        if not (0 < spec.base < np.inf):
+            out.append(Violation("coefficient base must be positive and finite",
+                                 species=species))
         if len(spec.couplings) != n_species:
             out.append(
                 Violation(
@@ -209,10 +212,10 @@ def _validate_coefficients(
                     detail=f"got {len(spec.couplings)} for {n_species} species",
                 )
             )
-        if any(c < 0 for c in spec.couplings):
-            out.append(Violation("couplings must be nonnegative", species=species))
-        if not (spec.power > 0):
-            out.append(Violation("power must be positive", species=species))
+        if not all(0 <= c < np.inf for c in spec.couplings):
+            out.append(Violation("couplings must be nonnegative and finite", species=species))
+        if not (0 < spec.power < np.inf):
+            out.append(Violation("power must be positive and finite", species=species))
         return out
 
     if not (spec.lower_bound > 0):

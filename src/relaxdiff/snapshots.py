@@ -53,21 +53,22 @@ def parse_snapshot(text: str) -> tuple[Grid, list[Field], float]:
         spacing = tuple(float(t) for t in tokens[1 + dims : 1 + 2 * dims])
         n_species = int(tokens[1 + 2 * dims])
         time = float(tokens[2 + 2 * dims])
+        if len(tokens) != 3 + 2 * dims:
+            raise ValueError("wrong token count")
+        grid = Grid(cells, spacing)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"malformed snapshot header: {lines[1]!r}") from exc
-    if len(tokens) != 3 + 2 * dims:
-        raise ConfigError(f"malformed snapshot header: {lines[1]!r}")
-    grid = Grid(cells, spacing)
     fields = []
     for i in range(n_species):
         if 2 + i >= len(lines):
             raise ConfigError(f"snapshot ends before species {i + 1}")
-        values = np.array([float(t) for t in lines[2 + i].split()])
-        if values.size != grid.n_cells:
-            raise ConfigError(
-                f"species {i + 1} has {values.size} values, expected {grid.n_cells}"
-            )
-        fields.append(Field(grid, values))
+        try:
+            values = np.array([float(t) for t in lines[2 + i].split()])
+            if values.size != grid.n_cells:
+                raise ValueError(f"{values.size} values, expected {grid.n_cells}")
+            fields.append(Field(grid, values))
+        except ValueError as exc:
+            raise ConfigError(f"species {i + 1}: {exc}") from exc
     return grid, fields, time
 
 

@@ -1,9 +1,7 @@
-"""Sparse linear algebra: compressed-row storage, conjugate gradients, dense oracle.
+"""Deterministic conjugate gradients for matrix-free SPD operators.
 
-The conjugate-gradient solver is written from scratch with a fixed
-accumulation order so that repeated solves are bit-identical. The dense
-solver wraps LAPACK's pivoted LU (via numpy) and serves as the independent
-reference path for the iterative solver.
+The solver is written from scratch with a fixed accumulation order so that
+repeated solves are bit-identical.
 """
 
 from __future__ import annotations
@@ -12,92 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LinearSolverError, SingularMatrixError
-
-
-@dataclass(eq=False)
-class SparseMatrix:
-    """Square-or-rectangular sparse matrix in compressed-row layout.
-
-    Column indices are kept sorted and strictly increasing within each row,
-    which also rules out duplicate columns.
-    """
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.row_offsets.shape != (self.n_rows + 1,):
-            raise DimensionMismatchError("row_offsets must have n_rows + 1 entries")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.entries.size:
-            raise DimensionMismatchError("row_offsets must span the entry array")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise DimensionMismatchError("row_offsets must be nondecreasing")
-        if self.col_indices.shape != self.entries.shape:
-            raise DimensionMismatchError("col_indices and entries must align")
-        if self.col_indices.size:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols:
-                raise DimensionMismatchError("column index out of bounds")
-            # strictly increasing inside each row <=> no duplicates per row
-            inner = np.diff(self.col_indices) <= 0
-            row_starts = self.row_offsets[1:-1]
-            at_break = row_starts[(row_starts > 0) & (row_starts < self.col_indices.size)]
-            inner[at_break - 1] = False
-            if np.any(inner):
-                raise DimensionMismatchError("columns must be strictly increasing per row")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.entries.size)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_cols,):
-            raise DimensionMismatchError(
-                f"matvec expects a vector of length {self.n_cols}, got {x.shape}"
-            )
-        out = np.zeros(self.n_rows)
-        if self.nnz == 0:
-            return out
-        prods = self.entries * x[self.col_indices]
-        starts = self.row_offsets[:-1]
-        nonempty = self.row_offsets[1:] > starts
-        out[nonempty] = np.add.reduceat(prods, starts[nonempty])
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        diag = np.zeros(min(self.n_rows, self.n_cols))
-        on_diag = rows == self.col_indices
-        diag[rows[on_diag]] = self.entries[on_diag]
-        return diag
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        dense[rows, self.col_indices] = self.entries
-        return dense
-
-
-def from_rows(n_rows: int, n_cols: int, rows: list[list[tuple[int, float]]]) -> SparseMatrix:
-    """Build a SparseMatrix from per-row (column, value) pairs, sorting each row."""
-    if len(rows) != n_rows:
-        raise DimensionMismatchError("one entry list per row required")
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, row in enumerate(rows):
-        for c, v in sorted(row):
-            cols.append(c)
-            vals.append(v)
-        offsets[i + 1] = len(cols)
-    return SparseMatrix(n_rows, n_cols, offsets, np.array(cols, dtype=np.int64), np.array(vals))
+from .errors import DimensionMismatchError, LinearSolverError
 
 
 @dataclass(frozen=True)
@@ -118,19 +31,13 @@ def _residual_floor(b: np.ndarray) -> float:
 
 
 def cg_solve(
-    A,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    *,
-    jacobi: bool = False,
-    x0: np.ndarray | None = None,
+    A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
 ) -> tuple[np.ndarray, SolverReport]:
     """Conjugate gradients for a symmetric positive-definite operator.
 
-    `A` may be a SparseMatrix or any object exposing `n_rows`, `n_cols`,
-    `matvec(x)` and (for `jacobi=True`) `diagonal()`. Convergence is declared
-    when the true residual satisfies ||b - A x||_2 <= tol * (||b||_2 + floor);
+    `A` is any object exposing `n_rows`, `n_cols` and `matvec(x)`; the
+    iteration starts from zero. Convergence is declared when the true
+    residual satisfies ||b - A x||_2 <= tol * (||b||_2 + floor);
     non-convergence is reported, not raised, so the caller decides.
     """
     if tol <= 0:
@@ -145,29 +52,14 @@ def cg_solve(
         max_iter = max(50, 10 * n)
 
     threshold = tol * (float(np.linalg.norm(b)) + _residual_floor(b))
-    inv_diag = None
-    if jacobi:
-        diag = np.asarray(A.diagonal(), dtype=np.float64)
-        if np.any(diag <= 0):
-            raise LinearSolverError("Jacobi preconditioning needs a positive diagonal")
-        inv_diag = 1.0 / diag
-
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != (n,):
-            raise DimensionMismatchError("initial guess has wrong length")
-        r = b - A.matvec(x)
-
+    x = np.zeros(n)
+    r = b.copy()
     res = float(np.linalg.norm(r))
     if res <= threshold:
         return x, SolverReport(0, res, True, tol)
 
-    z = r * inv_diag if inv_diag is not None else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     iterations = 0
     while iterations < max_iter:
         iterations += 1
@@ -178,7 +70,7 @@ def cg_solve(
                 f"conjugate-gradient breakdown at iteration {iterations} "
                 "(operator not positive definite?)"
             )
-        alpha = rz / pAp
+        alpha = rr / pAp
         x = x + alpha * p
         r = r - alpha * Ap
         res = float(np.linalg.norm(r))
@@ -189,28 +81,11 @@ def cg_solve(
             if res <= threshold:
                 return x, SolverReport(iterations, res, True, tol)
             # recurrence drifted: restart the search direction from here
-            z = r * inv_diag if inv_diag is not None else r
-            p = z.copy()
-            rz = float(r @ z)
+            p = r.copy()
+            rr = float(r @ r)
             continue
-        z = r * inv_diag if inv_diag is not None else r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
 
     return x, SolverReport(iterations, res, False, tol)
-
-
-def dense_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve via pivoted LU; the reference path for small systems."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError("dense_solve requires a square matrix")
-    if b.shape != (A.shape[0],):
-        raise DimensionMismatchError("right-hand side does not match the matrix")
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc

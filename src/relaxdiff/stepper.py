@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class SchemeConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
+        if not (0 < self.tau < np.inf):
+            raise ValueError("tau must be positive and finite")
+        if not (0 < self.horizon < np.inf):
+            raise ValueError("horizon must be positive and finite")
         if self.tau > self.horizon * (1 + 1e-12):
             raise ValueError("tau must not exceed the horizon")
         if not (self.linear_tol > 0):
@@ -76,9 +76,6 @@ class _ResolventOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return x - self.delta * self.grid.laplacian(x)
 
-    def diagonal(self) -> np.ndarray:
-        return 1.0 - self.delta * self.grid.laplacian_diagonal()
-
 
 class _ImplicitStepOperator:
     """Matrix-free diag(1 / (tau A)) - L; symmetric positive definite."""
@@ -90,9 +87,6 @@ class _ImplicitStepOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.scale * x - self.grid.laplacian(x)
-
-    def diagonal(self) -> np.ndarray:
-        return self.scale - self.grid.laplacian_diagonal()
 
 
 def _solve_regularize(
@@ -176,18 +170,28 @@ class SystemState:
         return self.u[0].grid
 
 
+def _regularize_all(m: ModelSpec, cfg: SchemeConfig,
+                    u: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Regularized copy of every species' density, in species order."""
+    return [_solve_regularize(m.grid, u[i], m.delta[i], cfg.linear_tol,
+                              cfg.linear_max_iter)[0] for i in range(m.n_species)]
+
+
+def _next_w(state: SystemState, i: int, delta: float, ut_new: np.ndarray,
+            A: np.ndarray, u_new: np.ndarray, dt: float) -> Field:
+    """w of species i after one step: delta * u_tilde plus the sum of tau * A * u."""
+    return Field(state.grid, delta * ut_new
+                 + (state.w[i].values - delta * state.u_tilde[i].values)
+                 + dt * A * u_new)
+
+
 def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     """State at t = 0: regularized initial data and w = delta * u_tilde."""
     g = m.grid
     u = tuple(f.copy() for f in m.initial_data)
-    u_tilde = []
-    w = []
-    for i in range(m.n_species):
-        ut, _ = _solve_regularize(g, u[i].values, m.delta[i], cfg.linear_tol,
-                                  cfg.linear_max_iter)
-        u_tilde.append(Field(g, ut))
-        w.append(Field(g, m.delta[i] * ut))
-    return SystemState(0.0, u, tuple(u_tilde), tuple(w))
+    u_tilde = _regularize_all(m, cfg, [f.values for f in u])
+    return SystemState(0.0, u, tuple(Field(g, ut) for ut in u_tilde),
+                       tuple(Field(g, d * ut) for d, ut in zip(m.delta, u_tilde)))
 
 
 @dataclass(frozen=True)
@@ -221,9 +225,7 @@ def step_with_info(
             raise LinearSolverError(
                 f"species {i + 1}, step from t = {t0!r}: {exc}"
             ) from exc
-        w_new = (m.delta[i] * ut_new
-                 + (state.w[i].values - m.delta[i] * state.u_tilde[i].values)
-                 + dt * A_fields[i] * u_new)
+        w_new = _next_w(state, i, m.delta[i], ut_new, A_fields[i], u_new, dt)
         info = SpeciesStepInfo(
             species=i + 1,
             cg_iterations=rep_impl.iterations + rep_reg.iterations,
@@ -231,7 +233,7 @@ def step_with_info(
             coefficient_min=float(np.min(A_fields[i])),
             coefficient_max=float(np.max(A_fields[i])),
         )
-        return Field(g, u_new), Field(g, ut_new), Field(g, w_new), info
+        return Field(g, u_new), Field(g, ut_new), w_new, info
 
     indices = range(state.n_species)
     if cfg.workers > 1 and state.n_species > 1:
@@ -285,25 +287,46 @@ class RunResult:
     shortened_last_step: bool
 
 
+def march(state: SystemState, cfg: SchemeConfig, advance: Callable,
+          on_step: Callable | None) -> SystemState:
+    """The time loop of every run mode: step `state` to cfg.horizon.
+
+    `advance(state, dt)` returns the next state and a per-step report;
+    `on_step(k, before, after, report)`, when given, sees every step. Times
+    are pinned to the step grid instead of accumulating round-off.
+    """
+    taus, _ = plan_steps(cfg.tau, cfg.horizon)
+    for k, dt in enumerate(taus, start=1):
+        before = state
+        state, report = advance(before, dt)
+        state.time = cfg.horizon if k == len(taus) else k * cfg.tau
+        if on_step is not None:
+            on_step(k, before, state, report)
+    return state
+
+
 def run(m: ModelSpec, cfg: SchemeConfig, sinks: RunSinks | None = None) -> RunResult:
-    """March the scheme to the horizon, emitting diagnostics every step."""
+    """March the semi-implicit scheme to the horizon, emitting diagnostics every step."""
     from .diagnostics import DiagnosticsReport, step_records
 
     sinks = sinks or RunSinks()
     taus, shortened = plan_steps(cfg.tau, cfg.horizon)
-    state = initial_state(m, cfg)
     report = DiagnosticsReport()
-    if sinks.on_snapshot is not None:
-        sinks.on_snapshot(0, state)
-    for k, dt in enumerate(taus, start=1):
-        before = state
-        state, infos = step_with_info(before, m, cfg, tau=dt)
-        # pin times to the step grid instead of accumulating round-off
-        state.time = cfg.horizon if k == len(taus) else k * cfg.tau
-        records = step_records(k, before, state, infos)
+
+    def after_step(k, before, after, infos):
+        records = step_records(k, before, after, infos)
         report.rows.extend(records)
         if sinks.on_step is not None:
-            sinks.on_step(k, before, state, records)
+            sinks.on_step(k, before, after, records)
         if sinks.on_snapshot is not None and (k % cfg.output_stride == 0 or k == len(taus)):
-            sinks.on_snapshot(k, state)
+            sinks.on_snapshot(k, after)
+
+    def start() -> SystemState:
+        state = initial_state(m, cfg)
+        if sinks.on_snapshot is not None:
+            sinks.on_snapshot(0, state)
+        return state
+
+    # passed straight through, so no local keeps the initial state alive
+    state = march(start(), cfg, lambda s, dt: step_with_info(s, m, cfg, tau=dt), after_step)
     return RunResult(state, report, shortened)

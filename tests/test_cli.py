@@ -1,3 +1,8 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -204,3 +209,46 @@ def test_invariants_mode(tmp_path):
     assert lines[0] == "step,species,check,value,threshold,status"
     assert all(line.endswith("pass") for line in lines[1:])
     assert any("w_identity_residual" in line for line in lines)
+
+
+NONFINITE_EDITS = {
+    "coupling_nan": ("d_1 = 0.0", "d_1 = nan"),
+    "base_inf": ("d = 0.05\nd_1 = 0.0", "d = inf\nd_1 = 0.0"),
+    "horizon_overflow": ("T = 0.1", "T = 1e400"),
+    "init_file_nan": ("init = cosine:0.5,1.0", "init = file:{nan_file}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_EDITS))
+def test_nonfinite_input_is_a_config_error(tmp_path, case):
+    nan_file = tmp_path / "init.txt"
+    nan_file.write_text("1.0\n" * 15 + "nan\n")
+    path, _ = write_cfg(tmp_path)
+    old, new = NONFINITE_EDITS[case]
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new.format(nan_file=nan_file)))
+    src = str(Path(rd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaxdiff.cli", "simulate", "--config", str(path)],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):
+    # with zero tolerances round-off fails some row; both modes must agree on the first
+    zero = rd.CheckTolerances(mass=0.0, positivity=0.0, monotonicity=0.0)
+    monkeypatch.setattr(rd.CheckTolerances, "from_linear_tol",
+                        classmethod(lambda cls, linear_tol: zero))
+    path, _ = write_cfg(tmp_path, n1=48, tau=0.01, T=0.2)
+    assert cli.main(["invariants", "--config", str(path),
+                     "--output-dir", str(tmp_path / "inv")]) == 1
+    rows = (tmp_path / "inv" / "invariants.csv").read_text().splitlines()[1:]
+    first_fail = next(r.split(",") for r in rows if r.endswith(",fail"))
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", str(path),
+                     "--output-dir", str(tmp_path / "sim")]) == 1
+    match = re.search(r"step (\d+) .*?species (\d+)", capsys.readouterr().err)
+    assert match is not None
+    assert match.groups() == (first_fail[0], first_fail[1])

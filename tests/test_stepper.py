@@ -6,6 +6,7 @@ from relaxdiff.errors import LinearSolverError
 
 from conftest import (
     cosine_profile,
+    dense_laplacian,
     dense_replay,
     lipschitz_cross_model,
     make_grid_1d,
@@ -87,7 +88,7 @@ def test_nonsymmetric_form_is_m_matrix():
     rng = np.random.default_rng(5)
     A = rng.uniform(0.2, 2.0, 6)
     tau = 0.1
-    L = rd.assemble_laplacian(g).to_dense()
+    L = dense_laplacian(g)
     M = np.eye(6) / tau - L @ np.diag(A)
     off = M - np.diag(np.diag(M))
     assert np.all(off <= 1e-14)
@@ -252,7 +253,7 @@ def test_run_heat_decay_rate_matches_first_eigenvalue():
         times.append(r.time)
         norms.append(max(abs(r.max_u - mean), abs(r.min_u - mean)))
     rate = -np.polyfit(times, np.log(norms), 1)[0]
-    lam1 = deflated_power_lambda1(rd.assemble_laplacian(g))
+    lam1 = deflated_power_lambda1(dense_laplacian(g))
     assert abs(rate - d * lam1) <= 0.05 * d * lam1
 
 
@@ -264,23 +265,23 @@ def deflated_power_lambda1(L, seed=1, tol=1e-12, max_iter=200_000):
     whose dominant eigenvalue is lambda_max - lambda_1.
     """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(L.n_rows)
+    v = rng.standard_normal(L.shape[0])
     v /= np.linalg.norm(v)
     lam_max = 0.0
     for _ in range(max_iter):
-        w = -L.matvec(v)
+        w = -(L @ v)
         lam = float(v @ w)
         v = w / np.linalg.norm(w)
         if abs(lam - lam_max) <= tol * abs(lam):
             lam_max = lam
             break
         lam_max = lam
-    v = rng.standard_normal(L.n_rows)
+    v = rng.standard_normal(L.shape[0])
     v -= v.mean()
     v /= np.linalg.norm(v)
     shifted = 0.0
     for _ in range(max_iter):
-        w = lam_max * v + L.matvec(v)
+        w = lam_max * v + L @ v
         w -= w.mean()
         lam = float(v @ w)
         v = w / np.linalg.norm(w)
@@ -294,7 +295,7 @@ def deflated_power_lambda1(L, seed=1, tol=1e-12, max_iter=200_000):
 def test_deflated_power_iteration_matches_analytic_eigenvalue():
     n = 32
     g = make_grid_1d(n)
-    lam1 = deflated_power_lambda1(rd.assemble_laplacian(g))
+    lam1 = deflated_power_lambda1(dense_laplacian(g))
     h = 1.0 / n
     analytic = (4.0 / h**2) * np.sin(np.pi / (2 * n)) ** 2
     assert lam1 == pytest.approx(analytic, rel=1e-6)
