@@ -47,7 +47,9 @@ class StepRecord:
     coef_min: float
     coef_max: float
     clamps: int
-    cg_iters: int
+    cg_iters: int  # the sum of the two columns after it
+    cg_iters_implicit: int
+    cg_iters_regularize: int
 
     def to_csv_row(self) -> str:
         return ",".join(
@@ -97,7 +99,9 @@ def step_records(
                 coef_min=info.coefficient_min,
                 coef_max=info.coefficient_max,
                 clamps=info.clamp_count,
-                cg_iters=info.cg_iterations,
+                cg_iters=info.cg_iters_implicit + info.cg_iters_regularize,
+                cg_iters_implicit=info.cg_iters_implicit,
+                cg_iters_regularize=info.cg_iters_regularize,
             )
         )
     return records

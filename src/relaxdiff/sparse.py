@@ -1,4 +1,4 @@
-"""Deterministic conjugate gradients for matrix-free SPD operators.
+"""Deterministic preconditioned conjugate gradients for matrix-free SPD operators.
 
 The solver is written from scratch with a fixed accumulation order so that
 repeated solves are bit-identical.
@@ -33,12 +33,14 @@ def _residual_floor(b: np.ndarray) -> float:
 def cg_solve(
     A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
 ) -> tuple[np.ndarray, SolverReport]:
-    """Conjugate gradients for a symmetric positive-definite operator.
+    """Preconditioned conjugate gradients for a symmetric positive-definite operator.
 
-    `A` is any object exposing `n_rows`, `n_cols` and `matvec(x)`; the
-    iteration starts from zero. Convergence is declared when the true
-    residual satisfies ||b - A x||_2 <= tol * (||b||_2 + floor);
-    non-convergence is reported, not raised, so the caller decides.
+    `A` is any object exposing `n_rows`, `n_cols`, `matvec(x)` and
+    `precondition(r)`, which applies a symmetric positive-definite
+    approximation of A^{-1} (the identity gives plain CG); the iteration
+    starts from zero. Convergence is declared when the true residual
+    satisfies ||b - A x||_2 <= tol * (||b||_2 + floor); non-convergence is
+    reported, not raised, so the caller decides.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -58,8 +60,8 @@ def cg_solve(
     if res <= threshold:
         return x, SolverReport(0, res, True, tol)
 
-    p = r.copy()
-    rr = float(r @ r)
+    p = A.precondition(r)
+    rz = float(r @ p)
     iterations = 0
     while iterations < max_iter:
         iterations += 1
@@ -70,7 +72,7 @@ def cg_solve(
                 f"conjugate-gradient breakdown at iteration {iterations} "
                 "(operator not positive definite?)"
             )
-        alpha = rr / pAp
+        alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
         res = float(np.linalg.norm(r))
@@ -81,11 +83,12 @@ def cg_solve(
             if res <= threshold:
                 return x, SolverReport(iterations, res, True, tol)
             # recurrence drifted: restart the search direction from here
-            p = r.copy()
-            rr = float(r @ r)
+            p = A.precondition(r)
+            rz = float(r @ p)
             continue
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        z = A.precondition(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
 
     return x, SolverReport(iterations, res, False, tol)

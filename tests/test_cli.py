@@ -59,8 +59,11 @@ def test_simulate_writes_expected_files(tmp_path):
     diag = (out / "diagnostics.csv").read_text().splitlines()
     assert diag[0] == ("step,time,species,mass_u,mass_utilde,min_u,max_u,"
                        "min_utilde,max_utilde,w_min_increment,coef_min,coef_max,"
-                       "clamps,cg_iters")
+                       "clamps,cg_iters,cg_iters_implicit,cg_iters_regularize")
     assert len(diag) == 1 + 5 * 2
+    for row in diag[1:]:
+        total, implicit, regularize = map(int, row.split(",")[-3:])
+        assert total == implicit + regularize and implicit > 0 and regularize > 0
     assert (out / "snap_0.fld").exists()
     assert (out / "snap_5.fld").exists()
 

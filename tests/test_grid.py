@@ -113,3 +113,36 @@ def test_row_major_axis1_fastest():
     x1, x2 = g.cell_centers()
     assert x1.tolist() == [0.5, 1.5, 2.5, 0.5, 1.5, 2.5]
     assert x2.tolist() == [0.5, 0.5, 0.5, 1.5, 1.5, 1.5]
+
+
+SHIFTED_SOLVE_GRIDS = [
+    rd.Grid((1,), (0.3,)),
+    rd.Grid((2,), (0.5,)),
+    rd.Grid((7,), (0.1,)),
+    make_grid_1d(128),
+    make_grid_2d(96, 40, (1.0, 0.7)),
+    make_grid_2d(1, 16, (0.3, 0.8)),
+]
+
+
+@pytest.mark.parametrize("g", SHIFTED_SOLVE_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+def test_shifted_solve_matches_dense(g, rng):
+    L = dense_laplacian(g)
+    # (1, delta): the regularization; (1 / (tau a), 1): an implicit-step shift
+    for c, s in ((1.0, 0.01), (1.0, 1e-4), (100.0, 1.0), (37.0, 1.0)):
+        r = rng.standard_normal(g.n_cells)
+        x = g.shifted_solve(r, c, s)
+        residual = r - (c * x - s * (L @ x))
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_shifted_solve_constant_field_bitwise():
+    for g in (make_grid_1d(1), make_grid_1d(9), make_grid_2d(6, 5, (1.0, 0.3))):
+        for c, s in ((1.0, 0.05), (3.0, 10.0)):
+            out = g.shifted_solve(np.full(g.n_cells, 2.5), c, s)
+            assert np.array_equal(out, np.full(g.n_cells, 2.5 / c))
+
+
+def test_shifted_solve_rejects_wrong_length():
+    with pytest.raises(DimensionMismatchError):
+        make_grid_2d(3, 4).shifted_solve(np.ones(11), 1.0, 1.0)

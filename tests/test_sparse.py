@@ -23,6 +23,9 @@ class DenseOperator:
     def matvec(self, x):
         return self.A @ x
 
+    def precondition(self, r):
+        return r
+
 
 def test_cg_two_by_two():
     A = DenseOperator([[2.0, -1.0], [-1.0, 2.0]])

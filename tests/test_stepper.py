@@ -3,6 +3,7 @@ import pytest
 
 import relaxdiff as rd
 from relaxdiff.errors import LinearSolverError
+from relaxdiff.stepper import _solve_implicit, _solve_regularize
 
 from conftest import (
     cosine_profile,
@@ -302,16 +303,32 @@ def test_deflated_power_iteration_matches_analytic_eigenvalue():
 
 
 def test_step_concurrency_bit_identical():
-    g = make_grid_1d(32)
-    m = two_species_model(g)
-    serial = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=1)
-    threaded = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=4)
-    res_a = rd.run(m, serial)
-    res_b = rd.run(m, threaded)
-    for i in range(2):
-        assert np.array_equal(res_a.state.u[i].values, res_b.state.u[i].values)
-        assert np.array_equal(res_a.state.w[i].values, res_b.state.w[i].values)
-    assert res_a.report.to_csv() == res_b.report.to_csv()
+    # the 2D grid runs the cosine-basis matrix products from two worker threads
+    for g in (make_grid_1d(32), make_grid_2d(48, 40, (1.0, 0.8))):
+        m = two_species_model(g)
+        serial = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=1)
+        threaded = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=4)
+        res_a = rd.run(m, serial)
+        res_b = rd.run(m, threaded)
+        for i in range(2):
+            assert np.array_equal(res_a.state.u[i].values, res_b.state.u[i].values)
+            assert np.array_equal(res_a.state.w[i].values, res_b.state.w[i].values)
+        assert res_a.report.to_csv() == res_b.report.to_csv()
+
+
+@pytest.mark.parametrize("cells", [(32,), (128,), (1024,), (32, 32), (64, 64), (128, 128),
+                                   (256, 256)], ids=lambda c: "x".join(map(str, c)))
+def test_solve_iterations_do_not_grow_with_the_mesh(cells, rng):
+    # unpreconditioned CG needs about n iterations here; the cosine-basis
+    # preconditioner bounds them by max A / min A = 3 whatever the mesh
+    g = rd.Grid(cells, tuple(1.0 / n for n in cells))
+    A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
+    assert np.max(A) / np.min(A) == pytest.approx(3.0, rel=1e-2)
+    u = rng.uniform(0.0, 2.0, g.n_cells)
+    u_new, implicit = _solve_implicit(g, u, A, 0.01, 1e-10, 10_000)
+    _, regularize = _solve_regularize(g, u_new, 0.01, 1e-10, 10_000)
+    assert implicit.converged and implicit.iterations <= 15
+    assert regularize.converged and regularize.iterations <= 2
 
 
 def test_solver_failure_names_species():
