@@ -46,8 +46,7 @@ MODES = ("simulate", "converge", "cross-validate", "invariants")
 _GRID_KEYS = {"dims", "n1", "n2", "h1", "h2"}
 _SPECIES_KEYS = {"delta", "coeff", "d", "p", "init"}  # plus d_1 .. d_I
 _SCHEME_KEYS = {
-    "tau", "T", "linear_tol", "linear_max_iter", "output_stride",
-    "clamp_tilde_positive", "workers", "a_max",
+    "tau", "T", "linear_tol", "linear_max_iter", "output_stride", "workers", "a_max",
 }
 _RUN_KEYS = {"mode", "output_dir", "seed", "spatial", "halvings"}
 _PICARD_KEYS = {"max_sweeps", "sweep_tol"}
@@ -337,7 +336,6 @@ def parse_config(text: str) -> RunConfig:
             horizon=horizon,
             linear_tol=scheme_sec.parse("linear_tol", float, 1e-10),
             linear_max_iter=scheme_sec.parse("linear_max_iter", int, 10_000),
-            clamp_tilde_positive=scheme_sec.parse("clamp_tilde_positive", _to_bool, True),
             output_stride=scheme_sec.parse("output_stride", int, 1),
             workers=scheme_sec.parse("workers", int, 1),
         )

@@ -212,7 +212,7 @@ def w_increment_residual(
     g = after.grid
     if tau is None:
         tau = after.time - before.time
-    A_fields, _ = coefficient_fields(m, before.u_tilde, clamp_negative=True)
+    A_fields, _ = coefficient_fields(m, before.u_tilde)
     worst = 0.0
     for i in range(after.n_species):
         expected, _ = _solve_regularize(

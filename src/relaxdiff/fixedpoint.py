@@ -22,9 +22,8 @@ from .model import ModelSpec, coefficient_fields
 from .stepper import (
     SchemeConfig,
     SystemState,
-    _next_w,
-    _regularize_all,
     _solve_implicit,
+    frozen_step,
     initial_state,
     march,
     step_with_info,
@@ -68,9 +67,9 @@ def solve_frozen_slab(
     return trajectory
 
 
-def _relative_l2_change(new: list[np.ndarray], old: list[np.ndarray]) -> float:
-    num = np.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(new, old)))
-    den = np.sqrt(sum(float(np.sum(b**2)) for b in old))
+def _relative_l2_change(new: Sequence[Field], old: Sequence[Field]) -> float:
+    num = np.sqrt(sum(float(np.sum((a.values - b.values) ** 2)) for a, b in zip(new, old)))
+    den = np.sqrt(sum(float(np.sum(b.values**2)) for b in old))
     return num / max(den, 1e-300)
 
 
@@ -84,52 +83,31 @@ def picard_step_with_info(
     """One fully implicit step via successive coefficient freezing.
 
     The first candidate is the semi-implicit prediction (coefficients from the
-    previous time level). Each sweep regularizes the current candidate,
-    re-evaluates the coefficients there, and redoes the implicit solve from
-    the previous-step densities. The loop stops when the candidate's relative
-    L2 change across a sweep falls below `sweep_tol`; if the coefficients do
-    not depend on the state this happens on the first sweep and the result
-    coincides with the plain semi-implicit step.
+    previous time level). Each sweep re-evaluates the coefficients at the
+    current candidate's regularization and redoes the frozen-coefficient step
+    from `state`. The loop stops when the candidate's relative L2 change
+    across a sweep falls below `sweep_tol`; if the coefficients do not depend
+    on the state this happens on the first sweep and the result coincides
+    with the plain semi-implicit step.
     """
-    g = m.grid
     dt = cfg.tau if tau is None else float(tau)
-
-    def implicit_all(A_fields: list[np.ndarray]) -> list[np.ndarray]:
-        return [_solve_implicit(g, state.u[i].values, A_fields[i], dt, cfg.linear_tol,
-                                cfg.linear_max_iter)[0] for i in range(m.n_species)]
-
     # sweep 0: freeze at the previous time level (the semi-implicit predictor)
-    A_fields, _ = coefficient_fields(m, state.u_tilde, cfg.clamp_tilde_positive)
-    candidate = implicit_all(A_fields)
+    A_fields, _ = coefficient_fields(m, state.u_tilde)
+    candidate, _ = frozen_step(state, m, cfg, A_fields, dt)
 
-    sweeps = 0
-    change = np.inf
-    while sweeps < p.max_sweeps:
-        sweeps += 1
-        tilde = [Field(g, ut) for ut in _regularize_all(m, cfg, candidate)]
-        A_fields, _ = coefficient_fields(m, tilde, cfg.clamp_tilde_positive)
-        refreshed = implicit_all(A_fields)
-        change = _relative_l2_change(refreshed, candidate)
+    for sweeps in range(1, p.max_sweeps + 1):
+        A_fields, _ = coefficient_fields(m, candidate.u_tilde)
+        refreshed, _ = frozen_step(state, m, cfg, A_fields, dt)
+        change = _relative_l2_change(refreshed.u, candidate.u)
         candidate = refreshed
         if change < p.sweep_tol:
-            break
-    else:
-        raise PicardConvergenceError(
-            f"sweep loop did not converge in {p.max_sweeps} sweeps "
-            f"(last relative change {change:.3e}); a smaller tau may help",
-            sweeps=p.max_sweeps,
-            last_change=float(change),
-        )
-
-    u_tilde_new = _regularize_all(m, cfg, candidate)
-    new_state = SystemState(
-        time=state.time + dt,
-        u=tuple(Field(g, c) for c in candidate),
-        u_tilde=tuple(Field(g, ut) for ut in u_tilde_new),
-        w=tuple(_next_w(state, i, m.delta[i], u_tilde_new[i], A_fields[i], candidate[i], dt)
-                for i in range(m.n_species)),
+            return candidate, sweeps
+    raise PicardConvergenceError(
+        f"sweep loop did not converge in {p.max_sweeps} sweeps "
+        f"(last relative change {change:.3e}); a smaller tau may help",
+        sweeps=p.max_sweeps,
+        last_change=float(change),
     )
-    return new_state, sweeps
 
 
 def picard_step(

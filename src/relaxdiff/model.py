@@ -13,7 +13,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import Violation
+from .errors import RelaxdiffError, Violation
 from .grid import Field, Grid
 
 
@@ -244,28 +244,29 @@ def _validate_coefficients(
 
 
 def coefficient_fields(
-    m: ModelSpec, u_tilde: Sequence[Field], clamp_negative: bool
+    m: ModelSpec, u_tilde: Sequence[Field]
 ) -> tuple[list[np.ndarray], list[int]]:
     """Per-species coefficient arrays evaluated at the regularized densities.
 
     Negative regularized values (solver round-off) are clamped to zero before
-    evaluation when `clamp_negative` is set; either way the number of negative
-    cells per species is counted. The optional `a_max` truncation is applied
-    last and its activations are added to the same counter.
+    evaluation and counted per species. The optional `a_max` truncation is
+    applied last and its activations are added to the same counter.
     """
     raw = np.stack([f.values for f in u_tilde])
     counts = [int(np.count_nonzero(row < 0)) for row in raw]
-    R = np.maximum(raw, 0.0) if clamp_negative else raw
+    R = np.maximum(raw, 0.0)
     fields = []
     for i, spec in enumerate(m.coefficients):
-        A = spec.evaluate_many(R)
+        # an overflow is reported below as a non-finite coefficient
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = spec.evaluate_many(R)
         if m.a_max is not None:
             hit = int(np.count_nonzero(A > m.a_max))
             if hit:
                 counts[i] += hit
                 A = np.minimum(A, m.a_max)
         if not np.all(np.isfinite(A)):
-            raise ValueError(
+            raise RelaxdiffError(
                 f"coefficient evaluation produced non-finite values for species {i + 1}"
             )
         fields.append(A)

@@ -31,7 +31,7 @@ def format_snapshot(grid: Grid, fields: list[Field], time: float) -> str:
     for f in fields:
         if f.grid != grid:
             raise ConfigError("snapshot fields must share the snapshot grid")
-        lines.append(" ".join(repr(float(v)) for v in f.values))
+        lines.append(" ".join(map(repr, f.values.tolist())))
     return "\n".join(lines) + "\n"
 
 

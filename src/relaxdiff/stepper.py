@@ -1,9 +1,11 @@
 """Semi-implicit time stepping for the relaxed cross-diffusion system.
 
-Each step regularizes the previous densities (a screened-Poisson solve),
-freezes the diffusion coefficients at the clamped regularized state, and
-advances every species through one implicit diffusion solve. Both linear
-solves are symmetric positive definite and handled by conjugate gradients,
+Each step freezes the diffusion coefficients at the clamped regularization of
+the previous densities, advances every species through one implicit diffusion
+solve, and regularizes the result (a screened-Poisson solve). `frozen_step`
+is that step for given coefficients; the Picard sweeps of `fixedpoint` reuse
+it with the coefficients frozen at their candidate. Both linear solves are
+symmetric positive definite and handled by conjugate gradients,
 preconditioned with exact solves of constant-coefficient shifts of the
 Laplacian in its cosine eigenbasis: the regularization operator is such a
 shift, so its solve needs one iteration, and the implicit operator is
@@ -50,7 +52,6 @@ class SchemeConfig:
     horizon: float
     linear_tol: float = 1e-10
     linear_max_iter: int = 10_000
-    clamp_tilde_positive: bool = True
     output_stride: int = 1
     workers: int = 1
 
@@ -187,26 +188,12 @@ class SystemState:
         return self.u[0].grid
 
 
-def _regularize_all(m: ModelSpec, cfg: SchemeConfig,
-                    u: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Regularized copy of every species' density, in species order."""
-    return [_solve_regularize(m.grid, u[i], m.delta[i], cfg.linear_tol,
-                              cfg.linear_max_iter)[0] for i in range(m.n_species)]
-
-
-def _next_w(state: SystemState, i: int, delta: float, ut_new: np.ndarray,
-            A: np.ndarray, u_new: np.ndarray, dt: float) -> Field:
-    """w of species i after one step: delta * u_tilde plus the sum of tau * A * u."""
-    return Field(state.grid, delta * ut_new
-                 + (state.w[i].values - delta * state.u_tilde[i].values)
-                 + dt * A * u_new)
-
-
 def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     """State at t = 0: regularized initial data and w = delta * u_tilde."""
     g = m.grid
     u = tuple(f.copy() for f in m.initial_data)
-    u_tilde = _regularize_all(m, cfg, [f.values for f in u])
+    u_tilde = [_solve_regularize(g, f.values, d, cfg.linear_tol, cfg.linear_max_iter)[0]
+               for f, d in zip(u, m.delta)]
     return SystemState(0.0, u, tuple(Field(g, ut) for ut in u_tilde),
                        tuple(Field(g, d * ut) for d, ut in zip(m.delta, u_tilde)))
 
@@ -223,14 +210,17 @@ class SpeciesStepInfo:
     coefficient_max: float
 
 
-def step_with_info(
-    state: SystemState, m: ModelSpec, cfg: SchemeConfig, tau: float | None = None
-) -> tuple[SystemState, list[SpeciesStepInfo]]:
-    """Advance one step of size `tau` (default cfg.tau) and report solve stats."""
+def frozen_step(
+    state: SystemState, m: ModelSpec, cfg: SchemeConfig, A_fields: Sequence[np.ndarray],
+    dt: float,
+) -> tuple[SystemState, list[tuple[SolverReport, SolverReport]]]:
+    """One step of size `dt` with the coefficients frozen at `A_fields`.
+
+    Every species takes its implicit diffusion solve from `state.u`, then the
+    regularization of the result, then the w update. Returns the next state
+    and each species' (implicit, regularize) solve reports.
+    """
     g = m.grid
-    dt = cfg.tau if tau is None else float(tau)
-    A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, cfg.clamp_tilde_positive)
-    t0 = state.time
 
     def advance(i: int):
         try:
@@ -241,18 +231,13 @@ def step_with_info(
                 g, u_new, m.delta[i], cfg.linear_tol, cfg.linear_max_iter)
         except LinearSolverError as exc:
             raise LinearSolverError(
-                f"species {i + 1}, step from t = {t0!r}: {exc}"
+                f"species {i + 1}, step from t = {state.time!r}: {exc}"
             ) from exc
-        w_new = _next_w(state, i, m.delta[i], ut_new, A_fields[i], u_new, dt)
-        info = SpeciesStepInfo(
-            species=i + 1,
-            cg_iters_implicit=rep_impl.iterations,
-            cg_iters_regularize=rep_reg.iterations,
-            clamp_count=clamp_counts[i],
-            coefficient_min=float(np.min(A_fields[i])),
-            coefficient_max=float(np.max(A_fields[i])),
-        )
-        return Field(g, u_new), Field(g, ut_new), w_new, info
+        # w = delta * u_tilde plus the running sum of dt * A * u
+        delta = m.delta[i]
+        w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
+                 + dt * A_fields[i] * u_new)
+        return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg)
 
     indices = range(state.n_species)
     if cfg.workers > 1 and state.n_species > 1:
@@ -268,6 +253,26 @@ def step_with_info(
         w=tuple(r[2] for r in results),
     )
     return new_state, [r[3] for r in results]
+
+
+def step_with_info(
+    state: SystemState, m: ModelSpec, cfg: SchemeConfig, tau: float | None = None
+) -> tuple[SystemState, list[SpeciesStepInfo]]:
+    """Advance one step of size `tau` (default cfg.tau) and report solve stats."""
+    dt = cfg.tau if tau is None else float(tau)
+    A_fields, clamp_counts = coefficient_fields(m, state.u_tilde)
+    new_state, reports = frozen_step(state, m, cfg, A_fields, dt)
+    return new_state, [
+        SpeciesStepInfo(
+            species=i + 1,
+            cg_iters_implicit=implicit.iterations,
+            cg_iters_regularize=regularize.iterations,
+            clamp_count=clamp_counts[i],
+            coefficient_min=float(np.min(A_fields[i])),
+            coefficient_max=float(np.max(A_fields[i])),
+        )
+        for i, (implicit, regularize) in enumerate(reports)
+    ]
 
 
 def step(state: SystemState, m: ModelSpec, cfg: SchemeConfig) -> SystemState:

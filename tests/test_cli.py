@@ -239,6 +239,21 @@ def test_nonfinite_input_is_a_config_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+def test_overflowing_coefficients_exit_1_without_traceback(tmp_path):
+    # 10^400 overflows, so the coefficients of the first step are not finite
+    path, _ = write_cfg(tmp_path, n1=128)
+    text = path.read_text().replace("init = cosine:0.5,1.0", "p = 400\ninit = constant:10")
+    path.write_text(text.replace("init = cosine:-0.5,1.0", "p = 400\ninit = constant:10"))
+    src = str(Path(rd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaxdiff.cli", "simulate", "--config", str(path)],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.endswith(": coefficient evaluation produced non-finite values for species 1")
+
+
 def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):
     # with zero tolerances round-off fails some row; both modes must agree on the first
     zero = rd.CheckTolerances(mass=0.0, positivity=0.0, monotonicity=0.0)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,6 @@ def test_minimal_config_fills_defaults():
     cfg = rd.parse_config(MINIMAL)
     assert cfg.grid.cells == (16,)
     assert cfg.scheme.linear_tol == 1e-10
-    assert cfg.scheme.clamp_tilde_positive is True
     assert cfg.scheme.workers == 1
     assert cfg.mode == "simulate"
     assert cfg.seed == 0
@@ -48,6 +50,22 @@ def test_unknown_key_names_line_and_key():
         rd.parse_config(bad)
     message = str(err.value)
     assert "taau" in message and "line" in message
+
+
+# negative round-off is always clamped, so there is no clamp_tilde_positive key
+def test_clamp_tilde_positive_key_rejected():
+    bad = MINIMAL.replace("tau = 0.01", "tau = 0.01\nclamp_tilde_positive = on")
+    with pytest.raises(ConfigError) as err:
+        rd.parse_config(bad)
+    message = str(err.value)
+    assert "clamp_tilde_positive" in message and "line" in message
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    assert len(rd.parse_config(blocks[0]).species) == 2
 
 
 def test_unknown_section_rejected():

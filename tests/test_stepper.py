@@ -3,6 +3,7 @@ import pytest
 
 import relaxdiff as rd
 from relaxdiff.errors import LinearSolverError
+from relaxdiff.fixedpoint import picard_step_with_info
 from relaxdiff.stepper import _solve_implicit, _solve_regularize
 
 from conftest import (
@@ -314,6 +315,18 @@ def test_step_concurrency_bit_identical():
             assert np.array_equal(res_a.state.u[i].values, res_b.state.u[i].values)
             assert np.array_equal(res_a.state.w[i].values, res_b.state.w[i].values)
         assert res_a.report.to_csv() == res_b.report.to_csv()
+    # the Picard sweeps take the same step kernel, so they honour workers too
+    g = make_grid_2d(48, 40, (1.0, 0.8))
+    m = two_species_model(g)
+    picard = []
+    for workers in (1, 4):
+        cfg = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=workers)
+        picard.append(picard_step_with_info(rd.initial_state(m, cfg), m, cfg,
+                                            rd.PicardConfig()))
+    (a, sweeps_a), (b, sweeps_b) = picard
+    assert sweeps_a == sweeps_b > 1
+    for fa, fb in zip(a.u + a.u_tilde + a.w, b.u + b.u_tilde + b.w):
+        assert np.array_equal(fa.values, fb.values)
 
 
 @pytest.mark.parametrize("cells", [(32,), (128,), (1024,), (32, 32), (64, 64), (128, 128),
