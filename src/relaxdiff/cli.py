@@ -8,9 +8,10 @@ Modes:
 
 Exit status 0 means every check passed, 1 means a numerical failure or a
 violated invariant (with a message naming step and species), 2 means the
-configuration was rejected. All state lives in the config file plus the
-optional --seed/--output-dir overrides, so runs are reproducible byte for
-byte.
+configuration was rejected. A run that stops early says why on a last stderr
+line that starts with `error: ` (exit 1) or `config error: ` (exit 2). All
+state lives in the config file plus the optional --seed/--output-dir
+overrides, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -34,20 +35,23 @@ from .diagnostics import (
 )
 from .errors import ConfigError, RelaxdiffError
 from .grid import Grid, integrate
-from .model import validate_model
 from .snapshots import write_snapshot
 from .stepper import RunSinks, SchemeConfig
 
 
-class _AbortRun(RelaxdiffError):
-    pass
+def _output_dir(cfg: RunConfig) -> Path:
+    outdir = Path(cfg.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir!r}: {exc}") from exc
+    return outdir
 
 
 def run_simulate(cfg: RunConfig) -> int:
     """Full run with per-step invariant enforcement and file outputs."""
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()
+    outdir = _output_dir(cfg)
     g = model.grid
     tolerances = CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
     initial_masses = [integrate(g, f) for f in model.initial_data]
@@ -62,23 +66,15 @@ def run_simulate(cfg: RunConfig) -> int:
             diag.flush()
             violations = check_step(before, after, tolerances, initial_masses)
             if violations:
-                raise _AbortRun(
-                    f"step {k} (t = {after.time!r}): " + "; ".join(str(v) for v in violations)
-                )
+                raise RelaxdiffError(f"invariant violation: step {k} (t = {after.time!r}): "
+                                     + "; ".join(str(v) for v in violations))
 
         def on_snapshot(k, state):
             write_snapshot(outdir / f"snap_{k}.fld", g, list(state.u), state.time)
 
-        try:
-            result = stepper.run(
-                model, cfg.scheme, RunSinks(on_step=on_step, on_snapshot=on_snapshot)
-            )
-        except _AbortRun as exc:
-            print(f"invariant violation: {exc}", file=sys.stderr)
-            return 1
-        except RelaxdiffError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 1
+        result = stepper.run(
+            model, cfg.scheme, RunSinks(on_step=on_step, on_snapshot=on_snapshot)
+        )
 
     if result.shortened_last_step:
         print("note: final step shortened to land on the horizon", file=sys.stderr)
@@ -130,8 +126,6 @@ _DEGENERATE_FLOOR = 1e-13
 
 def run_converge(cfg: RunConfig) -> int:
     """Refinement study; exits 0 when the fitted orders are in the expected bands."""
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = ["study,level,step,diff_inf,order_estimate"]
     ok = True
 
@@ -187,22 +181,19 @@ def run_converge(cfg: RunConfig) -> int:
         else:
             ok = _fit_order(lines, "h", "spatial", sdiffs, (1.6, 2.4)) and ok
 
-    (outdir / "converge.csv").write_text("\n".join(lines) + "\n")
+    (_output_dir(cfg) / "converge.csv").write_text("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
 def run_cross_validate(cfg: RunConfig) -> int:
     """Two-path discrepancy study; exits 0 when the gap shrinks with tau."""
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()
     if not model.lipschitz:
-        print(
+        raise ConfigError(
             "cross-validate requires locally Lipschitz coefficients "
-            "(polynomial family: p >= 1); this model is not flagged as such",
-            file=sys.stderr,
+            "(polynomial family: p >= 1); this model is not flagged as such"
         )
-        return 2
+    outdir = _output_dir(cfg)
     report = fixedpoint.cross_validate(model, cfg.scheme, cfg.picard, cfg.halvings)
     lines = ["tau,discrepancy"]
     for row in report.rows:
@@ -220,13 +211,12 @@ def run_cross_validate(cfg: RunConfig) -> int:
 
 def run_invariants(cfg: RunConfig) -> int:
     """Audit run: every per-step invariant, written as machine-readable rows."""
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()
+    outdir = _output_dir(cfg)
     g = model.grid
     tolerances = CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
     initial_masses = [integrate(g, f) for f in model.initial_data]
-    n_steps = len(stepper.plan_steps(cfg.scheme.tau, cfg.scheme.horizon)[0])
+    n_steps, _ = stepper.plan_steps(cfg.scheme.tau, cfg.scheme.horizon)
     identity_stride = max(1, n_steps // 8)
     failures = [0]
 
@@ -249,11 +239,7 @@ def run_invariants(cfg: RunConfig) -> int:
                 )
             fh.flush()
 
-        try:
-            stepper.run(model, cfg.scheme, RunSinks(on_step=on_step))
-        except RelaxdiffError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 1
+        stepper.run(model, cfg.scheme, RunSinks(on_step=on_step))
 
     if failures[0]:
         print(f"{failures[0]} invariant check(s) failed; see {path}", file=sys.stderr)
@@ -267,6 +253,13 @@ _DISPATCH = {
     "cross-validate": run_cross_validate,
     "invariants": run_invariants,
 }
+
+
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -283,33 +276,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(_read_config(args.config))
+        if cfg.mode != args.mode:
+            print(
+                f"note: config sets mode = {cfg.mode}, running {args.mode} as requested",
+                file=sys.stderr,
+            )
+            cfg.mode = args.mode
+        if args.output_dir is not None:
+            cfg.output_dir = args.output_dir
+        # the mode's build_model validates the model under this seed
         if args.seed is not None:
             cfg.seed = args.seed
-            violations = validate_model(cfg.build_model())
-            if violations:
-                listing = "; ".join(str(v) for v in violations)
-                raise ConfigError(f"model validation failed: {listing}")
+        return _DISPATCH[cfg.mode](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if cfg.mode != args.mode:
-        print(
-            f"note: config sets mode = {cfg.mode}, running {args.mode} as requested",
-            file=sys.stderr,
-        )
-        cfg.mode = args.mode
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-
-    try:
-        return _DISPATCH[cfg.mode](cfg)
     except RelaxdiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,7 @@ Example:
     delta = 0.01
     coeff = skt
     d = 0.05
-    d_1 = 0.0
-    d_2 = 1.0
+    d_1 = 1.0
     p = 1
     init = bump:0.3,0.2,1.0
 
@@ -25,13 +24,14 @@ Example:
     output_dir = out
 
 Unknown sections or keys are fatal: a silently ignored typo in a physical
-parameter is worse than a hard error. Every parse error carries its line
-number.
+parameter is worse than a hard error. An error about one line carries its
+line number. Absent optional keys take the defaults of the dataclass they
+configure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,14 +42,6 @@ from .model import ModelSpec, SktCoefficients, validate_model
 from .stepper import SchemeConfig
 
 MODES = ("simulate", "converge", "cross-validate", "invariants")
-
-_GRID_KEYS = {"dims", "n1", "n2", "h1", "h2"}
-_SPECIES_KEYS = {"delta", "coeff", "d", "p", "init"}  # plus d_1 .. d_I
-_SCHEME_KEYS = {
-    "tau", "T", "linear_tol", "linear_max_iter", "output_stride", "workers", "a_max",
-}
-_RUN_KEYS = {"mode", "output_dir", "seed", "spatial", "halvings"}
-_PICARD_KEYS = {"max_sweeps", "sweep_tol"}
 
 
 @dataclass
@@ -66,20 +58,28 @@ class RunConfig:
     grid: Grid
     species: list[SpeciesConfig]
     scheme: SchemeConfig
-    picard: PicardConfig
-    mode: str
-    output_dir: str
-    seed: int
-    spatial: bool
-    halvings: int
-    a_max: float | None
+    picard: PicardConfig = field(default_factory=PicardConfig)
+    mode: str = "simulate"
+    output_dir: str = "out"
+    seed: int = 0
+    spatial: bool = False
+    halvings: int = 3
+    a_max: float | None = None
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(
+                f"[run] mode must be one of {', '.join(MODES)}; got {self.mode!r}")
+        if self.halvings < 1:
+            raise ConfigError("[run] halvings must be at least 1")
 
     def build_model(self, grid: Grid | None = None) -> ModelSpec:
-        """Instantiate the model, optionally on a refined grid.
+        """Instantiate and validate the model, optionally on a refined grid.
 
         Initial data is rebuilt from the init recipes, so analytic recipes
         (constant/step/bump/cosine) transfer to any resolution; file and
-        random data are tied to the configured grid.
+        random data are tied to the configured grid. Raises ConfigError when
+        the model violates an assumption of the scheme.
         """
         g = grid if grid is not None else self.grid
         fields = []
@@ -94,12 +94,17 @@ class RunConfig:
             if not np.all(np.isfinite(values)):
                 raise ConfigError(f"species {idx}: init {sp.init!r} gives non-finite values")
             fields.append(Field(g, values))
-        return ModelSpec(
+        model = ModelSpec(
             delta=tuple(sp.delta for sp in self.species),
             coefficients=tuple(sp.coefficients for sp in self.species),
             initial_data=tuple(fields),
             a_max=self.a_max,
         )
+        violations = validate_model(model)
+        if violations:
+            listing = "; ".join(str(v) for v in violations)
+            raise ConfigError(f"model validation failed: {listing}")
+        return model
 
 
 def build_initial(grid: Grid, recipe: str, seed: int, species_index: int) -> np.ndarray:
@@ -122,9 +127,12 @@ def build_initial(grid: Grid, recipe: str, seed: int, species_index: int) -> np.
                 f"init '{kind}' expects {count} comma-separated numbers, got {rest!r}"
             )
         try:
-            return [float(p) for p in parts]
+            numbers = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"init '{kind}': bad number in {rest!r}") from exc
+        if not all(np.isfinite(numbers)):
+            raise ConfigError(f"init '{kind}': numbers must be finite, got {rest!r}")
+        return numbers
 
     if kind == "constant":
         (c,) = floats(1)
@@ -146,6 +154,10 @@ def build_initial(grid: Grid, recipe: str, seed: int, species_index: int) -> np.
         return offset + amplitude * np.cos(np.pi * centers[0] / grid.lengths[0])
     if kind == "random":
         low, high = floats(2)
+        if low > high:
+            raise ConfigError(f"init 'random' needs low <= high, got {rest!r}")
+        if seed < 0:
+            raise ConfigError(f"init 'random' needs a nonnegative seed, got {seed}")
         rng = np.random.default_rng([seed, species_index])
         return rng.uniform(low, high, n)
     if kind == "file":
@@ -153,7 +165,7 @@ def build_initial(grid: Grid, recipe: str, seed: int, species_index: int) -> np.
             raise ConfigError("init 'file' needs a path")
         try:
             values = np.loadtxt(rest).reshape(-1)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read init file {rest!r}: {exc}") from exc
         if values.size != n:
             raise ConfigError(
@@ -203,40 +215,6 @@ def _known_section(name: str) -> bool:
     return False
 
 
-class _Section:
-    def __init__(self, name: str, data: dict[str, tuple[str, int]], allowed: set[str]):
-        self.name = name
-        self.data = data
-        for key, (_, lineno) in data.items():
-            if key not in allowed:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
-
-    def get(self, key: str, default=None) -> str | None:
-        if key in self.data:
-            return self.data[key][0]
-        return default
-
-    def require(self, key: str) -> str:
-        if key not in self.data:
-            raise ConfigError(f"section [{self.name}] is missing required key {key!r}")
-        return self.data[key][0]
-
-    def lineno(self, key: str) -> int:
-        return self.data[key][1]
-
-    def parse(self, key: str, conv, default=None):
-        if key not in self.data:
-            return default
-        value, lineno = self.data[key]
-        try:
-            parsed = conv(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-        if isinstance(parsed, float) and not np.isfinite(parsed):
-            raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
-        return parsed
-
-
 def _to_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("1", "true", "on", "yes"):
@@ -246,35 +224,56 @@ def _to_bool(value: str) -> bool:
     raise ValueError(value)
 
 
+# one converter per key; a key missing from its section's table is unknown
+_GRID = {"dims": int, "n1": int, "n2": int, "h1": float, "h2": float}
+_SPECIES = {"delta": float, "coeff": str, "d": float, "p": float, "init": str}  # + d_1 .. d_I
+_SCHEME = {"tau": float, "T": float, "linear_tol": float, "linear_max_iter": int,
+           "output_stride": int, "workers": int, "a_max": float}
+_RUN = {"mode": str, "output_dir": str, "seed": int, "spatial": _to_bool, "halvings": int}
+_PICARD = {"max_sweeps": int, "sweep_tol": float}
+
+
+def _section(name: str, data: dict[str, tuple[str, int]], table: dict) -> dict:
+    """Convert every key of one section by its table; absent keys stay absent."""
+    values = {}
+    for key, (value, lineno) in data.items():
+        if key not in table:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
+        try:
+            values[key] = table[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
+        if isinstance(values[key], float) and not np.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
+    return values
+
+
+def _require(name: str, values: dict, *keys: str) -> None:
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise ConfigError(f"[{name}] requires {' and '.join(missing)}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration; raises ConfigError on any defect."""
     sections = _parse_sections(text)
+    for name in ("grid", "scheme", "run"):
+        if name not in sections:
+            raise ConfigError(f"missing required section [{name}]")
 
-    if "grid" not in sections:
-        raise ConfigError("missing required section [grid]")
-    grid_sec = _Section("grid", sections["grid"], _GRID_KEYS)
-    dims = grid_sec.parse("dims", int, None)
+    grid_values = _section("grid", sections["grid"], _GRID)
+    dims = grid_values.get("dims")
     if dims not in (1, 2):
         raise ConfigError("[grid] dims must be 1 or 2")
-    n1 = grid_sec.parse("n1", int)
-    h1 = grid_sec.parse("h1", float)
-    if n1 is None or h1 is None:
-        raise ConfigError("[grid] requires n1 and h1")
-    if dims == 2:
-        n2 = grid_sec.parse("n2", int)
-        h2 = grid_sec.parse("h2", float)
-        if n2 is None or h2 is None:
-            raise ConfigError("[grid] requires n2 and h2 when dims = 2")
-        cells, spacing = (n1, n2), (h1, h2)
-    else:
-        for key in ("n2", "h2"):
-            if grid_sec.get(key) is not None:
-                raise ConfigError(
-                    f"line {grid_sec.lineno(key)}: {key!r} is only valid when dims = 2"
-                )
-        cells, spacing = (n1,), (h1,)
+    for key in ("n2", "h2"):
+        if dims == 1 and key in grid_values:
+            raise ConfigError(
+                f"line {sections['grid'][key][1]}: {key!r} is only valid when dims = 2")
+    axes = range(1, dims + 1)
+    _require("grid", grid_values, *(f"{k}{a}" for a in axes for k in "nh"))
     try:
-        grid = Grid(cells, spacing)
+        grid = Grid(tuple(grid_values[f"n{a}"] for a in axes),
+                    tuple(grid_values[f"h{a}"] for a in axes))
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from exc
 
@@ -293,10 +292,10 @@ def parse_config(text: str) -> RunConfig:
         )
 
     species: list[SpeciesConfig] = []
-    coupling_keys = {f"d_{j}" for j in range(1, n_species + 1)}
-    for idx, name in enumerate(species_names, start=1):
-        sec = _Section(name, sections[name], _SPECIES_KEYS | coupling_keys)
-        kind = sec.get("coeff", "skt")
+    couplings = [f"d_{j}" for j in range(1, n_species + 1)]
+    for name in species_names:
+        values = _section(name, sections[name], {**_SPECIES, **dict.fromkeys(couplings, float)})
+        kind = values.get("coeff", "skt")
         if kind == "tabulated":
             raise ConfigError(
                 f"[{name}]: tabulated coefficients carry a callable and are only "
@@ -304,81 +303,27 @@ def parse_config(text: str) -> RunConfig:
             )
         if kind != "skt":
             raise ConfigError(f"[{name}]: coeff must be 'skt', got {kind!r}")
-        base = sec.parse("d", float)
-        if base is None:
-            raise ConfigError(f"[{name}] requires d (the coefficient lower bound)")
-        couplings = tuple(
-            sec.parse(f"d_{j}", float, 0.0) for j in range(1, n_species + 1)
-        )
-        power = sec.parse("p", float, 1.0)
-        delta = sec.parse("delta", float)
-        if delta is None:
-            raise ConfigError(f"[{name}] requires delta")
-        init = sec.require("init")
-        species.append(
-            SpeciesConfig(
-                delta=delta,
-                coefficients=SktCoefficients(base=base, couplings=couplings, power=power),
-                init=init,
-            )
-        )
+        _require(name, values, "delta", "d", "init")
+        power = {"power": values["p"]} if "p" in values else {}
+        coefficients = SktCoefficients(
+            base=values["d"], couplings=tuple(values.get(c, 0.0) for c in couplings), **power)
+        species.append(SpeciesConfig(values["delta"], coefficients, values["init"]))
 
-    if "scheme" not in sections:
-        raise ConfigError("missing required section [scheme]")
-    scheme_sec = _Section("scheme", sections["scheme"], _SCHEME_KEYS)
-    tau = scheme_sec.parse("tau", float)
-    horizon = scheme_sec.parse("T", float)
-    if tau is None or horizon is None:
-        raise ConfigError("[scheme] requires tau and T")
+    scheme_values = _section("scheme", sections["scheme"], _SCHEME)
+    _require("scheme", scheme_values, "tau", "T")
+    a_max = scheme_values.pop("a_max", None)
+    scheme_values["horizon"] = scheme_values.pop("T")
     try:
-        scheme = SchemeConfig(
-            tau=tau,
-            horizon=horizon,
-            linear_tol=scheme_sec.parse("linear_tol", float, 1e-10),
-            linear_max_iter=scheme_sec.parse("linear_max_iter", int, 10_000),
-            output_stride=scheme_sec.parse("output_stride", int, 1),
-            workers=scheme_sec.parse("workers", int, 1),
-        )
+        scheme = SchemeConfig(**scheme_values)
     except ValueError as exc:
         raise ConfigError(f"[scheme]: {exc}") from exc
-    a_max = scheme_sec.parse("a_max", float, None)
 
-    if "run" not in sections:
-        raise ConfigError("missing required section [run]")
-    run_sec = _Section("run", sections["run"], _RUN_KEYS)
-    mode = run_sec.get("mode", "simulate")
-    if mode not in MODES:
-        raise ConfigError(f"[run] mode must be one of {', '.join(MODES)}; got {mode!r}")
-    halvings = run_sec.parse("halvings", int, 3)
-    if halvings < 1:
-        raise ConfigError("[run] halvings must be at least 1")
+    try:
+        picard = PicardConfig(**_section("picard", sections.get("picard", {}), _PICARD))
+    except ValueError as exc:
+        raise ConfigError(f"[picard]: {exc}") from exc
 
-    picard = PicardConfig()
-    if "picard" in sections:
-        picard_sec = _Section("picard", sections["picard"], _PICARD_KEYS)
-        try:
-            picard = PicardConfig(
-                max_sweeps=picard_sec.parse("max_sweeps", int, 50),
-                sweep_tol=picard_sec.parse("sweep_tol", float, 1e-9),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[picard]: {exc}") from exc
-
-    cfg = RunConfig(
-        grid=grid,
-        species=species,
-        scheme=scheme,
-        picard=picard,
-        mode=mode,
-        output_dir=run_sec.get("output_dir", "out"),
-        seed=run_sec.parse("seed", int, 0),
-        spatial=run_sec.parse("spatial", _to_bool, False),
-        halvings=halvings,
-        a_max=a_max,
-    )
-
-    violations = validate_model(cfg.build_model())
-    if violations:
-        listing = "; ".join(str(v) for v in violations)
-        raise ConfigError(f"model validation failed: {listing}")
+    cfg = RunConfig(grid, species, scheme, picard, a_max=a_max,
+                    **_section("run", sections["run"], _RUN))
+    cfg.build_model()
     return cfg

@@ -139,9 +139,6 @@ class ModelSpec:
     def lipschitz(self) -> bool:
         return all(spec.lipschitz for spec in self.coefficients)
 
-    def lower_bounds(self) -> tuple[float, ...]:
-        return tuple(spec.lower_bound for spec in self.coefficients)
-
 
 _SPOT_CHECK_SAMPLES = 256
 

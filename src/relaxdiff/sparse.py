@@ -6,6 +6,7 @@ repeated solves are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,6 @@ class SolverReport:
     residual_norm: float
     converged: bool
     tolerance_used: float
-
-
-def _residual_floor(b: np.ndarray) -> float:
-    # Keeps the stopping rule meaningful for b close to (or exactly) zero.
-    if b.size == 0:
-        return 0.0
-    return 1e-14 * float(np.max(np.abs(b))) * b.size
 
 
 def cg_solve(
@@ -53,12 +47,24 @@ def cg_solve(
     if max_iter is None:
         max_iter = max(50, 10 * n)
 
-    threshold = tol * (float(np.linalg.norm(b)) + _residual_floor(b))
-    x = np.zeros(n)
+    # Scaling b by a power of two is exact, so the iterates are those of the
+    # unscaled problem, but the inner products of tiny or huge data no longer
+    # underflow or overflow. The scaled b peaks at `peak`, in [0.5, 1).
+    peak, exponent = math.frexp(float(np.max(np.abs(b), initial=0.0)))
+    x, iterations, res, converged = _pcg(A, np.ldexp(b, -exponent), peak, tol, max_iter)
+    return np.ldexp(x, exponent), SolverReport(
+        iterations, math.ldexp(res, exponent), converged, tol)
+
+
+def _pcg(A, b: np.ndarray, peak: float, tol: float,
+         max_iter: int) -> tuple[np.ndarray, int, float, bool]:
+    # the floor keeps the stopping rule meaningful for b close to (or exactly) zero
+    threshold = tol * (float(np.linalg.norm(b)) + 1e-14 * peak * b.size)
+    x = np.zeros(A.n_cols)
     r = b.copy()
     res = float(np.linalg.norm(r))
     if res <= threshold:
-        return x, SolverReport(0, res, True, tol)
+        return x, 0, res, True
 
     p = A.precondition(r)
     rz = float(r @ p)
@@ -67,10 +73,10 @@ def cg_solve(
         iterations += 1
         Ap = A.matvec(p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0 or not np.isfinite(pAp):
+        if not 0.0 < pAp < np.inf:
             raise LinearSolverError(
                 f"conjugate-gradient breakdown at iteration {iterations} "
-                "(operator not positive definite?)"
+                + ("(operator not positive definite?)" if pAp <= 0.0 else "(non-finite values)")
             )
         alpha = rz / pAp
         x = x + alpha * p
@@ -81,7 +87,7 @@ def cg_solve(
             r = b - A.matvec(x)
             res = float(np.linalg.norm(r))
             if res <= threshold:
-                return x, SolverReport(iterations, res, True, tol)
+                return x, iterations, res, True
             # recurrence drifted: restart the search direction from here
             p = A.precondition(r)
             rz = float(r @ p)
@@ -91,4 +97,4 @@ def cg_solve(
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    return x, SolverReport(iterations, res, False, tol)
+    return x, iterations, res, False

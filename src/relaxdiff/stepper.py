@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import LinearSolverError
+from .errors import LinearSolverError, RelaxdiffError
 from .grid import Field, Grid
 from .model import ModelSpec, coefficient_fields
 from .sparse import SolverReport, cg_solve
@@ -62,6 +62,9 @@ class SchemeConfig:
             raise ValueError("horizon must be positive and finite")
         if self.tau > self.horizon * (1 + 1e-12):
             raise ValueError("tau must not exceed the horizon")
+        # beyond 2**53 steps the pinned times k * tau stop being distinct
+        if self.horizon / self.tau > 2**53:
+            raise ValueError("horizon / tau must not exceed 2**53")
         if not (self.linear_tol > 0):
             raise ValueError("linear tolerance must be positive")
         if self.linear_max_iter < 1:
@@ -223,6 +226,7 @@ def frozen_step(
     g = m.grid
 
     def advance(i: int):
+        where = f"species {i + 1}, step from t = {state.time!r}"
         try:
             u_new, rep_impl = _solve_implicit(
                 g, state.u[i].values, A_fields[i], dt, cfg.linear_tol,
@@ -230,13 +234,14 @@ def frozen_step(
             ut_new, rep_reg = _solve_regularize(
                 g, u_new, m.delta[i], cfg.linear_tol, cfg.linear_max_iter)
         except LinearSolverError as exc:
-            raise LinearSolverError(
-                f"species {i + 1}, step from t = {state.time!r}: {exc}"
-            ) from exc
+            raise LinearSolverError(f"{where}: {exc}") from exc
         # w = delta * u_tilde plus the running sum of dt * A * u
         delta = m.delta[i]
         w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
                  + dt * A_fields[i] * u_new)
+        # w sums positive multiples of u_new and ut_new, so it is finite only if they are
+        if not np.all(np.isfinite(w_new)):
+            raise RelaxdiffError(f"{where}: the next state is not finite")
         return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg)
 
     indices = range(state.n_species)
@@ -281,14 +286,16 @@ def step(state: SystemState, m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     return new_state
 
 
-def plan_steps(tau: float, horizon: float) -> tuple[list[float], bool]:
-    """Step sizes covering [0, horizon]; the last one is shortened if needed."""
-    ratio = horizon / tau
-    n_full = int(np.floor(ratio + 1e-9))
+def plan_steps(tau: float, horizon: float) -> tuple[int, float]:
+    """Number of steps covering [0, horizon] and the size of the last one.
+
+    Every step but the last has size tau; the last is shortened if needed.
+    """
+    n_full = int(np.floor(horizon / tau + 1e-9))
     remainder = horizon - n_full * tau
     if remainder > 1e-9 * tau:
-        return [tau] * n_full + [remainder], True
-    return [tau] * max(n_full, 1), False
+        return n_full + 1, remainder
+    return max(n_full, 1), tau
 
 
 @dataclass
@@ -319,11 +326,11 @@ def march(state: SystemState, cfg: SchemeConfig, advance: Callable,
     `on_step(k, before, after, report)`, when given, sees every step. Times
     are pinned to the step grid instead of accumulating round-off.
     """
-    taus, _ = plan_steps(cfg.tau, cfg.horizon)
-    for k, dt in enumerate(taus, start=1):
+    n_steps, last_step = plan_steps(cfg.tau, cfg.horizon)
+    for k in range(1, n_steps + 1):
         before = state
-        state, report = advance(before, dt)
-        state.time = cfg.horizon if k == len(taus) else k * cfg.tau
+        state, report = advance(before, last_step if k == n_steps else cfg.tau)
+        state.time = cfg.horizon if k == n_steps else k * cfg.tau
         if on_step is not None:
             on_step(k, before, state, report)
     return state
@@ -334,7 +341,7 @@ def run(m: ModelSpec, cfg: SchemeConfig, sinks: RunSinks | None = None) -> RunRe
     from .diagnostics import DiagnosticsReport, step_records
 
     sinks = sinks or RunSinks()
-    taus, shortened = plan_steps(cfg.tau, cfg.horizon)
+    n_steps, last_step = plan_steps(cfg.tau, cfg.horizon)
     report = DiagnosticsReport()
 
     def after_step(k, before, after, infos):
@@ -342,7 +349,7 @@ def run(m: ModelSpec, cfg: SchemeConfig, sinks: RunSinks | None = None) -> RunRe
         report.rows.extend(records)
         if sinks.on_step is not None:
             sinks.on_step(k, before, after, records)
-        if sinks.on_snapshot is not None and (k % cfg.output_stride == 0 or k == len(taus)):
+        if sinks.on_snapshot is not None and (k % cfg.output_stride == 0 or k == n_steps):
             sinks.on_snapshot(k, after)
 
     def start() -> SystemState:
@@ -353,4 +360,4 @@ def run(m: ModelSpec, cfg: SchemeConfig, sinks: RunSinks | None = None) -> RunRe
 
     # passed straight through, so no local keeps the initial state alive
     state = march(start(), cfg, lambda s, dt: step_with_info(s, m, cfg, tau=dt), after_step)
-    return RunResult(state, report, shortened)
+    return RunResult(state, report, last_step != cfg.tau)

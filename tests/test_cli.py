@@ -133,6 +133,13 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_undecodable_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+
 def test_reproducible_bytes_across_runs_and_workers(tmp_path):
     path, _ = write_cfg(tmp_path)
     noisy = path.read_text().replace("cosine:0.5,1.0", "random:0.0,1.0")
@@ -214,44 +221,87 @@ def test_invariants_mode(tmp_path):
     assert any("w_identity_residual" in line for line in lines)
 
 
-NONFINITE_EDITS = {
-    "coupling_nan": ("d_1 = 0.0", "d_1 = nan"),
-    "base_inf": ("d = 0.05\nd_1 = 0.0", "d = inf\nd_1 = 0.0"),
-    "horizon_overflow": ("T = 0.1", "T = 1e400"),
-    "init_file_nan": ("init = cosine:0.5,1.0", "init = file:{nan_file}"),
+RANDOM_INIT = ("init = cosine:0.5,1.0", "init = random:0.0,1.0")
+
+# case: (edits to the config text, extra command-line arguments)
+REJECTED_EDITS = {
+    "coupling_nan": ([("d_1 = 0.0", "d_1 = nan")], []),
+    "base_inf": ([("d = 0.05\nd_1 = 0.0", "d = inf\nd_1 = 0.0")], []),
+    "horizon_overflow": ([("T = 0.1", "T = 1e400")], []),
+    "init_file_nan": ([("init = cosine:0.5,1.0", "init = file:{nan_file}")], []),
+    "init_file_text": ([("init = cosine:0.5,1.0", "init = file:{text_file}")], []),
+    "init_file_ragged": ([("init = cosine:0.5,1.0", "init = file:{ragged_file}")], []),
+    "random_low_above_high": ([("init = cosine:0.5,1.0", "init = random:1.0,0.0")], []),
+    "seed_negative": ([RANDOM_INIT, ("mode = simulate", "mode = simulate\nseed = -1")], []),
+    "seed_override_negative": ([RANDOM_INIT], ["--seed", "-5"]),
+    "steps_beyond_2_53": ([("tau = 0.02", "tau = 1e-300")], []),
+    "output_dir_is_a_file": ([], ["--output-dir", "{text_file}"]),
 }
 
 
-@pytest.mark.parametrize("case", sorted(NONFINITE_EDITS))
-def test_nonfinite_input_is_a_config_error(tmp_path, case):
-    nan_file = tmp_path / "init.txt"
-    nan_file.write_text("1.0\n" * 15 + "nan\n")
-    path, _ = write_cfg(tmp_path)
-    old, new = NONFINITE_EDITS[case]
-    assert old in path.read_text()
-    path.write_text(path.read_text().replace(old, new.format(nan_file=nan_file)))
+def run_cli(path, *args):
     src = str(Path(rd.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "relaxdiff.cli", "simulate", "--config", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "relaxdiff.cli", "simulate", "--config", str(path), *args],
         capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_EDITS))
+def test_nonfinite_input_is_a_config_error(tmp_path, case):
+    # non-finite, malformed or out-of-range input all take the config-error exit
+    files = {"nan_file": "1.0\n" * 15 + "nan\n", "text_file": "abc def\n",
+             "ragged_file": "1 2 3\n4 5\n"}
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, content in files.items():
+        paths[name].write_text(content)
+    path, _ = write_cfg(tmp_path)
+    edits, args = REJECTED_EDITS[case]
+    text = path.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new.format(**paths))
+    path.write_text(text)
+    proc = run_cli(path, *(arg.format(**paths) for arg in args))
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_overflowing_coefficients_exit_1_without_traceback(tmp_path):
+# case: (write_cfg arguments, edits to the config text, end of the last stderr line)
+OVERFLOWS = {
     # 10^400 overflows, so the coefficients of the first step are not finite
-    path, _ = write_cfg(tmp_path, n1=128)
-    text = path.read_text().replace("init = cosine:0.5,1.0", "p = 400\ninit = constant:10")
-    path.write_text(text.replace("init = cosine:-0.5,1.0", "p = 400\ninit = constant:10"))
-    src = str(Path(rd.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "relaxdiff.cli", "simulate", "--config", str(path)],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    "coefficients": ({"n1": 128}, [("init = cosine:0.5,1.0", "p = 400\ninit = constant:10"),
+                                   ("init = cosine:-0.5,1.0", "p = 400\ninit = constant:10")],
+                     ": coefficient evaluation produced non-finite values for species 1"),
+    # A * u = 1e400 overflows the implicit solve, so the regularization sees inf - inf
+    "solve": ({}, [("init = cosine:0.5,1.0", "init = constant:1e200"),
+                   ("init = cosine:-0.5,1.0", "init = constant:1e200")],
+              "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 1 "
+              "(non-finite values)"),
+    # A * u = 1e300 is finite, but the w update adds tau * A * u = 1e310
+    "w_update": ({"tau": 1e10, "T": 1e10},
+                 [("init = cosine:0.5,1.0", "init = constant:1e150"),
+                  ("init = cosine:-0.5,1.0", "init = constant:1e150")],
+                 "species 1, step from t = 0.0: the next state is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_coefficients_exit_1_without_traceback(tmp_path, case):
+    kwargs, edits, ending = OVERFLOWS[case]
+    path, _ = write_cfg(tmp_path, **kwargs)
+    text = path.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    proc = run_cli(path)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    (line,) = proc.stderr.splitlines()
-    assert line.endswith(": coefficient evaluation produced non-finite values for species 1")
+    *warnings, line = proc.stderr.splitlines()
+    # numpy may report the overflow first: a warning line and its source line
+    assert all("RuntimeWarning" in w or w.startswith(" ") for w in warnings), warnings
+    assert line.startswith("error: ") and line.endswith(ending)
 
 
 def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):
@@ -267,6 +317,8 @@ def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["simulate", "--config", str(path),
                      "--output-dir", str(tmp_path / "sim")]) == 1
-    match = re.search(r"step (\d+) .*?species (\d+)", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert err.startswith("error: invariant violation: step ")
+    match = re.search(r"step (\d+) .*?species (\d+)", err)
     assert match is not None
     assert match.groups() == (first_fail[0], first_fail[1])

@@ -112,3 +112,15 @@ def test_cg_deterministic(rng):
     x2, r2 = rd.cg_solve(DenseOperator(A), b, tol=1e-11)
     assert np.array_equal(x1, x2)
     assert r1 == r2
+
+
+def test_cg_scales_exactly_with_tiny_and_huge_data(rng):
+    # a power-of-two factor on b must give the same factor on x, bit for bit,
+    # where the squares of the data would underflow or overflow
+    A = DenseOperator(random_spd(rng, 24))
+    b = rng.uniform(0.5, 2.0, 24)
+    x, report = rd.cg_solve(A, b, tol=1e-10)
+    for exponent in (-600, 600):
+        x_scaled, scaled = rd.cg_solve(A, np.ldexp(b, exponent), tol=1e-10)
+        assert scaled.converged and scaled.iterations == report.iterations
+        assert np.array_equal(x_scaled, np.ldexp(x, exponent))
