@@ -62,7 +62,7 @@ def solve_frozen_slab(
     trajectory = [Field(g, state.copy())]
     for A in A_nodes:
         A = np.asarray(A, dtype=np.float64)
-        state, _ = _solve_implicit(g, state, A, tau, tol, max_iter)
+        state, _, _ = _solve_implicit(g, state, A, tau, tol, max_iter)
         trajectory.append(Field(g, state.copy()))
     return trajectory
 
@@ -85,19 +85,21 @@ def picard_step_with_info(
     The first candidate is the semi-implicit prediction (coefficients from the
     previous time level). Each sweep re-evaluates the coefficients at the
     current candidate's regularization and redoes the frozen-coefficient step
-    from `state`. The loop stops when the candidate's relative L2 change
-    across a sweep falls below `sweep_tol`; if the coefficients do not depend
-    on the state this happens on the first sweep and the result coincides
-    with the plain semi-implicit step.
+    from `state`, starting its implicit solves from the previous sweep's z.
+    The loop stops when the candidate's relative L2 change across a sweep
+    falls below `sweep_tol`; if the coefficients do not depend on the state
+    this happens on the first sweep and the result coincides with the plain
+    semi-implicit step.
     """
     dt = cfg.tau if tau is None else float(tau)
     # sweep 0: freeze at the previous time level (the semi-implicit predictor)
     A_fields, _ = coefficient_fields(m, state.u_tilde)
-    candidate, _ = frozen_step(state, m, cfg, A_fields, dt)
+    candidate, _, z = frozen_step(state, m, cfg, A_fields, dt)
 
     for sweeps in range(1, p.max_sweeps + 1):
         A_fields, _ = coefficient_fields(m, candidate.u_tilde)
-        refreshed, _ = frozen_step(state, m, cfg, A_fields, dt)
+        # the previous sweep's solves start this sweep's: only A has changed
+        refreshed, _, z = frozen_step(state, m, cfg, A_fields, dt, z)
         change = _relative_l2_change(refreshed.u, candidate.u)
         candidate = refreshed
         if change < p.sweep_tol:

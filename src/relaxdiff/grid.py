@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,27 +91,40 @@ class Grid:
         return out.reshape(-1)
 
     def shifted_solve(self, values: np.ndarray, c: float, s: float) -> np.ndarray:
-        """Solve (c I - s L) x = values exactly, for c > 0 and s >= 0.
+        """Solve (c I - s L) x = values exactly, for c > 0 and s >= 0; see `shifted_solver`."""
+        return self.shifted_solver(c, s)(values)
+
+    def shifted_solver(self, c: float, s: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The exact solve of (c I - s L) x = values, as a function of values.
 
         Works in the cosine eigenbasis of each axis, whose dense matrix is
-        built on first use and cached per axis length (8 n^2 bytes). A
-        constant field is in the kernel of L and comes back as values / c,
-        bit for bit.
+        built on first use and cached per axis length (8 n^2 bytes). The
+        shifted spectrum c + s mu is built once here, so an operator that
+        applies one shift on every iteration pays for it once. A constant
+        field is in the kernel of L and comes back as values / c, bit for bit.
         """
-        values = self._flat_cells(values)
-        if np.all(values == values[0]):
-            return values / c
         axes = [_cosine_basis(n) for n in self.cells]
         # eigenvalues of -L per axis: 4 sin^2(pi k / 2n) / h^2
         mu = [4.0 * sin2 / (h * h) for (_, sin2), h in zip(axes, self.spacing)]
         if self.ndim == 1:
             C, _ = axes[0]
-            return C.T @ ((C @ values) / (c + s * mu[0]))
-        (C1, _), (C2, _) = axes
-        n1, n2 = self.cells
-        spectral = C2 @ values.reshape(n2, n1) @ C1.T
-        spectral /= c + s * (mu[1][:, None] + mu[0][None, :])
-        return (C2.T @ spectral @ C1).reshape(-1)
+            spectrum = c + s * mu[0]
+        else:
+            (C1, _), (C2, _) = axes
+            n1, n2 = self.cells
+            spectrum = c + s * (mu[1][:, None] + mu[0][None, :])
+
+        def solve(values: np.ndarray) -> np.ndarray:
+            values = self._flat_cells(values)
+            if np.all(values == values[0]):
+                return values / c
+            if self.ndim == 1:
+                return C.T @ ((C @ values) / spectrum)
+            spectral = C2 @ values.reshape(n2, n1) @ C1.T
+            spectral /= spectrum
+            return (C2.T @ spectral @ C1).reshape(-1)
+
+        return solve
 
 
 @functools.lru_cache(maxsize=8)

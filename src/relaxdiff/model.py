@@ -141,6 +141,7 @@ class ModelSpec:
 
 
 _SPOT_CHECK_SAMPLES = 256
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)  # 2.2250738585072014e-308
 
 
 def validate_model(m: ModelSpec, *, rng_seed: int = 0) -> list[Violation]:
@@ -171,16 +172,17 @@ def validate_model(m: ModelSpec, *, rng_seed: int = 0) -> list[Violation]:
         if init.grid != g:
             violations.append(Violation("initial fields must share one grid", species=i))
             continue
-        negatives = np.nonzero(init.values < 0)[0]
-        for cell in negatives[:8]:
-            violations.append(
-                Violation(
-                    "initial data must be nonnegative",
-                    species=i,
-                    cell=int(cell),
-                    detail=f"value {init.values[cell]!r}",
-                )
-            )
+        values = init.values
+        for rule, cells in (
+            ("initial data must be nonnegative", np.nonzero(values < 0)[0]),
+            # rounding is absolute below the smallest normal float, so mass
+            # held there cannot be kept to a relative tolerance
+            (f"nonzero initial data must not be subnormal (below {_SMALLEST_NORMAL!r})",
+             np.nonzero((values > 0) & (values < _SMALLEST_NORMAL))[0]),
+        ):
+            for cell in cells[:8]:
+                violations.append(Violation(rule, species=i, cell=int(cell),
+                                            detail=f"value {float(values[cell])!r}"))
         violations.extend(_validate_coefficients(spec, i, n, rng_seed))
         if m.a_max is not None and m.a_max < spec.lower_bound:
             violations.append(

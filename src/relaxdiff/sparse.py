@@ -25,16 +25,19 @@ class SolverReport:
 
 
 def cg_solve(
-    A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
+    A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolverReport]:
     """Preconditioned conjugate gradients for a symmetric positive-definite operator.
 
     `A` is any object exposing `n_rows`, `n_cols`, `matvec(x)` and
     `precondition(r)`, which applies a symmetric positive-definite
-    approximation of A^{-1} (the identity gives plain CG); the iteration
-    starts from zero. Convergence is declared when the true residual
-    satisfies ||b - A x||_2 <= tol * (||b||_2 + floor); non-convergence is
-    reported, not raised, so the caller decides.
+    approximation of A^{-1} (the identity gives plain CG). The iteration
+    starts from `x0` when given (a warm start), else from zero; a zero `b`
+    has the exact solution zero, whatever `x0`. Convergence is declared when
+    the true residual satisfies ||b - A x||_2 <= tol * (||b||_2 + floor), so
+    an `x0` that already meets it comes back unchanged after 0 iterations;
+    non-convergence is reported, not raised, so the caller decides.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -46,22 +49,30 @@ def cg_solve(
         raise DimensionMismatchError(f"right-hand side must have length {n}")
     if max_iter is None:
         max_iter = max(50, 10 * n)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != (n,):
+            raise DimensionMismatchError(f"starting iterate must have length {n}")
 
     # Scaling b by a power of two is exact, so the iterates are those of the
     # unscaled problem, but the inner products of tiny or huge data no longer
-    # underflow or overflow. The scaled b peaks at `peak`, in [0.5, 1).
+    # underflow or overflow. The scaled b peaks at `peak`, in [0.5, 1); a
+    # start is scaled by the same power of two.
     peak, exponent = math.frexp(float(np.max(np.abs(b), initial=0.0)))
-    x, iterations, res, converged = _pcg(A, np.ldexp(b, -exponent), peak, tol, max_iter)
+    x = None if x0 is None or peak == 0.0 else np.ldexp(x0, -exponent)
+    x, iterations, res, converged = _pcg(A, np.ldexp(b, -exponent), x, peak, tol, max_iter)
     return np.ldexp(x, exponent), SolverReport(
         iterations, math.ldexp(res, exponent), converged, tol)
 
 
-def _pcg(A, b: np.ndarray, peak: float, tol: float,
+def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, int, float, bool]:
     # the floor keeps the stopping rule meaningful for b close to (or exactly) zero
     threshold = tol * (float(np.linalg.norm(b)) + 1e-14 * peak * b.size)
-    x = np.zeros(A.n_cols)
-    r = b.copy()
+    if x is None:
+        x, r = np.zeros(A.n_cols), b.copy()
+    else:
+        r = b - A.matvec(x)
     res = float(np.linalg.norm(r))
     if res <= threshold:
         return x, 0, res, True

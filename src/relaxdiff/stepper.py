@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,8 +66,9 @@ class SchemeConfig:
         # beyond 2**53 steps the pinned times k * tau stop being distinct
         if self.horizon / self.tau > 2**53:
             raise ValueError("horizon / tau must not exceed 2**53")
-        if not (self.linear_tol > 0):
-            raise ValueError("linear tolerance must be positive")
+        # no residual can fall below float64 rounding relative to ||b||
+        if not (self.linear_tol >= 2**-52):
+            raise ValueError("linear tolerance must be at least 2**-52, the float64 epsilon")
         if self.linear_max_iter < 1:
             raise ValueError("linear_max_iter must be at least 1")
         if self.output_stride < 1:
@@ -82,13 +84,11 @@ class _ResolventOperator:
         self.grid = grid
         self.delta = float(delta)
         self.n_rows = self.n_cols = grid.n_cells
+        # the exact inverse
+        self.precondition = grid.shifted_solver(1.0, self.delta)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return x - self.delta * self.grid.laplacian(x)
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        # the exact inverse
-        return self.grid.shifted_solve(r, 1.0, self.delta)
 
 
 class _ImplicitStepOperator:
@@ -102,12 +102,10 @@ class _ImplicitStepOperator:
         # in [sqrt(min / max), sqrt(max / min)] of that diagonal
         lo, hi = float(np.min(self.scale)), float(np.max(self.scale))
         self.shift = math.sqrt(lo) * math.sqrt(hi)
+        self.precondition = grid.shifted_solver(self.shift, 1.0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.scale * x - self.grid.laplacian(x)
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        return self.grid.shifted_solve(r, self.shift, 1.0)
 
 
 def _solve_regularize(
@@ -125,18 +123,20 @@ def _solve_regularize(
 
 
 def _solve_implicit(
-    g: Grid, u_n: np.ndarray, A: np.ndarray, tau: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, SolverReport]:
+    g: Grid, u_n: np.ndarray, A: np.ndarray, tau: float, tol: float, max_iter: int,
+    z_start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, SolverReport]:
+    """u_new, the solved z = A * u_new, and the report; CG starts from `z_start`."""
     if not np.all(A > 0):
         raise ValueError("implicit step requires strictly positive coefficients")
     op = _ImplicitStepOperator(g, A, tau)
-    z, report = cg_solve(op, u_n / tau, tol, max_iter)
+    z, report = cg_solve(op, u_n / tau, tol, max_iter, x0=z_start)
     if not report.converged:
         raise LinearSolverError(
             f"implicit diffusion solve stalled after {report.iterations} iterations "
             f"(residual {report.residual_norm:.3e})"
         )
-    return u_n + tau * g.laplacian(z), report
+    return u_n + tau * g.laplacian(z), z, report
 
 
 def regularize(g: Grid, u: Field, delta: float, tol: float = 1e-10,
@@ -162,9 +162,9 @@ def implicit_diffusion_step(g: Grid, u_n: Field, A: Field, tau: float,
     1 / tau, so the cell total of u is conserved; the M-matrix structure keeps
     nonnegative data nonnegative.
     """
-    values, _ = _solve_implicit(g, np.asarray(u_n.values, dtype=np.float64),
-                                np.asarray(A.values, dtype=np.float64), tau, tol,
-                                max_iter)
+    values, _, _ = _solve_implicit(g, np.asarray(u_n.values, dtype=np.float64),
+                                   np.asarray(A.values, dtype=np.float64), tau, tol,
+                                   max_iter)
     return Field(g, values)
 
 
@@ -191,12 +191,24 @@ class SystemState:
         return self.u[0].grid
 
 
+@contextmanager
+def _prefix_solver_errors(where: str):
+    """Prefix a linear-solver failure inside the block with `where`."""
+    try:
+        yield
+    except LinearSolverError as exc:
+        raise LinearSolverError(f"{where}: {exc}") from exc
+
+
 def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     """State at t = 0: regularized initial data and w = delta * u_tilde."""
     g = m.grid
     u = tuple(f.copy() for f in m.initial_data)
-    u_tilde = [_solve_regularize(g, f.values, d, cfg.linear_tol, cfg.linear_max_iter)[0]
-               for f, d in zip(u, m.delta)]
+    u_tilde = []
+    for i, (f, d) in enumerate(zip(u, m.delta)):
+        with _prefix_solver_errors(f"species {i + 1}, initial regularization"):
+            u_tilde.append(_solve_regularize(g, f.values, d, cfg.linear_tol,
+                                             cfg.linear_max_iter)[0])
     return SystemState(0.0, u, tuple(Field(g, ut) for ut in u_tilde),
                        tuple(Field(g, d * ut) for d, ut in zip(m.delta, u_tilde)))
 
@@ -215,26 +227,26 @@ class SpeciesStepInfo:
 
 def frozen_step(
     state: SystemState, m: ModelSpec, cfg: SchemeConfig, A_fields: Sequence[np.ndarray],
-    dt: float,
-) -> tuple[SystemState, list[tuple[SolverReport, SolverReport]]]:
+    dt: float, z_start: Sequence[np.ndarray] | None = None,
+) -> tuple[SystemState, list[tuple[SolverReport, SolverReport]], list[np.ndarray]]:
     """One step of size `dt` with the coefficients frozen at `A_fields`.
 
     Every species takes its implicit diffusion solve from `state.u`, then the
-    regularization of the result, then the w update. Returns the next state
-    and each species' (implicit, regularize) solve reports.
+    regularization of the result, then the w update. The implicit solves
+    start from `z_start` when given, one array per species (the previous
+    Picard sweep's solves), else from zero. Returns the next state, each
+    species' (implicit, regularize) solve reports and each species' solved z.
     """
     g = m.grid
 
     def advance(i: int):
         where = f"species {i + 1}, step from t = {state.time!r}"
-        try:
-            u_new, rep_impl = _solve_implicit(
+        with _prefix_solver_errors(where):
+            u_new, z, rep_impl = _solve_implicit(
                 g, state.u[i].values, A_fields[i], dt, cfg.linear_tol,
-                cfg.linear_max_iter)
+                cfg.linear_max_iter, None if z_start is None else z_start[i])
             ut_new, rep_reg = _solve_regularize(
                 g, u_new, m.delta[i], cfg.linear_tol, cfg.linear_max_iter)
-        except LinearSolverError as exc:
-            raise LinearSolverError(f"{where}: {exc}") from exc
         # w = delta * u_tilde plus the running sum of dt * A * u
         delta = m.delta[i]
         w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
@@ -242,7 +254,7 @@ def frozen_step(
         # w sums positive multiples of u_new and ut_new, so it is finite only if they are
         if not np.all(np.isfinite(w_new)):
             raise RelaxdiffError(f"{where}: the next state is not finite")
-        return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg)
+        return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg), z
 
     indices = range(state.n_species)
     if cfg.workers > 1 and state.n_species > 1:
@@ -257,7 +269,7 @@ def frozen_step(
         u_tilde=tuple(r[1] for r in results),
         w=tuple(r[2] for r in results),
     )
-    return new_state, [r[3] for r in results]
+    return new_state, [r[3] for r in results], [r[4] for r in results]
 
 
 def step_with_info(
@@ -266,7 +278,7 @@ def step_with_info(
     """Advance one step of size `tau` (default cfg.tau) and report solve stats."""
     dt = cfg.tau if tau is None else float(tau)
     A_fields, clamp_counts = coefficient_fields(m, state.u_tilde)
-    new_state, reports = frozen_step(state, m, cfg, A_fields, dt)
+    new_state, reports, _ = frozen_step(state, m, cfg, A_fields, dt)
     return new_state, [
         SpeciesStepInfo(
             species=i + 1,

@@ -236,6 +236,9 @@ REJECTED_EDITS = {
     "seed_override_negative": ([RANDOM_INIT], ["--seed", "-5"]),
     "steps_beyond_2_53": ([("tau = 0.02", "tau = 1e-300")], []),
     "output_dir_is_a_file": ([], ["--output-dir", "{text_file}"]),
+    # no residual can fall below float64 rounding, so no solve could reach it
+    "linear_tol_below_epsilon": ([("tau = 0.02", "tau = 0.02\nlinear_tol = 1e-300")], []),
+    "subnormal_init": ([("init = cosine:0.5,1.0", "init = constant:5e-324")], []),
 }
 
 
@@ -302,6 +305,32 @@ def test_overflowing_coefficients_exit_1_without_traceback(tmp_path, case):
     # numpy may report the overflow first: a warning line and its source line
     assert all("RuntimeWarning" in w or w.startswith(" ") for w in warnings), warnings
     assert line.startswith("error: ") and line.endswith(ending)
+
+
+# case: (edits to the config text, start of the failure in the last stderr line)
+INITIAL_FAILURES = {
+    # h^2 underflows to zero, so the preconditioner's spectrum is not finite
+    "h1_tiny": ([("h1 = 0.0625", "h1 = 1e-300")],
+                "conjugate-gradient breakdown at iteration 1 (non-finite values)"),
+    "delta_huge": ([("delta = 0.01", "delta = 1e300")],
+                   "regularization solve stalled after 10000 iterations"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INITIAL_FAILURES))
+def test_initial_regularization_failure_names_species(tmp_path, case):
+    edits, failure = INITIAL_FAILURES[case]
+    path, _ = write_cfg(tmp_path)
+    text = path.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    proc = run_cli(path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    line = proc.stderr.splitlines()[-1]
+    assert line.startswith(f"error: species 1, initial regularization: {failure}")
 
 
 def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):

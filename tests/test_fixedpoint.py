@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
+from relaxdiff import stepper
 from relaxdiff.errors import PicardConvergenceError
 from relaxdiff.fixedpoint import picard_step_with_info
 
@@ -149,6 +150,39 @@ def test_picard_gap_shrinks_quadratically_per_step():
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
     for r in ratios:
         assert 2.8 <= r <= 5.2  # 4 with 30 percent slack
+
+
+def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
+    # each sweep starts its implicit solves from the previous sweep's z; the
+    # cold run drops that start, so the two differ only in the CG iterations
+    g = make_grid_1d(128)
+    m = rd.ModelSpec(
+        delta=(0.01, 0.01),
+        coefficients=(rd.SktCoefficients(0.05, (0.0, 1.0), 2.0),
+                      rd.SktCoefficients(0.05, (1.0, 0.0), 2.0)),
+        initial_data=(rd.Field(g, cosine_profile(g, 0.25)),
+                      rd.Field(g, cosine_profile(g, -0.25))),
+    )
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
+    solve = stepper.cg_solve
+    totals = {}
+    for start in ("cold", "warm"):
+        iterations = []
+
+        def counting(A, b, tol, max_iter, x0=None):
+            x, report = solve(A, b, tol, max_iter, x0=x0 if start == "warm" else None)
+            if isinstance(A, stepper._ImplicitStepOperator):
+                iterations.append(report.iterations)
+            return x, report
+
+        monkeypatch.setattr(stepper, "cg_solve", counting)
+        _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig())
+        totals[start] = (sum(iterations), len(iterations), sweeps)
+    (cold, cold_solves, cold_sweeps), (warm, warm_solves, warm_sweeps) = (
+        totals["cold"], totals["warm"])
+    assert (warm_solves, warm_sweeps) == (cold_solves, cold_sweeps)
+    assert cold_sweeps > 10
+    assert warm <= 0.7 * cold
 
 
 def test_picard_nonconvergence_is_reported():

@@ -53,10 +53,12 @@ def test_cg_resolvent_constant_rhs():
 
 
 def test_cg_zero_rhs():
+    # zero is the exact solution, whatever the start
     A = DenseOperator(2.0 * np.eye(2))
-    x, report = rd.cg_solve(A, np.zeros(2), tol=1e-12)
-    assert report.converged and report.iterations == 0
-    assert np.all(x == 0.0)
+    for start in (None, np.array([1.0, -1.0])):
+        x, report = rd.cg_solve(A, np.zeros(2), tol=1e-12, x0=start)
+        assert report.converged and report.iterations == 0
+        assert np.all(x == 0.0)
 
 
 def test_cg_matches_dense_on_random_spd(rng):
@@ -102,6 +104,8 @@ def test_cg_dimension_mismatch():
     A = DenseOperator(np.eye(2))
     with pytest.raises(DimensionMismatchError):
         rd.cg_solve(A, np.zeros(3))
+    with pytest.raises(DimensionMismatchError):
+        rd.cg_solve(A, np.zeros(2), x0=np.zeros(3))
 
 
 def test_cg_deterministic(rng):
@@ -122,5 +126,36 @@ def test_cg_scales_exactly_with_tiny_and_huge_data(rng):
     x, report = rd.cg_solve(A, b, tol=1e-10)
     for exponent in (-600, 600):
         x_scaled, scaled = rd.cg_solve(A, np.ldexp(b, exponent), tol=1e-10)
+        assert scaled.converged and scaled.iterations == report.iterations
+        assert np.array_equal(x_scaled, np.ldexp(x, exponent))
+
+
+def test_cg_start_at_the_solution_comes_back_unchanged(rng):
+    # an exact solution, and a converged one, meet the stopping rule before
+    # any iteration, so they come back bit for bit
+    x, report = rd.cg_solve(DenseOperator(2.0 * np.eye(3)), np.array([2.0, 4.0, 6.0]),
+                            x0=np.array([1.0, 2.0, 3.0]))
+    assert report.converged and report.iterations == 0 and report.residual_norm == 0.0
+    assert x.tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
+    A = DenseOperator(random_spd(rng, 24))
+    b = rng.standard_normal(24)
+    solved, first = rd.cg_solve(A, b, tol=1e-10)
+    again, second = rd.cg_solve(A, b, tol=1e-10, x0=solved)
+    assert first.iterations > 0 and second.iterations == 0 and second.converged
+    assert again.tobytes() == solved.tobytes()
+
+
+def test_cg_warm_start_scales_exactly_with_tiny_and_huge_data(rng):
+    # the start is scaled by b's power of two, so the iterates stay bit-scaled
+    A = DenseOperator(random_spd(rng, 24))
+    b = rng.uniform(0.5, 2.0, 24)
+    start = np.linalg.solve(A.A, b) + 0.1 * rng.standard_normal(24)
+    x, report = rd.cg_solve(A, b, tol=1e-10, x0=start)
+    cold, _ = rd.cg_solve(A, b, tol=1e-10)
+    assert report.converged and 0 < report.iterations
+    assert np.linalg.norm(x - cold) <= 1e-8 * np.linalg.norm(cold)
+    for exponent in (-600, 600):
+        x_scaled, scaled = rd.cg_solve(A, np.ldexp(b, exponent), tol=1e-10,
+                                       x0=np.ldexp(start, exponent))
         assert scaled.converged and scaled.iterations == report.iterations
         assert np.array_equal(x_scaled, np.ldexp(x, exponent))

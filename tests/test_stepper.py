@@ -338,7 +338,7 @@ def test_solve_iterations_do_not_grow_with_the_mesh(cells, rng):
     A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
     assert np.max(A) / np.min(A) == pytest.approx(3.0, rel=1e-2)
     u = rng.uniform(0.0, 2.0, g.n_cells)
-    u_new, implicit = _solve_implicit(g, u, A, 0.01, 1e-10, 10_000)
+    u_new, _, implicit = _solve_implicit(g, u, A, 0.01, 1e-10, 10_000)
     _, regularize = _solve_regularize(g, u_new, 0.01, 1e-10, 10_000)
     assert implicit.converged and implicit.iterations <= 15
     assert regularize.converged and regularize.iterations <= 2
@@ -361,5 +361,8 @@ def test_scheme_config_validation():
         rd.SchemeConfig(tau=2.0, horizon=1.0)
     with pytest.raises(ValueError):
         rd.SchemeConfig(tau=0.1, horizon=1.0, linear_tol=0.0)
+    with pytest.raises(ValueError, match="2\\*\\*-52"):
+        rd.SchemeConfig(tau=0.1, horizon=1.0, linear_tol=np.nextafter(2**-52, 0))
+    rd.SchemeConfig(tau=0.1, horizon=1.0, linear_tol=2**-52)
     with pytest.raises(ValueError):
         rd.SchemeConfig(tau=0.1, horizon=1.0, output_stride=0)
