@@ -23,13 +23,19 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 
+# The solver keeps a dense n x n cosine basis per axis length (8 n^2 bytes):
+# 512 MiB at this cap, which still admits a 1024-cell axis refined twice.
+MAX_AXIS_CELLS = 2**13
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered mesh on a rectangle in 1 or 2 dimensions.
 
     `cells` holds the cell count per axis, `spacing` the (uniform) cell width
-    per axis. Fields are flattened row-major with the first axis fastest:
-    in 2D the cell (i1, i2) lives at flat index i2 * n1 + i1.
+    per axis. Fields are flat arrays with the first axis fastest: in 2D the
+    cell (i1, i2) lives at flat index i2 * n1 + i1. This class is the only
+    place that maps a flat field onto its axes (`_axes_view`).
     """
 
     cells: tuple[int, ...]
@@ -44,8 +50,14 @@ class Grid:
             raise ValueError("one spacing per axis required")
         if any(n < 1 for n in self.cells):
             raise ValueError("cell counts must be positive")
-        if any(not (h > 0) for h in self.spacing):
-            raise ValueError("spacings must be positive")
+        if any(n > MAX_AXIS_CELLS for n in self.cells):
+            raise ValueError(f"at most {MAX_AXIS_CELLS} cells per axis, the size of the "
+                             "largest cosine basis the solver builds")
+        for h in self.spacing:
+            if not h > 0:
+                raise ValueError("spacings must be positive")
+            if not (h * h > 0 and math.isfinite(1.0 / (h * h))):
+                raise ValueError(f"spacing {h!r} is too small: 1 / h^2 is not a finite float")
 
     @property
     def ndim(self) -> int:
@@ -63,36 +75,44 @@ class Grid:
     def lengths(self) -> tuple[float, ...]:
         return tuple(n * h for n, h in zip(self.cells, self.spacing))
 
+    def refined(self) -> "Grid":
+        """The grid with twice the cells per axis at half the spacing."""
+        return Grid(tuple(2 * n for n in self.cells), tuple(h / 2 for h in self.spacing))
+
     def cell_centers(self) -> tuple[np.ndarray, ...]:
         """Center coordinate along each axis, as flat per-cell arrays."""
-        axes = [h * (np.arange(n) + 0.5) for n, h in zip(self.cells, self.spacing)]
-        if self.ndim == 1:
-            return (axes[0],)
-        x2, x1 = np.meshgrid(axes[1], axes[0], indexing="ij")
-        return (x1.ravel(), x2.ravel())
+        index = np.indices(self.cells[::-1]).reshape(self.ndim, -1)[::-1]
+        return tuple(h * (i + 0.5) for i, h in zip(index, self.spacing))
 
-    def _flat_cells(self, values: np.ndarray) -> np.ndarray:
+    def _axes_view(self, values: np.ndarray) -> np.ndarray:
+        """A flat field viewed with one array axis per grid axis, of shape cells[::-1].
+
+        The first grid axis is the fastest, so grid axis k is array axis -1 - k.
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n_cells,):
             raise DimensionMismatchError(
                 f"field has {values.shape} values, grid has {self.n_cells} cells"
             )
-        return values
+        return values.reshape(self.cells[::-1])
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Apply the zero-flux Laplacian to a flat cell array."""
-        values = self._flat_cells(values)
-        if self.ndim == 1:
-            return _axis_fluxes(values, self.spacing[0])
-        n1, n2 = self.cells
-        arr = values.reshape(n2, n1)
-        out = _axis_fluxes(arr, self.spacing[0], axis=1)
-        out += _axis_fluxes(arr, self.spacing[1], axis=0)
+        """Apply the zero-flux Laplacian to a flat cell array: one 1D stencil per axis."""
+        arr = self._axes_view(values)
+        out = _axis_fluxes(arr, -1, self.spacing[0])
+        for k in range(1, self.ndim):
+            out += _axis_fluxes(arr, -1 - k, self.spacing[k])
         return out.reshape(-1)
 
-    def shifted_solve(self, values: np.ndarray, c: float, s: float) -> np.ndarray:
-        """Solve (c I - s L) x = values exactly, for c > 0 and s >= 0; see `shifted_solver`."""
-        return self.shifted_solver(c, s)(values)
+    def coarsen(self, values: np.ndarray) -> np.ndarray:
+        """Average cell pairs along each axis: a field of this grid on the grid it refines."""
+        if any(n % 2 for n in self.cells):
+            raise DimensionMismatchError(f"cannot coarsen {self.cells} cells: a count is odd")
+        arr = self._axes_view(values)
+        for axis in range(self.ndim):
+            pairs = np.swapaxes(arr, 0, axis)
+            arr = np.swapaxes(0.5 * (pairs[0::2] + pairs[1::2]), 0, axis)
+        return arr.reshape(-1)
 
     def shifted_solver(self, c: float, s: float) -> Callable[[np.ndarray], np.ndarray]:
         """The exact solve of (c I - s L) x = values, as a function of values.
@@ -103,24 +123,23 @@ class Grid:
         applies one shift on every iteration pays for it once. A constant
         field is in the kernel of L and comes back as values / c, bit for bit.
         """
-        axes = [_cosine_basis(n) for n in self.cells]
-        # eigenvalues of -L per axis: 4 sin^2(pi k / 2n) / h^2
-        mu = [4.0 * sin2 / (h * h) for (_, sin2), h in zip(axes, self.spacing)]
-        if self.ndim == 1:
-            C, _ = axes[0]
-            spectrum = c + s * mu[0]
-        else:
-            (C1, _), (C2, _) = axes
-            n1, n2 = self.cells
-            spectrum = c + s * (mu[1][:, None] + mu[0][None, :])
+        bases, mu = [], []
+        for n, h in zip(self.cells, self.spacing):
+            C, sin2 = _cosine_basis(n)
+            bases.append(C)
+            mu.append(4.0 * sin2 / (h * h))  # eigenvalues of -L along the axis
+        # on the field's layout, grid axis k varies along array axis -1 - k
+        spectrum = c + s * functools.reduce(np.add.outer, mu[::-1])
 
         def solve(values: np.ndarray) -> np.ndarray:
-            values = self._flat_cells(values)
-            if np.all(values == values[0]):
-                return values / c
+            arr = self._axes_view(values)
+            if np.all(arr == arr.flat[0]):
+                return arr.reshape(-1) / c
             if self.ndim == 1:
-                return C.T @ ((C @ values) / spectrum)
-            spectral = C2 @ values.reshape(n2, n1) @ C1.T
+                (C,) = bases
+                return C.T @ ((C @ arr) / spectrum)
+            C1, C2 = bases
+            spectral = C2 @ arr @ C1.T
             spectral /= spectrum
             return (C2.T @ spectral @ C1).reshape(-1)
 
@@ -144,16 +163,18 @@ def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return C, sin2
 
 
-def _axis_fluxes(arr: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    out = np.zeros_like(arr)
-    if arr.shape[axis] > 1:
-        d = np.diff(arr, axis=axis)
-        lower = [slice(None)] * arr.ndim
-        upper = [slice(None)] * arr.ndim
-        lower[axis] = slice(None, -1)
-        upper[axis] = slice(1, None)
-        out[tuple(lower)] += d
-        out[tuple(upper)] -= d
+def _axis_fluxes(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The 1D zero-flux stencil along one array axis: sum of (neighbor - cell) / h^2.
+
+    A zero result is always +0.0, whatever the signs of zeros in `arr`.
+    """
+    a = np.swapaxes(arr, 0, axis)
+    d = a[1:] - a[:-1]  # the difference across each interior face
+    out = np.empty_like(arr)
+    o = np.swapaxes(out, 0, axis)
+    np.add(d, 0.0, out=o[:-1])  # each cell's face above, with -0.0 made +0.0
+    o[-1] = 0.0  # the last cell has no face above
+    o[1:] -= d  # each cell's face below
     out /= h * h
     return out
 

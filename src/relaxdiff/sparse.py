@@ -77,19 +77,13 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
     if res <= threshold:
         return x, 0, res, True
 
-    p = A.precondition(r)
-    rz = float(r @ p)
     iterations = 0
+    p = A.precondition(r)
+    rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
     while iterations < max_iter:
         iterations += 1
         Ap = A.matvec(p)
-        pAp = float(p @ Ap)
-        if not 0.0 < pAp < np.inf:
-            raise LinearSolverError(
-                f"conjugate-gradient breakdown at iteration {iterations} "
-                + ("(operator not positive definite?)" if pAp <= 0.0 else "(non-finite values)")
-            )
-        alpha = rz / pAp
+        alpha = rz / _positive(float(p @ Ap), iterations, "operator not positive definite?")
         x = x + alpha * p
         r = r - alpha * Ap
         res = float(np.linalg.norm(r))
@@ -101,11 +95,24 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
                 return x, iterations, res, True
             # recurrence drifted: restart the search direction from here
             p = A.precondition(r)
-            rz = float(r @ p)
+            rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
             continue
         z = A.precondition(r)
-        rz_new = float(r @ z)
+        rz_new = _positive(float(r @ z), iterations + 1, "r.z not positive")
         p = z + (rz_new / rz) * p
         rz = rz_new
 
     return x, iterations, res, False
+
+
+def _positive(product: float, iterations: int, not_positive: str) -> float:
+    """p.Ap or r.z, which CG divides by: not positive and finite is a breakdown.
+
+    r.z can underflow to zero; its breakdown is charged to the iteration that
+    would have used the direction it scales.
+    """
+    if not 0.0 < product < np.inf:
+        raise LinearSolverError(
+            f"conjugate-gradient breakdown at iteration {iterations} "
+            + (f"({not_positive})" if product <= 0.0 else "(non-finite values)"))
+    return product

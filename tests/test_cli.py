@@ -221,6 +221,17 @@ def test_invariants_mode(tmp_path):
     assert any("w_identity_residual" in line for line in lines)
 
 
+def test_invariants_audit_solves_at_the_run_tolerance(tmp_path):
+    # the w identity is audited at the run's linear_tol, which its solves reached;
+    # at linear_tol / 100 the audit's own solve could not get below 2^-52
+    path, _ = write_cfg(tmp_path, mode="invariants")
+    path.write_text(path.read_text().replace("T = 0.1", "T = 0.1\nlinear_tol = 1e-14"))
+    assert cli.main(["invariants", "--config", str(path)]) == 0
+    lines = (tmp_path / "out" / "invariants.csv").read_text().splitlines()
+    identity = [line for line in lines if ",w_identity_residual," in line]
+    assert identity and all(line.endswith(",pass") for line in identity)
+
+
 RANDOM_INIT = ("init = cosine:0.5,1.0", "init = random:0.0,1.0")
 
 # case: (edits to the config text, extra command-line arguments)
@@ -239,6 +250,11 @@ REJECTED_EDITS = {
     # no residual can fall below float64 rounding, so no solve could reach it
     "linear_tol_below_epsilon": ([("tau = 0.02", "tau = 0.02\nlinear_tol = 1e-300")], []),
     "subnormal_init": ([("init = cosine:0.5,1.0", "init = constant:5e-324")], []),
+    # 1 / h^2 is not a finite float: h^2 underflows to zero, or to a subnormal
+    "h1_tiny": ([("h1 = 0.0625", "h1 = 1e-300")], []),
+    "h1_inverse_square_overflows": ([("h1 = 0.0625", "h1 = 1e-160")], []),
+    # rejected before any cosine basis (8 n^2 bytes) is built
+    "axis_too_long": ([("n1 = 16", "n1 = 100000")], []),
 }
 
 
@@ -247,6 +263,18 @@ def run_cli(path, *args):
     return subprocess.run(
         [sys.executable, "-m", "relaxdiff.cli", "simulate", "--config", str(path), *args],
         capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+
+
+# the spatial study refines twice: n1 = 2049 becomes 8196 cells, and h1 = 1e-154
+# (1 / h^2 = 1e308) becomes 2.5e-155, whose 1 / h^2 overflows
+@pytest.mark.parametrize("old, new", [("n1 = 16", "n1 = 2049"), ("h1 = 0.0625", "h1 = 1e-154")],
+                         ids=["axis_too_long", "h1_too_small"])
+def test_converge_rejects_a_refined_grid_before_any_run(tmp_path, capsys, old, new):
+    path, _ = write_cfg(tmp_path, mode="converge", extra="spatial = on\n")
+    path.write_text(path.read_text().replace(old, new))
+    assert cli.main(["converge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: [grid] refined for the spatial study")
+    assert not (tmp_path / "out" / "converge.csv").exists()
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED_EDITS))
@@ -281,6 +309,10 @@ OVERFLOWS = {
                    ("init = cosine:-0.5,1.0", "init = constant:1e200")],
               "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 1 "
               "(non-finite values)"),
+    # r.z underflows to zero in species 1's implicit solve; it was a ZeroDivisionError
+    "direction": ({}, [("d_2 = 1.0", "d_2 = 1e300")],
+                  "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 3 "
+                  "(r.z not positive)"),
     # A * u = 1e300 is finite, but the w update adds tau * A * u = 1e310
     "w_update": ({"tau": 1e10, "T": 1e10},
                  [("init = cosine:0.5,1.0", "init = constant:1e150"),
@@ -309,9 +341,6 @@ def test_overflowing_coefficients_exit_1_without_traceback(tmp_path, case):
 
 # case: (edits to the config text, start of the failure in the last stderr line)
 INITIAL_FAILURES = {
-    # h^2 underflows to zero, so the preconditioner's spectrum is not finite
-    "h1_tiny": ([("h1 = 0.0625", "h1 = 1e-300")],
-                "conjugate-gradient breakdown at iteration 1 (non-finite values)"),
     "delta_huge": ([("delta = 0.01", "delta = 1e300")],
                    "regularization solve stalled after 10000 iterations"),
 }

@@ -68,6 +68,17 @@ def test_readme_config_example_parses():
     assert len(rd.parse_config(blocks[0]).species) == 2
 
 
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    rows = capsys.readouterr().out.rstrip("\n").splitlines()
+    # a header, then one row per species and step: 100 steps of two species
+    assert rows[0].startswith("step,time,species,")
+    assert len(rows) == 1 + 2 * 100
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         rd.parse_config(MINIMAL + "\n[extra]\nx = 1\n")

@@ -3,6 +3,7 @@ import pytest
 
 import relaxdiff as rd
 from relaxdiff.errors import DimensionMismatchError
+from relaxdiff.grid import MAX_AXIS_CELLS
 
 from conftest import dense_laplacian, make_grid_1d, make_grid_2d
 
@@ -23,6 +24,12 @@ def test_laplacian_annihilates_constants_exactly():
     for g in (make_grid_1d(7), make_grid_2d(3, 5, (1.0, 0.7))):
         out = rd.laplacian_apply(g, rd.Field.constant(g, 3.7))
         assert np.all(out.values == 0.0)
+
+
+def test_laplacian_zero_results_are_positive_zero():
+    for g in (make_grid_1d(4), make_grid_2d(2, 2)):
+        out = g.laplacian(np.array([0.0, -0.0, 0.0, -0.0]))
+        assert out.tolist() == [0.0] * 4 and not np.any(np.signbit(out))
 
 
 def test_laplacian_rejects_wrong_grid():
@@ -93,6 +100,17 @@ def test_grid_validation():
         rd.Grid((4,), (-1.0,))
     with pytest.raises(ValueError):
         rd.Grid((4, 4, 4), (1.0, 1.0, 1.0))
+    # the solver's cosine basis of an axis takes 8 n^2 bytes: rejected before it is built
+    rd.Grid((MAX_AXIS_CELLS, 1), (1.0, 1.0))
+    with pytest.raises(ValueError, match="cells per axis"):
+        rd.Grid((MAX_AXIS_CELLS + 1,), (1.0,))
+    with pytest.raises(ValueError, match="cells per axis"):
+        rd.Grid((4, 10**5), (1.0, 1.0))
+    # 1 / h^2 must be a finite float: h^2 underflows to zero, or to a subnormal
+    rd.Grid((4,), (1e-154,))
+    for h in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match="1 / h\\^2"):
+            rd.Grid((4, 4), (1.0, h))
     g = rd.Grid((4, 2), (0.5, 0.25))
     assert g.n_cells == 8
     assert g.cell_measure == pytest.approx(0.125)
@@ -115,6 +133,40 @@ def test_row_major_axis1_fastest():
     assert x2.tolist() == [0.5, 0.5, 0.5, 1.5, 1.5, 1.5]
 
 
+def coarsened_by_hand(dense):
+    """Mean of each 2 x 2 (or, in 1D, 2-cell) block of a field indexed [i1, i2]."""
+    if dense.ndim == 1:
+        return np.array([(dense[2 * i] + dense[2 * i + 1]) / 2 for i in range(dense.size // 2)])
+    n1, n2 = dense.shape
+    return np.array([[sum(dense[2 * i + a, 2 * j + b] for a in (0, 1) for b in (0, 1)) / 4
+                      for j in range(n2 // 2)] for i in range(n1 // 2)])
+
+
+@pytest.mark.parametrize("cells, spacing", [
+    ((2,), (0.5,)), ((12,), (0.1,)), ((2, 2), (0.5, 0.25)), ((6, 2), (0.3, 0.7)),
+    ((4, 10), (0.25, 0.1)),
+], ids=lambda v: "x".join(map(str, v)))
+def test_coarsen_averages_cell_pairs(cells, spacing, rng):
+    g = rd.Grid(cells, spacing)
+    assert g.refined() == rd.Grid(tuple(2 * n for n in cells), tuple(h / 2 for h in spacing))
+    # the flat field, indexed by cell: (i1, i2) at flat index i2 * n1 + i1
+    dense = rng.standard_normal(cells)
+    flat = dense.T.reshape(-1) if g.ndim == 2 else dense
+    coarse = coarsened_by_hand(dense)
+    expected = coarse.T.reshape(-1) if g.ndim == 2 else coarse
+    assert g.coarsen(flat) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+    # the integral of the field is kept: the coarse cells are twice as wide per axis
+    coarse_measure = g.cell_measure * 2**g.ndim
+    assert coarse_measure * g.coarsen(flat).sum() == pytest.approx(g.cell_measure * flat.sum())
+
+
+def test_coarsen_rejects_odd_counts_and_wrong_lengths():
+    with pytest.raises(DimensionMismatchError):
+        rd.Grid((4, 3), (1.0, 1.0)).coarsen(np.ones(12))
+    with pytest.raises(DimensionMismatchError):
+        rd.Grid((4, 2), (1.0, 1.0)).coarsen(np.ones(6))
+
+
 SHIFTED_SOLVE_GRIDS = [
     rd.Grid((1,), (0.3,)),
     rd.Grid((2,), (0.5,)),
@@ -131,7 +183,7 @@ def test_shifted_solve_matches_dense(g, rng):
     # (1, delta): the regularization; (1 / (tau a), 1): an implicit-step shift
     for c, s in ((1.0, 0.01), (1.0, 1e-4), (100.0, 1.0), (37.0, 1.0)):
         r = rng.standard_normal(g.n_cells)
-        x = g.shifted_solve(r, c, s)
+        x = g.shifted_solver(c, s)(r)
         residual = r - (c * x - s * (L @ x))
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r)
 
@@ -139,10 +191,10 @@ def test_shifted_solve_matches_dense(g, rng):
 def test_shifted_solve_constant_field_bitwise():
     for g in (make_grid_1d(1), make_grid_1d(9), make_grid_2d(6, 5, (1.0, 0.3))):
         for c, s in ((1.0, 0.05), (3.0, 10.0)):
-            out = g.shifted_solve(np.full(g.n_cells, 2.5), c, s)
+            out = g.shifted_solver(c, s)(np.full(g.n_cells, 2.5))
             assert np.array_equal(out, np.full(g.n_cells, 2.5 / c))
 
 
 def test_shifted_solve_rejects_wrong_length():
     with pytest.raises(DimensionMismatchError):
-        make_grid_2d(3, 4).shifted_solve(np.ones(11), 1.0, 1.0)
+        make_grid_2d(3, 4).shifted_solver(1.0, 1.0)(np.ones(11))

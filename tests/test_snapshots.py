@@ -11,7 +11,8 @@ import relaxdiff as rd
 from relaxdiff.errors import ConfigError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-spacing = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# a grid needs a finite 1 / h^2: (2^-511)^2 is the smallest normal float
+spacing = st.floats(min_value=2.0**-511, allow_infinity=False)
 
 
 @st.composite

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff.errors import DimensionMismatchError
+from relaxdiff.errors import DimensionMismatchError, LinearSolverError
 
 from conftest import dense_laplacian, make_grid_1d
 
@@ -106,6 +106,17 @@ def test_cg_dimension_mismatch():
         rd.cg_solve(A, np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         rd.cg_solve(A, np.zeros(2), x0=np.zeros(3))
+
+
+def test_cg_zero_rz_is_a_breakdown():
+    # this preconditioner turns r at right angles, so r.z is 0: a breakdown, not a
+    # ZeroDivisionError in the next direction's ratio
+    class Turning(DenseOperator):
+        def precondition(self, r):
+            return np.array([-r[1], r[0]])
+
+    with pytest.raises(LinearSolverError, match=r"iteration 1 \(r\.z not positive\)"):
+        rd.cg_solve(Turning(2.0 * np.eye(2)), np.array([1.0, 2.0]))
 
 
 def test_cg_deterministic(rng):
