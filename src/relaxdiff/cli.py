@@ -34,7 +34,7 @@ from .diagnostics import (
     w_increment_residual,
 )
 from .errors import ConfigError, RelaxdiffError
-from .grid import Grid, integrate
+from .grid import integrate
 from .snapshots import write_snapshot
 from .stepper import RunSinks, SchemeConfig
 
@@ -81,11 +81,6 @@ def run_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _final_state(cfg: RunConfig, scheme: SchemeConfig, grid: Grid | None = None):
-    model = cfg.build_model(grid)
-    return stepper.run(model, scheme, None).state
-
-
 def _study_rows(study: str, steps: list[float], diffs: list[float]) -> list[str]:
     """converge.csv rows of one study, with the order seen between levels."""
     rows = []
@@ -118,16 +113,17 @@ def run_converge(cfg: RunConfig) -> int:
     lines = ["study,level,step,diff_inf,order_estimate"]
     ok = True
 
+    grids = [cfg.grid]
     if cfg.spatial:  # a refined grid the kernels cannot serve is rejected before any run
         try:
-            grids = [cfg.grid, cfg.grid.refined(), cfg.grid.refined().refined()]
+            grids += [cfg.grid.refined(), cfg.grid.refined().refined()]
         except ValueError as exc:
             raise ConfigError(f"[grid] refined for the spatial study: {exc}") from exc
+    # so are file: and random: data, which cannot be rebuilt on a refined grid
+    models = [cfg.build_model(g) for g in grids]
 
-    finals = []
-    for k in range(cfg.halvings + 1):
-        scheme_k = replace(cfg.scheme, tau=cfg.scheme.tau / (2**k))
-        finals.append(_final_state(cfg, scheme_k))
+    finals = [stepper.run(models[0], replace(cfg.scheme, tau=cfg.scheme.tau / 2**k)).state
+              for k in range(cfg.halvings + 1)]
     diffs = [max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.u, b.u))
              for a, b in zip(finals, finals[1:])]
     scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in finals[0].u))
@@ -141,7 +137,8 @@ def run_converge(cfg: RunConfig) -> int:
         ok = _fit_order(lines, "tau", "temporal", diffs, (0.8, 1.3))
 
     if cfg.spatial:
-        states = [_final_state(cfg, cfg.scheme, g) for g in grids]
+        # level 0 is the temporal study's first run
+        states = finals[:1] + [stepper.run(m, cfg.scheme).state for m in models[1:]]
         sdiffs = [max(float(np.max(np.abs(x.values - fine.coarsen(y.values))))
                       for x, y in zip(a.u, b.u))
                   for a, b, fine in zip(states, states[1:], grids[1:])]
@@ -165,9 +162,9 @@ def run_cross_validate(cfg: RunConfig) -> int:
         )
     outdir = _output_dir(cfg)
     report = fixedpoint.cross_validate(model, cfg.scheme, cfg.picard, cfg.halvings)
-    lines = ["tau,discrepancy"]
+    lines = ["tau,discrepancy,sweeps"]
     for row in report.rows:
-        lines.append(f"{_fmt(row.tau)},{_fmt(row.discrepancy)}")
+        lines.append(f"{_fmt(row.tau)},{_fmt(row.discrepancy)},{row.sweeps}")
     (outdir / "crossval.csv").write_text("\n".join(lines) + "\n")
     if report.degenerate:
         return 0

@@ -3,8 +3,9 @@
 Each step freezes the diffusion coefficients at the clamped regularization of
 the previous densities, advances every species through one implicit diffusion
 solve, and regularizes the result (a screened-Poisson solve). `frozen_step`
-is that step for given coefficients; the Picard sweeps of `fixedpoint` reuse
-it with the coefficients frozen at their candidate. Both linear solves are
+is that step for given coefficients, one `species_step` per species; the
+Picard sweeps of `fixedpoint` run `species_step` species by species, each
+frozen at the newest regularized densities. Both linear solves are
 symmetric positive definite and handled by conjugate gradients,
 preconditioned with exact solves of constant-coefficient shifts of the
 Laplacian in its cosine eigenbasis: the regularization operator is such a
@@ -225,36 +226,46 @@ class SpeciesStepInfo:
     coefficient_max: float
 
 
+def species_step(
+    state: SystemState, m: ModelSpec, cfg: SchemeConfig, i: int, A: np.ndarray,
+    dt: float, z_start: np.ndarray | None = None,
+) -> tuple[Field, Field, Field, tuple[SolverReport, SolverReport], np.ndarray]:
+    """Species `i`'s part of a step of size `dt` with its coefficient frozen at `A`.
+
+    The implicit diffusion solve from `state.u[i]`, started from `z_start`
+    when given (else from zero), then the regularization of the result, then
+    the w update. Returns the next u, u_tilde and w of species `i`, its
+    (implicit, regularize) solve reports and its solved z.
+    """
+    g = m.grid
+    where = f"species {i + 1}, step from t = {state.time!r}"
+    with _prefix_solver_errors(where):
+        u_new, z, rep_impl = _solve_implicit(
+            g, state.u[i].values, A, dt, cfg.linear_tol, cfg.linear_max_iter, z_start)
+        ut_new, rep_reg = _solve_regularize(
+            g, u_new, m.delta[i], cfg.linear_tol, cfg.linear_max_iter)
+    # w = delta * u_tilde plus the running sum of dt * A * u
+    delta = m.delta[i]
+    w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
+             + dt * A * u_new)
+    # w sums positive multiples of u_new and ut_new, so it is finite only if they are
+    if not np.all(np.isfinite(w_new)):
+        raise RelaxdiffError(f"{where}: the next state is not finite")
+    return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg), z
+
+
 def frozen_step(
     state: SystemState, m: ModelSpec, cfg: SchemeConfig, A_fields: Sequence[np.ndarray],
-    dt: float, z_start: Sequence[np.ndarray] | None = None,
+    dt: float,
 ) -> tuple[SystemState, list[tuple[SolverReport, SolverReport]], list[np.ndarray]]:
     """One step of size `dt` with the coefficients frozen at `A_fields`.
 
-    Every species takes its implicit diffusion solve from `state.u`, then the
-    regularization of the result, then the w update. The implicit solves
-    start from `z_start` when given, one array per species (the previous
-    Picard sweep's solves), else from zero. Returns the next state, each
-    species' (implicit, regularize) solve reports and each species' solved z.
+    Runs `species_step` for every species, from zero starts, under the
+    `workers` pool. Returns the next state, each species' (implicit,
+    regularize) solve reports and each species' solved z.
     """
-    g = m.grid
-
     def advance(i: int):
-        where = f"species {i + 1}, step from t = {state.time!r}"
-        with _prefix_solver_errors(where):
-            u_new, z, rep_impl = _solve_implicit(
-                g, state.u[i].values, A_fields[i], dt, cfg.linear_tol,
-                cfg.linear_max_iter, None if z_start is None else z_start[i])
-            ut_new, rep_reg = _solve_regularize(
-                g, u_new, m.delta[i], cfg.linear_tol, cfg.linear_max_iter)
-        # w = delta * u_tilde plus the running sum of dt * A * u
-        delta = m.delta[i]
-        w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
-                 + dt * A_fields[i] * u_new)
-        # w sums positive multiples of u_new and ut_new, so it is finite only if they are
-        if not np.all(np.isfinite(w_new)):
-            raise RelaxdiffError(f"{where}: the next state is not finite")
-        return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg), z
+        return species_step(state, m, cfg, i, A_fields[i], dt)
 
     indices = range(state.n_species)
     if cfg.workers > 1 and state.n_species > 1:

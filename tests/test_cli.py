@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff import cli
+from relaxdiff import cli, stepper
 
 from conftest import dense_replay
 
@@ -198,10 +198,13 @@ def test_cross_validate_cli(tmp_path):
     path, outdir = write_cfg(tmp_path, n1=16, tau=0.05, T=0.25, mode="cross-validate")
     assert cli.main(["cross-validate", "--config", str(path)]) == 0
     lines = (tmp_path / "out" / "crossval.csv").read_text().splitlines()
-    assert lines[0] == "tau,discrepancy"
+    assert lines[0] == "tau,discrepancy,sweeps"
     assert len(lines) == 5
     gaps = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(a / b >= 1.5 for a, b in zip(gaps, gaps[1:]))
+    # at least one sweep per step: 5, 10, 20 and 40 steps
+    sweeps = [int(l.split(",")[2]) for l in lines[1:]]
+    assert all(n >= 5 * 2**k for k, n in enumerate(sweeps))
 
 
 def test_cross_validate_rejects_non_lipschitz(tmp_path, capsys):
@@ -274,6 +277,24 @@ def test_converge_rejects_a_refined_grid_before_any_run(tmp_path, capsys, old, n
     path.write_text(path.read_text().replace(old, new))
     assert cli.main(["converge", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: [grid] refined for the spatial study")
+    assert not (tmp_path / "out" / "converge.csv").exists()
+
+
+@pytest.mark.parametrize("init", ["random:0.0,1.0", "file:{path}"])
+def test_converge_rejects_unrefinable_data_before_any_run(tmp_path, monkeypatch, capsys,
+                                                          init):
+    # file: and random: data cannot be rebuilt on the spatial study's refined
+    # grids; that is found before the temporal study runs anything
+    data = tmp_path / "data.txt"
+    data.write_text("1.0\n" * 16)
+    path, _ = write_cfg(tmp_path, mode="converge", extra="spatial = on\n")
+    path.write_text(path.read_text().replace("cosine:0.5,1.0", init.format(path=data)))
+    runs = []
+    monkeypatch.setattr(stepper, "run", lambda *args: runs.append(args))
+    assert cli.main(["converge", "--config", str(path)]) == 2
+    assert runs == []
+    assert capsys.readouterr().err.startswith(
+        f"config error: species 1: init '{init.split(':')[0]}' cannot be rebuilt")
     assert not (tmp_path / "out" / "converge.csv").exists()
 
 

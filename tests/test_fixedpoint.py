@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff import stepper
+from relaxdiff import fixedpoint, stepper
 from relaxdiff.errors import PicardConvergenceError
 from relaxdiff.fixedpoint import picard_step_with_info
 
@@ -152,17 +152,22 @@ def test_picard_gap_shrinks_quadratically_per_step():
         assert 2.8 <= r <= 5.2  # 4 with 30 percent slack
 
 
-def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
-    # each sweep starts its implicit solves from the previous sweep's z; the
-    # cold run drops that start, so the two differ only in the CG iterations
+def p2_cross_model():
+    """The xval1d benchmark model without its perturbation: 128 cells, p = 2."""
     g = make_grid_1d(128)
-    m = rd.ModelSpec(
+    return rd.ModelSpec(
         delta=(0.01, 0.01),
         coefficients=(rd.SktCoefficients(0.05, (0.0, 1.0), 2.0),
                       rd.SktCoefficients(0.05, (1.0, 0.0), 2.0)),
         initial_data=(rd.Field(g, cosine_profile(g, 0.25)),
                       rd.Field(g, cosine_profile(g, -0.25))),
     )
+
+
+def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
+    # each sweep starts its implicit solves from the previous sweep's z; the
+    # cold run drops that start, so the two differ only in the CG iterations
+    m = p2_cross_model()
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
     solve = stepper.cg_solve
     totals = {}
@@ -183,6 +188,18 @@ def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
     assert (warm_solves, warm_sweeps) == (cold_solves, cold_sweeps)
     assert cold_sweeps > 10
     assert warm <= 0.7 * cold
+
+
+def test_picard_sweeps_run_in_gauss_seidel_order():
+    # each species freezes at the newest regularized densities, so a_2 sees
+    # this sweep's u_tilde_1; with a_1 = a_1(u_tilde_2) and a_2 = a_2(u_tilde_1)
+    # that squares the contraction factor of the Jacobi order, in which every
+    # species froze at the previous candidate: Jacobi sweeps took 32 on this
+    # step (and 36 on the first step of the xval1d benchmark workload)
+    m = p2_cross_model()
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
+    _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig())
+    assert sweeps == 18
 
 
 def test_picard_nonconvergence_is_reported():
@@ -232,6 +249,25 @@ def test_cross_validate_state_independent_coefficients_degenerate():
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.2)
     report = rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=2)
     assert report.degenerate and report.passed()
+
+
+def test_cross_validate_rows_count_every_sweep_of_their_level(monkeypatch):
+    g = make_grid_1d(16)
+    m = lipschitz_cross_model(g)
+    cfg = rd.SchemeConfig(tau=0.05, horizon=0.25)
+    step = fixedpoint.picard_step_with_info
+    sweeps_per_tau = {}
+
+    def recording(state, m, cfg_k, p, tau=None):
+        new_state, sweeps = step(state, m, cfg_k, p, tau=tau)
+        sweeps_per_tau[cfg_k.tau] = sweeps_per_tau.get(cfg_k.tau, 0) + sweeps
+        return new_state, sweeps
+
+    monkeypatch.setattr(fixedpoint, "picard_step_with_info", recording)
+    report = rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=2)
+    assert [(r.tau, r.sweeps) for r in report.rows] == list(sweeps_per_tau.items())
+    # at least one sweep per step: 5, 10 and 20 steps
+    assert all(r.sweeps >= 5 * 2**k for k, r in enumerate(report.rows))
 
 
 def test_cross_validate_discrepancy_shrinks():
