@@ -8,14 +8,11 @@ nonnegativity, and keeps the accumulated flux potential monotone in time.
 
 from .config import RunConfig, SpeciesConfig, build_initial, parse_config
 from .diagnostics import (
-    BoundFit,
     CheckTolerances,
     DiagnosticsReport,
     StepRecord,
     check_step,
     energy_identity_residual,
-    fit_linear_bound,
-    w_increment_residual,
 )
 from .errors import (
     ConfigError,
@@ -47,16 +44,18 @@ from .model import (
 from .snapshots import parse_snapshot, read_snapshot, write_snapshot
 from .sparse import SolverReport, cg_solve
 from .stepper import (
+    BoundFit,
     RunResult,
-    RunSinks,
     SchemeConfig,
     SystemState,
+    fit_linear_bound,
     implicit_diffusion_step,
     initial_state,
     regularize,
     run,
     step,
     step_with_info,
+    w_increment_residual,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +78,6 @@ __all__ = [
     "RelaxdiffError",
     "RunConfig",
     "RunResult",
-    "RunSinks",
     "SchemeConfig",
     "SktCoefficients",
     "SolverReport",

@@ -25,18 +25,11 @@ import numpy as np
 
 from . import fixedpoint, stepper
 from .config import RunConfig, parse_config
-from .diagnostics import (
-    CSV_HEADER,
-    CheckTolerances,
-    _fmt,
-    check_step,
-    invariant_rows,
-    w_increment_residual,
-)
+from .diagnostics import CSV_HEADER, CheckTolerances, check_step, format_number, invariant_rows
 from .errors import ConfigError, RelaxdiffError
 from .grid import integrate
 from .snapshots import write_snapshot
-from .stepper import RunSinks, SchemeConfig
+from .stepper import w_increment_residual
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -72,9 +65,7 @@ def run_simulate(cfg: RunConfig) -> int:
         def on_snapshot(k, state):
             write_snapshot(outdir / f"snap_{k}.fld", g, list(state.u), state.time)
 
-        result = stepper.run(
-            model, cfg.scheme, RunSinks(on_step=on_step, on_snapshot=on_snapshot)
-        )
+        result = stepper.run(model, cfg.scheme, on_step=on_step, on_snapshot=on_snapshot)
 
     if result.shortened_last_step:
         print("note: final step shortened to land on the horizon", file=sys.stderr)
@@ -87,8 +78,8 @@ def _study_rows(study: str, steps: list[float], diffs: list[float]) -> list[str]
     for k, d in enumerate(diffs):
         order = ""
         if k > 0 and d > 0 and diffs[k - 1] > 0:
-            order = _fmt(np.log2(diffs[k - 1] / d))
-        rows.append(f"{study},{k},{_fmt(steps[k])},{_fmt(d)},{order}")
+            order = format_number(np.log2(diffs[k - 1] / d))
+        rows.append(f"{study},{k},{format_number(steps[k])},{format_number(d)},{order}")
     return rows
 
 
@@ -98,7 +89,7 @@ def _fit_order(lines: list[str], study: str, label: str, diffs: list[float],
     # order p from successive differences d_k ~ C * 2^(-p k)
     logs = [np.log2(d) for d in diffs]
     order = float(-np.polyfit(np.arange(len(logs)), logs, 1)[0])
-    lines.append(f"{study}_fit,,,,{_fmt(order)}")
+    lines.append(f"{study}_fit,,,,{format_number(order)}")
     if band[0] <= order <= band[1]:
         return True
     print(f"{label} order {order:.3f} outside [{band[0]}, {band[1]}]", file=sys.stderr)
@@ -164,7 +155,7 @@ def run_cross_validate(cfg: RunConfig) -> int:
     report = fixedpoint.cross_validate(model, cfg.scheme, cfg.picard, cfg.halvings)
     lines = ["tau,discrepancy,sweeps"]
     for row in report.rows:
-        lines.append(f"{_fmt(row.tau)},{_fmt(row.discrepancy)},{row.sweeps}")
+        lines.append(f"{format_number(row.tau)},{format_number(row.discrepancy)},{row.sweeps}")
     (outdir / "crossval.csv").write_text("\n".join(lines) + "\n")
     if report.degenerate:
         return 0
@@ -201,12 +192,11 @@ def run_invariants(cfg: RunConfig) -> int:
             for species, check, value, threshold in rows:
                 status = "pass" if value <= threshold else "fail"
                 failures[0] += status == "fail"
-                fh.write(
-                    f"{k},{species},{check},{_fmt(value)},{_fmt(threshold)},{status}\n"
-                )
+                fh.write(f"{k},{species},{check},{format_number(value)},"
+                         f"{format_number(threshold)},{status}\n")
             fh.flush()
 
-        stepper.run(model, cfg.scheme, RunSinks(on_step=on_step))
+        stepper.run(model, cfg.scheme, on_step=on_step)
 
     if failures[0]:
         print(f"{failures[0]} invariant check(s) failed; see {path}", file=sys.stderr)

@@ -1,33 +1,43 @@
-"""Per-step invariant checks and the growth-in-time study for u_tilde.
+"""Diagnostics read off the states the scheme produces.
 
-Everything here is a pure function of simulation states: running diagnostics
-never mutates the simulation. Violations come back as data so callers decide
-whether to abort, log, or ignore.
+The proofs bound a-priori quantities of the scheme's states: the mass of each
+species, nonnegativity of u and u_tilde, the monotone w field and an energy
+balance. Everything here is a pure function of states the stepper has already
+produced; nothing here runs a solve or mutates a state (the audits that do,
+`w_increment_residual` and the growth study `fit_linear_bound`, live in
+`stepper` next to the solves they run). Violations come back as data so
+callers decide whether to abort, log, or ignore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import Violation
 from .grid import Field, integrate
-from .model import ModelSpec, coefficient_fields
-from .stepper import (
-    RunSinks,
-    SchemeConfig,
-    SpeciesStepInfo,
-    SystemState,
-    _solve_regularize,
-    run,
-)
+
+if TYPE_CHECKING:
+    from .stepper import SystemState
 
 
-def _fmt(x: float) -> str:
-    # shortest round-trip decimal form, reproducible across runs
+def format_number(x: float) -> str:
+    """The CSV number format: the shortest decimal that reads back as `x`."""
     return repr(float(x))
+
+
+@dataclass(frozen=True)
+class SpeciesStepInfo:
+    """Per-species bookkeeping of one step, as the stepper reports it."""
+
+    species: int
+    cg_iters_implicit: int
+    cg_iters_regularize: int
+    clamp_count: int
+    coefficient_min: float
+    coefficient_max: float
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,8 @@ class StepRecord:
 
     def to_csv_row(self) -> str:
         return ",".join(
-            str(getattr(self, f.name)) if f.type == "int" else _fmt(getattr(self, f.name))
+            str(getattr(self, f.name)) if f.type == "int"
+            else format_number(getattr(self, f.name))
             for f in fields(self)
         )
 
@@ -195,95 +206,6 @@ def check_step(
                                                           initial_masses)
         if not value <= threshold
     ]
-
-
-def w_increment_residual(
-    m: ModelSpec,
-    before: SystemState,
-    after: SystemState,
-    tol: float = 1e-12,
-    tau: float | None = None,
-) -> float:
-    """Max-norm mismatch between the w increment and its resolvent identity.
-
-    The increment should equal tau * (I - delta L)^{-1} (A * u_new) with A the
-    coefficients frozen at `before`; the mismatch is bounded by solver error.
-    """
-    g = after.grid
-    if tau is None:
-        tau = after.time - before.time
-    A_fields, _ = coefficient_fields(m, before.u_tilde)
-    worst = 0.0
-    for i in range(after.n_species):
-        expected, _ = _solve_regularize(
-            g, tau * A_fields[i] * after.u[i].values, m.delta[i], tol, 100_000
-        )
-        actual = after.w[i].values - before.w[i].values
-        worst = max(worst, float(np.max(np.abs(actual - expected))))
-    return worst
-
-
-@dataclass(frozen=True)
-class BoundFit:
-    """Least-squares line through sup_{t <= T} of the scaled sup-norm of u_tilde."""
-
-    horizons: tuple[float, ...]
-    sup_utilde: tuple[float, ...]
-    fitted_intercept: float
-    fitted_slope: float
-    max_rel_residual: float
-
-    def fitted(self, horizon: float) -> float:
-        return self.fitted_intercept + self.fitted_slope * horizon
-
-
-def fit_linear_bound(
-    m: ModelSpec, cfg: SchemeConfig, horizons: Sequence[float]
-) -> BoundFit:
-    """Empirical growth study: run once to the largest horizon and fit a line.
-
-    Records, for each requested horizon T, the running supremum over t <= T of
-    max_i delta_i * ||u_tilde_i||_inf, then fits sup(T) ~ intercept + slope * T.
-    The theory predicts at most linear growth; the fit quality (max relative
-    residual) indicates how far the run is from that envelope.
-    """
-    horizons = sorted(float(T) for T in horizons)
-    if len(horizons) < 3:
-        raise ValueError("at least three horizons required for a meaningful fit")
-    run_cfg = replace(cfg, horizon=horizons[-1])
-
-    sup_at: dict[float, float] = {}
-    running = {"sup": 0.0}
-
-    def scaled_sup(state: SystemState) -> float:
-        return max(
-            m.delta[i] * float(np.max(np.abs(state.u_tilde[i].values)))
-            for i in range(state.n_species)
-        )
-
-    def on_step(k, before, after, records):
-        if before.time == 0.0:
-            running["sup"] = max(running["sup"], scaled_sup(before))
-        running["sup"] = max(running["sup"], scaled_sup(after))
-        for T in horizons:
-            if after.time <= T * (1 + 1e-12):
-                sup_at[T] = running["sup"]
-
-    run(m, run_cfg, RunSinks(on_step=on_step))
-    sups = [sup_at[T] for T in horizons]
-    coeffs = np.polyfit(horizons, sups, 1)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    residuals = [
-        abs(s - (intercept + slope * T)) / max(abs(s), 1e-300)
-        for T, s in zip(horizons, sups)
-    ]
-    return BoundFit(
-        horizons=tuple(horizons),
-        sup_utilde=tuple(sups),
-        fitted_intercept=intercept,
-        fitted_slope=slope,
-        max_rel_residual=max(residuals),
-    )
 
 
 def energy_identity_residual(

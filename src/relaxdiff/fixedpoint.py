@@ -29,8 +29,8 @@ from .model import ModelSpec, coefficient_fields
 from .stepper import (
     SchemeConfig,
     SystemState,
-    _solve_implicit,
     frozen_step,
+    implicit_diffusion_step,
     initial_state,
     march,
     species_step,
@@ -66,12 +66,10 @@ def solve_frozen_slab(
     Returns the whole trajectory [w0, w1, ..., wN] with one implicit
     diffusion solve per node; N = len(A_nodes).
     """
-    state = np.asarray(w0.values, dtype=np.float64)
-    trajectory = [Field(g, state.copy())]
+    trajectory = [Field(g, w0.values)]
     for A in A_nodes:
-        A = np.asarray(A, dtype=np.float64)
-        state, _, _ = _solve_implicit(g, state, A, tau, tol, max_iter)
-        trajectory.append(Field(g, state.copy()))
+        trajectory.append(implicit_diffusion_step(g, trajectory[-1], Field(g, A), tau,
+                                                  tol, max_iter))
     return trajectory
 
 

@@ -1,14 +1,19 @@
-"""Semi-implicit time stepping for the relaxed cross-diffusion system.
+"""Time stepping for the relaxed cross-diffusion system, and the studies that run it.
 
 Each step freezes the diffusion coefficients at the clamped regularization of
 the previous densities, advances every species through one implicit diffusion
 solve, and regularizes the result (a screened-Poisson solve). `frozen_step`
 is that step for given coefficients, one `species_step` per species; the
 Picard sweeps of `fixedpoint` run `species_step` species by species, each
-frozen at the newest regularized densities. Both linear solves are
-symmetric positive definite and handled by conjugate gradients,
-preconditioned with exact solves of constant-coefficient shifts of the
-Laplacian in its cosine eigenbasis: the regularization operator is such a
+frozen at the newest regularized densities. `run` marches the scheme to the
+horizon and hands every step's `diagnostics` rows to its callbacks. The two
+diagnostics that need solves of their own live here too:
+`w_increment_residual` re-solves the w identity of one step, and
+`fit_linear_bound` runs the growth-in-time study of u_tilde.
+
+Both linear solves are symmetric positive definite and handled by conjugate
+gradients, preconditioned with exact solves of constant-coefficient shifts of
+the Laplacian in its cosine eigenbasis: the regularization operator is such a
 shift, so its solve needs one iteration, and the implicit operator is
 preconditioned by the shift with the geometric mean of its diagonal, which
 bounds the iteration count by max A / min A whatever the mesh.
@@ -35,11 +40,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+# `run` calls `diagnostics.step_records` through the module, so that a wrapper
+# installed on that attribute sees every call
+from . import diagnostics
+from .diagnostics import DiagnosticsReport, SpeciesStepInfo
 from .errors import LinearSolverError, RelaxdiffError
 from .grid import Field, Grid
 from .model import ModelSpec, coefficient_fields
@@ -214,18 +223,6 @@ def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
                        tuple(Field(g, d * ut) for d, ut in zip(m.delta, u_tilde)))
 
 
-@dataclass(frozen=True)
-class SpeciesStepInfo:
-    """Per-species bookkeeping for one step, consumed by the diagnostics."""
-
-    species: int
-    cg_iters_implicit: int
-    cg_iters_regularize: int
-    clamp_count: int
-    coefficient_min: float
-    coefficient_max: float
-
-
 def species_step(
     state: SystemState, m: ModelSpec, cfg: SchemeConfig, i: int, A: np.ndarray,
     dt: float, z_start: np.ndarray | None = None,
@@ -322,22 +319,9 @@ def plan_steps(tau: float, horizon: float) -> tuple[int, float]:
 
 
 @dataclass
-class RunSinks:
-    """Output hooks for `run`; every callback is optional.
-
-    `on_step(step_index, before, after, records)` fires after each step with
-    the diagnostics rows for that step. `on_snapshot(step_index, state)` fires
-    at step 0, every `output_stride` steps, and at the final step.
-    """
-
-    on_step: Callable | None = None
-    on_snapshot: Callable | None = None
-
-
-@dataclass
 class RunResult:
     state: SystemState
-    report: "DiagnosticsReport"
+    report: DiagnosticsReport
     shortened_last_step: bool
 
 
@@ -359,28 +343,121 @@ def march(state: SystemState, cfg: SchemeConfig, advance: Callable,
     return state
 
 
-def run(m: ModelSpec, cfg: SchemeConfig, sinks: RunSinks | None = None) -> RunResult:
-    """March the semi-implicit scheme to the horizon, emitting diagnostics every step."""
-    from .diagnostics import DiagnosticsReport, step_records
+def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
+        on_snapshot: Callable | None = None) -> RunResult:
+    """March the semi-implicit scheme to the horizon, emitting diagnostics every step.
 
-    sinks = sinks or RunSinks()
+    `on_step(step_index, before, after, records)`, when given, fires after
+    each step with the diagnostics rows of that step. `on_snapshot(step_index,
+    state)`, when given, fires at step 0, every `output_stride` steps, and at
+    the final step.
+    """
     n_steps, last_step = plan_steps(cfg.tau, cfg.horizon)
     report = DiagnosticsReport()
 
     def after_step(k, before, after, infos):
-        records = step_records(k, before, after, infos)
+        records = diagnostics.step_records(k, before, after, infos)
         report.rows.extend(records)
-        if sinks.on_step is not None:
-            sinks.on_step(k, before, after, records)
-        if sinks.on_snapshot is not None and (k % cfg.output_stride == 0 or k == n_steps):
-            sinks.on_snapshot(k, after)
+        if on_step is not None:
+            on_step(k, before, after, records)
+        if on_snapshot is not None and (k % cfg.output_stride == 0 or k == n_steps):
+            on_snapshot(k, after)
 
     def start() -> SystemState:
         state = initial_state(m, cfg)
-        if sinks.on_snapshot is not None:
-            sinks.on_snapshot(0, state)
+        if on_snapshot is not None:
+            on_snapshot(0, state)
         return state
 
     # passed straight through, so no local keeps the initial state alive
     state = march(start(), cfg, lambda s, dt: step_with_info(s, m, cfg, tau=dt), after_step)
     return RunResult(state, report, last_step != cfg.tau)
+
+
+def w_increment_residual(
+    m: ModelSpec,
+    before: SystemState,
+    after: SystemState,
+    tol: float = 1e-12,
+    tau: float | None = None,
+) -> float:
+    """Max-norm mismatch between the w increment and its resolvent identity.
+
+    The increment should equal tau * (I - delta L)^{-1} (A * u_new) with A the
+    coefficients frozen at `before`; the mismatch is bounded by solver error.
+    """
+    g = after.grid
+    if tau is None:
+        tau = after.time - before.time
+    A_fields, _ = coefficient_fields(m, before.u_tilde)
+    worst = 0.0
+    for i in range(after.n_species):
+        expected, _ = _solve_regularize(
+            g, tau * A_fields[i] * after.u[i].values, m.delta[i], tol, 100_000
+        )
+        actual = after.w[i].values - before.w[i].values
+        worst = max(worst, float(np.max(np.abs(actual - expected))))
+    return worst
+
+
+@dataclass(frozen=True)
+class BoundFit:
+    """Least-squares line through sup_{t <= T} of the scaled sup-norm of u_tilde."""
+
+    horizons: tuple[float, ...]
+    sup_utilde: tuple[float, ...]
+    fitted_intercept: float
+    fitted_slope: float
+    max_rel_residual: float
+
+    def fitted(self, horizon: float) -> float:
+        return self.fitted_intercept + self.fitted_slope * horizon
+
+
+def fit_linear_bound(
+    m: ModelSpec, cfg: SchemeConfig, horizons: Sequence[float]
+) -> BoundFit:
+    """Empirical growth study: run once to the largest horizon and fit a line.
+
+    Records, for each requested horizon T, the running supremum over t <= T of
+    max_i delta_i * ||u_tilde_i||_inf, then fits sup(T) ~ intercept + slope * T.
+    The theory predicts at most linear growth; the fit quality (max relative
+    residual) indicates how far the run is from that envelope.
+    """
+    horizons = sorted(float(T) for T in horizons)
+    if len(horizons) < 3:
+        raise ValueError("at least three horizons required for a meaningful fit")
+    run_cfg = replace(cfg, horizon=horizons[-1])
+
+    sup_at: dict[float, float] = {}
+    running = {"sup": 0.0}
+
+    def scaled_sup(state: SystemState) -> float:
+        return max(
+            m.delta[i] * float(np.max(np.abs(state.u_tilde[i].values)))
+            for i in range(state.n_species)
+        )
+
+    def on_step(k, before, after, records):
+        if before.time == 0.0:
+            running["sup"] = max(running["sup"], scaled_sup(before))
+        running["sup"] = max(running["sup"], scaled_sup(after))
+        for T in horizons:
+            if after.time <= T * (1 + 1e-12):
+                sup_at[T] = running["sup"]
+
+    run(m, run_cfg, on_step=on_step)
+    sups = [sup_at[T] for T in horizons]
+    coeffs = np.polyfit(horizons, sups, 1)
+    slope, intercept = float(coeffs[0]), float(coeffs[1])
+    residuals = [
+        abs(s - (intercept + slope * T)) / max(abs(s), 1e-300)
+        for T, s in zip(horizons, sups)
+    ]
+    return BoundFit(
+        horizons=tuple(horizons),
+        sup_utilde=tuple(sups),
+        fitted_intercept=intercept,
+        fitted_slope=slope,
+        max_rel_residual=max(residuals),
+    )

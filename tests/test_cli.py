@@ -383,6 +383,21 @@ def test_initial_regularization_failure_names_species(tmp_path, case):
     assert line.startswith(f"error: species 1, initial regularization: {failure}")
 
 
+# 2**-52 is only the least tolerance a config may set: the floor a solve can
+# reach depends on the grid and the operator, and on BASE the first
+# regularization stalls just above it
+@pytest.mark.parametrize("tol, code", [("2.220446049250313e-16", 1), ("1e-15", 0)])
+def test_unreachable_linear_tol_is_a_numerical_failure(tmp_path, tol, code):
+    path, _ = write_cfg(tmp_path)
+    path.write_text(path.read_text().replace("T = 0.1", f"T = 0.1\nlinear_tol = {tol}"))
+    proc = run_cli(path)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        [line] = proc.stderr.splitlines()
+        assert re.fullmatch(r"error: species 1, initial regularization: regularization solve "
+                            r"stalled after 10000 iterations \(residual \S+\)", line), line
+
+
 def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):
     # with zero tolerances round-off fails some row; both modes must agree on the first
     zero = rd.CheckTolerances(mass=0.0, positivity=0.0, monotonicity=0.0)

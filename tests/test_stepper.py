@@ -229,6 +229,27 @@ def test_run_shortened_last_step():
                - rd.integrate(g, m.initial_data[0])) <= 1e-12
 
 
+def test_run_callbacks_see_every_step_and_each_snapshot_step():
+    # tau = 0.3 covers T = 1 in 4 steps, the last shortened to 0.1
+    g = make_grid_1d(8)
+    m = heat_model(g)
+    cfg = rd.SchemeConfig(tau=0.3, horizon=1.0, output_stride=3)
+    steps, records, snapshots = [], [], []
+
+    def on_step(k, before, after, rows):
+        steps.append(k)
+        records.extend(rows)
+
+    result = rd.run(m, cfg, on_step=on_step,
+                    on_snapshot=lambda k, state: snapshots.append((k, state)))
+    assert steps == [1, 2, 3, 4]
+    assert records == result.report.rows
+    assert [k for k, _ in snapshots] == [0, 3, 4]
+    assert snapshots[0][1].time == 0.0
+    assert snapshots[-1][1] is result.state and result.state.time == 1.0
+    assert result.shortened_last_step
+
+
 def test_run_constant_data_rows_identical():
     g = make_grid_1d(10)
     m = rd.ModelSpec(
