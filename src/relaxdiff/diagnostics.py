@@ -5,8 +5,10 @@ species, nonnegativity of u and u_tilde, the monotone w field and an energy
 balance. Everything here is a pure function of states the stepper has already
 produced; nothing here runs a solve or mutates a state (the audits that do,
 `w_increment_residual` and the growth study `fit_linear_bound`, live in
-`stepper` next to the solves they run). Violations come back as data so
-callers decide whether to abort, log, or ignore.
+`stepper` next to the solves they run). The invariant table is read off a
+step's diagnostics rows, so each total and minimum is reduced once.
+Violations come back as data so callers decide whether to abort, log, or
+ignore.
 """
 
 from __future__ import annotations
@@ -148,61 +150,47 @@ _CONDITIONS = {
 
 def invariant_rows(
     before: SystemState,
-    after: SystemState,
+    records: Sequence[StepRecord],
     tolerances: CheckTolerances,
     initial_masses: Sequence[float],
 ) -> list[tuple[int, str, float, float]]:
     """The invariant table of one step: (species, check, value, threshold) rows.
 
-    A row passes when value <= threshold. Per species, in this order: the
-    drift of the cell total of u from its initial total and from its total
-    before the step, and the gap between the totals of u_tilde and u (all
-    relative); then how far u, u_tilde and the w increment dip below zero.
+    A row passes when value <= threshold. Per record, in this order: the
+    drift of `mass_u` from the species' initial total and from its total in
+    `before`, and the gap between `mass_utilde` and `mass_u` (all relative);
+    then how far `min_u`, `min_utilde` and `w_min_increment` dip below zero.
     """
-    if before.n_species != after.n_species:
-        raise ValueError("states have different species counts")
-    if before.grid != after.grid:
-        raise ValueError("states live on different grids")
-    g = after.grid
+    g = before.grid
     rows = []
-    for i in range(after.n_species):
-        sp = i + 1
+    for r in records:
+        sp, i = r.species, r.species - 1
         mass_scale = max(abs(initial_masses[i]), 1e-300)
         mass_before = integrate(g, before.u[i])
-        mass_after = integrate(g, after.u[i])
         rows += [
-            (sp, "mass_drift_rel", abs(mass_after - initial_masses[i]) / mass_scale,
+            (sp, "mass_drift_rel", abs(r.mass_u - initial_masses[i]) / mass_scale,
              tolerances.mass),
             (sp, "mass_step_rel",
-             abs(mass_after - mass_before) / max(abs(mass_before), 1e-300), tolerances.mass),
-            (sp, "utilde_mass_gap_rel",
-             abs(integrate(g, after.u_tilde[i]) - mass_after) / mass_scale, tolerances.mass),
-            (sp, "neg_u", max(0.0, -float(np.min(after.u[i].values))),
-             tolerances.positivity),
-            (sp, "neg_utilde", max(0.0, -float(np.min(after.u_tilde[i].values))),
-             tolerances.positivity),
-            (sp, "neg_w_increment",
-             max(0.0, -float(np.min(after.w[i].values - before.w[i].values))),
-             tolerances.monotonicity),
+             abs(r.mass_u - mass_before) / max(abs(mass_before), 1e-300), tolerances.mass),
+            (sp, "utilde_mass_gap_rel", abs(r.mass_utilde - r.mass_u) / mass_scale,
+             tolerances.mass),
+            (sp, "neg_u", max(0.0, -r.min_u), tolerances.positivity),
+            (sp, "neg_utilde", max(0.0, -r.min_utilde), tolerances.positivity),
+            (sp, "neg_w_increment", max(0.0, -r.w_min_increment), tolerances.monotonicity),
         ]
     return rows
 
 
 def check_step(
     before: SystemState,
-    after: SystemState,
+    records: Sequence[StepRecord],
     tolerances: CheckTolerances,
-    initial_masses: Sequence[float] | None = None,
+    initial_masses: Sequence[float],
 ) -> list[Violation]:
-    """The failing rows of `invariant_rows`; an empty list means the step is clean.
-
-    Without `initial_masses` the totals before the step are the reference.
-    """
-    if initial_masses is None:
-        initial_masses = [integrate(before.grid, f) for f in before.u]
+    """The failing rows of `invariant_rows`; an empty list means the step is clean."""
     return [
         Violation(_CONDITIONS[check], species=sp, detail=f"{check} {value!r} > {threshold!r}")
-        for sp, check, value, threshold in invariant_rows(before, after, tolerances,
+        for sp, check, value, threshold in invariant_rows(before, records, tolerances,
                                                           initial_masses)
         if not value <= threshold
     ]

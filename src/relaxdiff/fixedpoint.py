@@ -101,13 +101,13 @@ def picard_step_with_info(
     """
     dt = cfg.tau if tau is None else float(tau)
     # sweep 0: freeze at the previous time level (the semi-implicit predictor)
-    A_fields, _ = coefficient_fields(m, state.u_tilde)
+    A_fields, _ = coefficient_fields(m, state.u_tilde, range(state.n_species))
     candidate, _, z = frozen_step(state, m, cfg, A_fields, dt)
 
     for sweeps in range(1, p.max_sweeps + 1):
         u, u_tilde, w = list(candidate.u), list(candidate.u_tilde), list(candidate.w)
         for i in range(state.n_species):
-            A = coefficient_fields(m, u_tilde)[0][i]
+            A = coefficient_fields(m, u_tilde, (i,))[0][0]
             # the previous sweep's solve starts this one's: only A has changed
             u[i], u_tilde[i], w[i], _, z[i] = species_step(state, m, cfg, i, A, dt, z[i])
         refreshed = SystemState(state.time + dt, u, u_tilde, w)
@@ -129,6 +129,10 @@ def picard_step(
     """Fully implicit step; see `picard_step_with_info`."""
     new_state, _ = picard_step_with_info(state, m, cfg, p)
     return new_state
+
+
+# cross-validation passes when each halving of tau shrinks the discrepancy this much
+MIN_SHRINK_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -157,10 +161,10 @@ class CrossValidationReport:
         d = self.discrepancies
         return [d[k] / max(d[k + 1], 1e-300) for k in range(len(d) - 1)]
 
-    def passed(self, min_ratio: float = 1.5) -> bool:
+    def passed(self) -> bool:
         if self.degenerate:
             return True
-        return all(r >= min_ratio for r in self.shrink_ratios())
+        return all(r >= MIN_SHRINK_RATIO for r in self.shrink_ratios())
 
 
 def cross_validate(

@@ -79,14 +79,15 @@ def eval_coefficient(spec: CoefficientSpec, r: Sequence[float]) -> float:
     return spec.evaluate(r)
 
 
-def truncation_bound(
-    specs: Sequence[CoefficientSpec], k: float, lattice_points: int = 33
-) -> float:
+_LATTICE_POINTS = 33  # samples per axis when a tabulated coefficient is maximized
+
+
+def truncation_bound(specs: Sequence[CoefficientSpec], k: float) -> float:
     """Envelope max_i sup {a_i(r) : r in [0, k]^I}.
 
     For the polynomial family the supremum sits at the corner (k, ..., k)
     because the couplings are nonnegative. Tabulated coefficients are
-    maximized over a lattice with `lattice_points` samples per axis.
+    maximized over a lattice with `_LATTICE_POINTS` samples per axis.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -99,7 +100,7 @@ def truncation_bound(
             best = max(best, spec.evaluate(corner))
         else:
             if lattice is None:
-                axes = [np.linspace(0.0, k, lattice_points)] * n_species
+                axes = [np.linspace(0.0, k, _LATTICE_POINTS)] * n_species
                 mesh = np.meshgrid(*axes, indexing="ij")
                 lattice = np.stack([m.ravel() for m in mesh])
             best = max(best, float(np.max(spec.evaluate_many(lattice))))
@@ -141,10 +142,11 @@ class ModelSpec:
 
 
 _SPOT_CHECK_SAMPLES = 256
+_SPOT_CHECK_SEED = 0
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)  # 2.2250738585072014e-308
 
 
-def validate_model(m: ModelSpec, *, rng_seed: int = 0) -> list[Violation]:
+def validate_model(m: ModelSpec) -> list[Violation]:
     """Collect every violated model assumption; an empty list means valid."""
     violations: list[Violation] = []
     n = m.n_species
@@ -183,7 +185,7 @@ def validate_model(m: ModelSpec, *, rng_seed: int = 0) -> list[Violation]:
             for cell in cells[:8]:
                 violations.append(Violation(rule, species=i, cell=int(cell),
                                             detail=f"value {float(values[cell])!r}"))
-        violations.extend(_validate_coefficients(spec, i, n, rng_seed))
+        violations.extend(_validate_coefficients(spec, i, n))
         if m.a_max is not None and m.a_max < spec.lower_bound:
             violations.append(
                 Violation(
@@ -196,7 +198,7 @@ def validate_model(m: ModelSpec, *, rng_seed: int = 0) -> list[Violation]:
 
 
 def _validate_coefficients(
-    spec: CoefficientSpec, species: int, n_species: int, rng_seed: int
+    spec: CoefficientSpec, species: int, n_species: int
 ) -> list[Violation]:
     out: list[Violation] = []
     if isinstance(spec, SktCoefficients):
@@ -221,7 +223,7 @@ def _validate_coefficients(
         out.append(Violation("declared lower bound must be positive", species=species))
         return out
     # trust but spot-check the declared bound on sampled inputs
-    rng = np.random.default_rng([rng_seed, species])
+    rng = np.random.default_rng([_SPOT_CHECK_SEED, species])
     samples = rng.uniform(0.0, 10.0, size=(_SPOT_CHECK_SAMPLES, n_species))
     for r in samples:
         value = spec.evaluate(r)
@@ -243,30 +245,32 @@ def _validate_coefficients(
 
 
 def coefficient_fields(
-    m: ModelSpec, u_tilde: Sequence[Field]
+    m: ModelSpec, u_tilde: Sequence[Field], species: Sequence[int]
 ) -> tuple[list[np.ndarray], list[int]]:
-    """Per-species coefficient arrays evaluated at the regularized densities.
+    """Coefficient arrays of the `species` (0-based) at the regularized densities.
 
+    Returns one field and one count per entry of `species`, in its order.
     Negative regularized values (solver round-off) are clamped to zero before
     evaluation and counted per species. The optional `a_max` truncation is
     applied last and its activations are added to the same counter.
     """
     raw = np.stack([f.values for f in u_tilde])
-    counts = [int(np.count_nonzero(row < 0)) for row in raw]
     R = np.maximum(raw, 0.0)
-    fields = []
-    for i, spec in enumerate(m.coefficients):
+    fields, counts = [], []
+    for i in species:
+        count = int(np.count_nonzero(raw[i] < 0))
         # an overflow is reported below as a non-finite coefficient
         with np.errstate(over="ignore", invalid="ignore"):
-            A = spec.evaluate_many(R)
+            A = m.coefficients[i].evaluate_many(R)
         if m.a_max is not None:
             hit = int(np.count_nonzero(A > m.a_max))
             if hit:
-                counts[i] += hit
+                count += hit
                 A = np.minimum(A, m.a_max)
         if not np.all(np.isfinite(A)):
             raise RelaxdiffError(
                 f"coefficient evaluation produced non-finite values for species {i + 1}"
             )
         fields.append(A)
+        counts.append(count)
     return fields, counts

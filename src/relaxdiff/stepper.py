@@ -285,7 +285,7 @@ def step_with_info(
 ) -> tuple[SystemState, list[SpeciesStepInfo]]:
     """Advance one step of size `tau` (default cfg.tau) and report solve stats."""
     dt = cfg.tau if tau is None else float(tau)
-    A_fields, clamp_counts = coefficient_fields(m, state.u_tilde)
+    A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, range(state.n_species))
     new_state, reports, _ = frozen_step(state, m, cfg, A_fields, dt)
     return new_state, [
         SpeciesStepInfo(
@@ -389,7 +389,7 @@ def w_increment_residual(
     g = after.grid
     if tau is None:
         tau = after.time - before.time
-    A_fields, _ = coefficient_fields(m, before.u_tilde)
+    A_fields, _ = coefficient_fields(m, before.u_tilde, range(after.n_species))
     worst = 0.0
     for i in range(after.n_species):
         expected, _ = _solve_regularize(

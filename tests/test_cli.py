@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff import cli, stepper
+from relaxdiff import cli, diagnostics, stepper
 
 from conftest import dense_replay
 
@@ -107,8 +107,10 @@ def test_zero_mass_tolerance_turns_roundoff_into_violations():
     state = rd.initial_state(m, cfg)
     hits = 0
     for _ in range(20):
-        nxt = rd.step(state, m, cfg)
-        hits += bool(rd.check_step(state, nxt, strict))
+        nxt, infos = stepper.step_with_info(state, m, cfg)
+        records = diagnostics.step_records(1, state, nxt, infos)
+        masses = [rd.integrate(g, f) for f in state.u]
+        hits += bool(rd.check_step(state, records, strict, masses))
         state = nxt
     assert hits > 0
 
@@ -416,3 +418,44 @@ def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):
     match = re.search(r"step (\d+) .*?species (\d+)", err)
     assert match is not None
     assert match.groups() == (first_fail[0], first_fail[1])
+
+
+def test_invariants_rows_follow_from_the_diagnostics_rows(tmp_path):
+    # every row but the w identity audit is a function of the same step's
+    # diagnostics.csv columns, the totals before the step and the initial totals
+    path, _ = write_cfg(tmp_path, tau=0.02, T=0.1)
+    assert cli.main(["simulate", "--config", str(path),
+                     "--output-dir", str(tmp_path / "sim")]) == 0
+    assert cli.main(["invariants", "--config", str(path),
+                     "--output-dir", str(tmp_path / "inv")]) == 0
+    cfg = rd.parse_config(path.read_text())
+    model = cfg.build_model()
+    initial = [rd.integrate(model.grid, f) for f in model.initial_data]
+    tol = rd.CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
+    fmt = diagnostics.format_number
+
+    previous = list(initial)
+    expected = []
+    for line in (tmp_path / "sim" / "diagnostics.csv").read_text().splitlines()[1:]:
+        row = dict(zip(diagnostics.CSV_HEADER.split(","), line.split(",")))
+        sp = int(row["species"])
+        mass_u, mass_utilde = float(row["mass_u"]), float(row["mass_utilde"])
+        m0, before = initial[sp - 1], previous[sp - 1]
+        previous[sp - 1] = mass_u
+        for check, value, threshold in [
+            ("mass_drift_rel", abs(mass_u - m0) / max(abs(m0), 1e-300), tol.mass),
+            ("mass_step_rel", abs(mass_u - before) / max(abs(before), 1e-300), tol.mass),
+            ("utilde_mass_gap_rel", abs(mass_utilde - mass_u) / max(abs(m0), 1e-300),
+             tol.mass),
+            ("neg_u", max(0.0, -float(row["min_u"])), tol.positivity),
+            ("neg_utilde", max(0.0, -float(row["min_utilde"])), tol.positivity),
+            ("neg_w_increment", max(0.0, -float(row["w_min_increment"])),
+             tol.monotonicity),
+        ]:
+            status = "pass" if value <= threshold else "fail"
+            expected.append(f"{row['step']},{sp},{check},{fmt(value)},{fmt(threshold)},"
+                            f"{status}")
+    audited = [r for r in (tmp_path / "inv" / "invariants.csv").read_text().splitlines()[1:]
+               if ",w_identity_residual," not in r]
+    assert len(expected) == 5 * 2 * 6
+    assert audited == expected

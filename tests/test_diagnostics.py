@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,12 @@ def run_one_step(m, cfg):
     return state, nxt, infos
 
 
+def check(before, after, infos, tolerances):
+    """`check_step` on the records of `after`, with the totals before as reference."""
+    masses = [rd.integrate(before.grid, f) for f in before.u]
+    return rd.check_step(before, step_records(1, before, after, infos), tolerances, masses)
+
+
 def test_check_step_clean_on_steady_state():
     g = make_grid_1d(8)
     m = rd.ModelSpec(
@@ -24,24 +31,24 @@ def test_check_step_clean_on_steady_state():
         initial_data=(rd.Field.constant(g, 1.0),),
     )
     cfg = rd.SchemeConfig(tau=0.1, horizon=0.1)
-    before, after, _ = run_one_step(m, cfg)
-    assert rd.check_step(before, after, rd.CheckTolerances()) == []
+    before, after, infos = run_one_step(m, cfg)
+    assert check(before, after, infos, rd.CheckTolerances()) == []
 
 
 def test_check_step_clean_on_cross_diffusion_step():
     g = make_grid_1d(4)
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
-    before, after, _ = run_one_step(m, cfg)
+    before, after, infos = run_one_step(m, cfg)
     tolerances = rd.CheckTolerances.from_linear_tol(cfg.linear_tol)
-    assert rd.check_step(before, after, tolerances) == []
+    assert check(before, after, infos, tolerances) == []
 
 
 def test_check_step_flags_injected_mass_drift():
     g = make_grid_1d(8)
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
-    before, after, _ = run_one_step(m, cfg)
+    before, after, infos = run_one_step(m, cfg)
     tampered = after.u[1].values.copy()
     tampered[0] += 1e-3
     broken = rd.SystemState(
@@ -50,7 +57,7 @@ def test_check_step_flags_injected_mass_drift():
         u_tilde=after.u_tilde,
         w=after.w,
     )
-    violations = rd.check_step(before, broken, rd.CheckTolerances())
+    violations = check(before, broken, infos, rd.CheckTolerances())
     mass_violations = [v for v in violations if "mass" in v.condition]
     assert mass_violations and all(v.species == 2 for v in mass_violations)
 
@@ -59,7 +66,7 @@ def test_check_step_flags_negativity_and_monotonicity():
     g = make_grid_1d(6)
     m = two_species_model(make_grid_1d(6))
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
-    before, after, _ = run_one_step(m, cfg)
+    before, after, infos = run_one_step(m, cfg)
     bad_u = after.u[0].values.copy()
     bad_u[2] = -1e-3
     bad_u[3] += 1e-3  # keep the mass unchanged
@@ -71,7 +78,7 @@ def test_check_step_flags_negativity_and_monotonicity():
         u_tilde=after.u_tilde,
         w=(rd.Field(g, bad_w), after.w[1]),
     )
-    conditions = {v.condition for v in rd.check_step(before, broken, rd.CheckTolerances())}
+    conditions = {v.condition for v in check(before, broken, infos, rd.CheckTolerances())}
     assert any("negative u" in c for c in conditions)
     assert any("w increment" in c for c in conditions)
 
@@ -80,7 +87,7 @@ def test_check_step_infinite_tolerances_accept_anything():
     g = make_grid_1d(6)
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
-    before, after, _ = run_one_step(m, cfg)
+    before, after, infos = run_one_step(m, cfg)
     garbled = rd.SystemState(
         time=after.time,
         u=(rd.Field(g, -np.ones(6)), after.u[1]),
@@ -88,18 +95,35 @@ def test_check_step_infinite_tolerances_accept_anything():
         w=after.w,
     )
     loose = rd.CheckTolerances(mass=math.inf, positivity=math.inf, monotonicity=math.inf)
-    assert rd.check_step(before, garbled, loose) == []
+    assert check(before, garbled, infos, loose) == []
 
 
 def test_check_step_is_pure():
     g = make_grid_1d(6)
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
-    before, after, _ = run_one_step(m, cfg)
+    before, after, infos = run_one_step(m, cfg)
     snapshot = [f.values.copy() for f in after.u + after.u_tilde + after.w]
-    rd.check_step(before, after, rd.CheckTolerances())
+    check(before, after, infos, rd.CheckTolerances())
     for original, f in zip(snapshot, after.u + after.u_tilde + after.w):
         assert np.array_equal(original, f.values)
+
+
+def test_check_step_follows_the_records():
+    # the states are clean; only the record says that w decreased
+    g = make_grid_1d(6)
+    m = two_species_model(g)
+    cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
+    before, after, infos = run_one_step(m, cfg)
+    records = step_records(1, before, after, infos)
+    records[1] = dataclasses.replace(records[1], w_min_increment=-1e-3)
+    masses = [rd.integrate(g, f) for f in before.u]
+    tolerances = rd.CheckTolerances.from_linear_tol(cfg.linear_tol)
+    violations = rd.check_step(before, records, tolerances, masses)
+    assert [(v.species, v.condition) for v in violations] == [
+        (2, "w increment negative beyond tolerance")]
+    assert rd.check_step(before, step_records(1, before, after, infos), tolerances,
+                         masses) == []
 
 
 def test_step_records_shape_and_header():
