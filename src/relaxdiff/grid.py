@@ -54,8 +54,8 @@ class Grid:
             raise ValueError(f"at most {MAX_AXIS_CELLS} cells per axis, the size of the "
                              "largest cosine basis the solver builds")
         for h in self.spacing:
-            if not h > 0:
-                raise ValueError("spacings must be positive")
+            if not (h > 0 and math.isfinite(h)):
+                raise ValueError("spacings must be positive and finite")
             if not (h * h > 0 and math.isfinite(1.0 / (h * h))):
                 raise ValueError(f"spacing {h!r} is too small: 1 / h^2 is not a finite float")
 

@@ -68,6 +68,21 @@ def test_simulate_writes_expected_files(tmp_path):
     assert (out / "snap_5.fld").exists()
 
 
+def test_final_snapshot_is_the_run_state_bit_for_bit(tmp_path):
+    path, _ = write_cfg(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    cfg = rd.parse_config(path.read_text())
+    result = stepper.run(cfg.build_model(), cfg.scheme)
+    out = tmp_path / "out"
+    last = (out / "diagnostics.csv").read_text().splitlines()[-2:]
+    k = int(last[0].split(",")[0])
+    grid, fields, time = rd.read_snapshot(out / f"snap_{k}.fld")
+    assert grid == result.state.grid and time == result.state.time
+    assert [f.values.tobytes() for f in fields] == [f.values.tobytes() for f in result.state.u]
+    assert [diagnostics.format_number(rd.integrate(grid, f)) for f in fields] == \
+        [row.split(",")[3] for row in last]
+
+
 def test_simulate_constant_data_rows_share_mass_columns(tmp_path):
     path, _ = write_cfg(tmp_path, extra="")
     text = path.read_text().replace("cosine:0.5,1.0", "constant:1.0")

@@ -68,11 +68,32 @@ def test_readme_config_example_parses():
     assert len(rd.parse_config(blocks[0]).species) == 2
 
 
-def test_readme_library_sketch_runs(capsys):
+def readme_python_blocks():
+    """The README's Python blocks, in order: the snapshot reader, the library sketch."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
-    assert len(blocks) == 1
-    exec(compile(blocks[0], "README.md", "exec"), {})
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def test_readme_snapshot_reader_indexes_species_and_axes(tmp_path, rng):
+    reader, _ = readme_python_blocks()
+    g = make_grid_2d(3, 4)
+    fields = [rd.Field(g, rng.standard_normal(g.n_cells)) for _ in range(2)]
+    path = tmp_path / "snap_1.fld"
+    rd.write_snapshot(path, g, fields, 0.5)
+    scope = {"np": np, "path": path}
+    exec(compile(reader, "README.md", "exec"), scope)
+    u = scope["u"]
+    assert scope["magic"] == b"RELAXDIFF v2"
+    assert u.shape == (2, 4, 3)
+    assert u.tobytes() == b"".join(f.values.tobytes() for f in fields)
+    x, y = g.cell_centers()
+    assert (x[2 * 3 + 1], y[2 * 3 + 1]) == (g.spacing[0] * 1.5, g.spacing[1] * 2.5)
+    assert u[1, 2, 1] == fields[1].values[2 * 3 + 1]  # u[species - 1, i2, i1]
+
+
+def test_readme_library_sketch_runs(capsys):
+    _, sketch = readme_python_blocks()
+    exec(compile(sketch, "README.md", "exec"), {})
     rows = capsys.readouterr().out.rstrip("\n").splitlines()
     # a header, then one row per species and step: 100 steps of two species
     assert rows[0].startswith("step,time,species,")
@@ -216,8 +237,11 @@ def test_snapshot_round_trip_exact(rng):
     for g in (make_grid_1d(7, 1.3), make_grid_2d(3, 4, (1.0, 0.7))):
         fields = [rd.Field(g, rng.uniform(0.0, 3.0, g.n_cells)) for _ in range(2)]
         time = float(rng.uniform(0.0, 10.0))
-        text = rd.snapshots.format_snapshot(g, fields, time)
-        g2, fields2, time2 = rd.parse_snapshot(text)
+        data = rd.snapshots.format_snapshot(g, fields, time)
+        magic, header, body = data.split(b"\n", 2)
+        assert magic == b"RELAXDIFF v2"
+        assert len(body) == 8 * g.n_cells * 2
+        g2, fields2, time2 = rd.parse_snapshot(data)
         assert g2 == g
         assert time2 == time
         for a, b in zip(fields, fields2):
@@ -232,13 +256,17 @@ def test_snapshot_file_round_trip(tmp_path, rng):
     g2, fields2, time2 = rd.read_snapshot(path)
     assert np.array_equal(fields2[0].values, f.values)
     assert time2 == 0.375
-    lines = path.read_text().splitlines()
-    assert lines[0] == "RELAXDIFF v1"
-    assert lines[1].startswith("1 5 ")
+    header = b"RELAXDIFF v2\n1 5 0.2 1 0.375\n"
+    assert path.read_bytes() == header + f.values.astype("<f8").tobytes()
+    assert path.stat().st_size == len(header) + 8 * 5
 
 
 def test_snapshot_rejects_garbage():
     with pytest.raises(ConfigError):
-        rd.parse_snapshot("not a snapshot\n")
+        rd.parse_snapshot(b"not a snapshot\n")
     with pytest.raises(ConfigError):
-        rd.parse_snapshot("RELAXDIFF v1\n1 4 0.25 2\n")  # truncated header
+        rd.parse_snapshot(b"RELAXDIFF v2\n1 4 0.25 2\n")  # truncated header
+    with pytest.raises(ConfigError):
+        rd.parse_snapshot(b"RELAXDIFF v2\n1 4 0.25 1 0.0")  # no end of header
+    with pytest.raises(ConfigError):
+        rd.parse_snapshot(b"RELAXDIFF v2\n1 4 0.2\xb5 1 0.0\n" + bytes(32))  # not ASCII

@@ -1,9 +1,10 @@
-"""Property tests for the text snapshot format."""
+"""Tests of the snapshot format: a text header, then raw little-endian float64 values."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,17 +50,59 @@ def test_write_read_reproduces_fields_bit_for_bit(snap):
 
 @settings(max_examples=150, deadline=None)
 @given(snapshots(), st.data())
-def test_mutated_token_raises_only_config_error(snap, data):
+def test_damaged_file_raises_only_config_error(snap, data):
+    """A truncated or extended file is rejected; a file with one header token
+    replaced may still parse, but nothing other than a ConfigError escapes."""
     grid, fields, time = snap
-    lines = [line.split() for line in
-             rd.snapshots.format_snapshot(grid, fields, time).splitlines()]
-    row = data.draw(st.integers(0, len(lines) - 1))
-    col = data.draw(st.integers(0, len(lines[row]) - 1))
-    lines[row][col] = data.draw(
-        st.sampled_from(["", "x", "nan", "inf", "-1", "0", "3", "1e999", "1.5.2", "--"])
-        | st.text(max_size=6))
-    text = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
-    try:
-        rd.parse_snapshot(text)
-    except ConfigError:
-        pass
+    raw = rd.snapshots.format_snapshot(grid, fields, time)
+    damage = data.draw(st.sampled_from(["truncate", "extend", "mutate"]))
+    if damage == "truncate":
+        with pytest.raises(ConfigError):
+            rd.parse_snapshot(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    elif damage == "extend":
+        with pytest.raises(ConfigError):
+            rd.parse_snapshot(raw + data.draw(st.binary(min_size=1, max_size=24)))
+    else:
+        lines = raw.split(b"\n", 2)
+        row = data.draw(st.integers(0, 1))
+        tokens = lines[row].split(b" ")
+        col = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[col] = data.draw(
+            st.sampled_from([b"", b"x", b"nan", b"inf", b"-1", b"0", b"3", b"1e999",
+                             b"1.5.2", b"--", b"v1", b"\n"])
+            | st.binary(max_size=6))
+        lines[row] = b" ".join(tokens)
+        try:
+            rd.parse_snapshot(b"\n".join(lines))
+        except ConfigError:
+            pass
+
+
+@pytest.mark.parametrize("header, body, match", [
+    (b"1 4 0.25 -1 0.0", b"", "species count -1"),
+    (b"1 4 0.25 0 0.0", b"", "species count 0"),
+    (b"1 4 0.25 1 nan", bytes(32), "time nan"),
+    (b"1 4 0.25 1 -inf", bytes(32), "time -inf"),
+    (b"1 4 inf 1 0.0", bytes(32), "spacings"),
+    (b"1 4 0.25 1 0.0", bytes(40), "40 bytes, expected 32"),
+    (b"1 4 0.25 2 0.0", bytes(32), "32 bytes, expected 64"),
+    (b"1 4 0.25 1 0.0", np.array([0.0, np.nan, 1.0, 2.0], "<f8").tobytes(), "species 1"),
+])
+def test_out_of_range_header_or_body_is_a_config_error(header, body, match):
+    with pytest.raises(ConfigError, match=match):
+        rd.parse_snapshot(b"RELAXDIFF v2\n" + header + b"\n" + body)
+
+
+def test_v1_text_snapshot_is_rejected(tmp_path):
+    path = tmp_path / "snap_0.fld"
+    path.write_text("RELAXDIFF v1\n1 4 0.25 1 0.0\n1.0 2.0 3.0 4.0\n")
+    with pytest.raises(ConfigError, match="RELAXDIFF v2"):
+        rd.read_snapshot(path)
+
+
+def test_writer_refuses_what_the_reader_rejects():
+    grid = rd.Grid((2,), (0.5,))
+    with pytest.raises(ConfigError):
+        rd.snapshots.format_snapshot(grid, [], 0.0)
+    with pytest.raises(ConfigError):
+        rd.snapshots.format_snapshot(grid, [rd.Field.constant(grid, 1.0)], float("nan"))
