@@ -131,8 +131,11 @@ def test_zero_mass_tolerance_turns_roundoff_into_violations():
 
 
 def test_simulate_exit_nonzero_on_solver_failure(tmp_path, capsys):
-    path, _ = write_cfg(tmp_path, extra="\n[picard]\nmax_sweeps = 1\n")
+    # 64 cells of random data: wider than the preconditioner's exact coarse
+    # block, so the implicit solves need more than two iterations
+    path, _ = write_cfg(tmp_path, n1=64, extra="\n[picard]\nmax_sweeps = 1\n")
     text = path.read_text().replace("T = 0.1", "T = 0.1\nlinear_max_iter = 2")
+    text = re.sub(r"init = cosine:-?0\.5,1\.0", "init = random:0.5,1.5", text)
     path.write_text(text)
     assert cli.main(["simulate", "--config", str(path)]) == 1
     err = capsys.readouterr().err

@@ -166,8 +166,14 @@ def p2_cross_model():
 
 def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
     # each sweep starts its implicit solves from the previous sweep's z; the
-    # cold run drops that start, so the two differ only in the CG iterations
-    m = p2_cross_model()
+    # cold run drops that start, so the two differ only in the CG iterations.
+    # 256 cells of random data: wider than the preconditioner's exact coarse
+    # block, whose solves of smooth data take one iteration warm or cold
+    smooth = p2_cross_model()
+    g = make_grid_1d(256)
+    rng = np.random.default_rng(7)
+    m = rd.ModelSpec(smooth.delta, smooth.coefficients,
+                     tuple(rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells)) for _ in range(2)))
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
     solve = stepper.cg_solve
     totals = {}

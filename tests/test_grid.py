@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import relaxdiff as rd
 from relaxdiff.errors import DimensionMismatchError
-from relaxdiff.grid import MAX_AXIS_CELLS
+from relaxdiff.grid import COARSE_MODES_1D, COARSE_MODES_2D, MAX_AXIS_CELLS
+from relaxdiff.model import coefficient_fields
+from relaxdiff.stepper import _solve_implicit
 
-from conftest import dense_laplacian, make_grid_1d, make_grid_2d
+from conftest import cosine_profile, dense_laplacian, make_grid_1d, make_grid_2d
 
 
 def test_laplacian_interior_stencil():
@@ -198,3 +202,90 @@ def test_shifted_solve_constant_field_bitwise():
 def test_shifted_solve_rejects_wrong_length():
     with pytest.raises(DimensionMismatchError):
         make_grid_2d(3, 4).shifted_solver(1.0, 1.0)(np.ones(11))
+
+
+def dense_of(solve, n):
+    """The matrix of a linear map of flat fields, built column by column."""
+    return np.column_stack([solve(e) for e in np.eye(n)])
+
+
+def smooth_diagonal(g, scale=100.0):
+    """1 / (tau A) for a smooth A of spread 3, as the implicit operator sees it."""
+    return scale / (2.0 + np.prod([np.cos(3 * np.pi * x / length)
+                                   for x, length in zip(g.cell_centers(), g.lengths)], axis=0))
+
+
+def assert_spd(P):
+    assert np.max(np.abs(P - P.T)) <= 1e-12 * np.max(np.abs(P))
+    np.linalg.cholesky(P)  # raises unless positive definite
+
+
+def shift_of(d):
+    return math.sqrt(np.min(d)) * math.sqrt(np.max(d))
+
+
+@pytest.mark.parametrize("g", [make_grid_1d(40), make_grid_2d(20, 24, (1.0, 0.7))],
+                         ids=lambda g: "x".join(map(str, g.cells)))
+def test_coarse_corrected_solve_is_spd_beyond_the_coarse_block(g, rng):
+    # both grids have more cells per axis than the coarse block has modes
+    assert min(g.cells) > (COARSE_MODES_1D if g.ndim == 1 else COARSE_MODES_2D)
+    for d in (smooth_diagonal(g), rng.uniform(1.0, 1e3, g.n_cells)):
+        P = dense_of(g.coarse_corrected_solver(d, shift_of(d)), g.n_cells)
+        assert_spd(P)
+        # it is not the plain shift, whose coarse modes ignore d's variation
+        assert not np.allclose(P, dense_of(g.shifted_solver(shift_of(d), 1.0), g.n_cells))
+
+
+@pytest.mark.parametrize("g", [rd.Grid((1,), (0.3,)), make_grid_1d(5),
+                               make_grid_1d(COARSE_MODES_1D),
+                               make_grid_2d(7, COARSE_MODES_2D, (1.0, 0.7)),
+                               make_grid_2d(COARSE_MODES_2D, COARSE_MODES_2D),
+                               make_grid_2d(COARSE_MODES_2D, 1)],
+                         ids=lambda g: "x".join(map(str, g.cells)))
+def test_coarse_corrected_solve_is_exact_within_the_coarse_block(g, rng):
+    # every mode is coarse: the preconditioner is the inverse of the operator
+    d = smooth_diagonal(g)
+    P = dense_of(g.coarse_corrected_solver(d, shift_of(d)), g.n_cells)
+    inverse = np.linalg.inv(np.diag(d) - dense_laplacian(g))
+    assert np.max(np.abs(P - inverse)) <= 1e-10 * np.max(np.abs(inverse))
+    # so CG converges in one iteration
+    A = 1.0 / (0.01 * d)
+    _, _, report = _solve_implicit(g, rng.uniform(0.5, 1.5, g.n_cells), A, 0.01, 1e-10, 10_000)
+    assert report.converged and report.iterations == 1
+
+
+def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):
+    def spd_or_shift(g, d):
+        c = shift_of(d)
+        P = dense_of(g.coarse_corrected_solver(d, c), g.n_cells)
+        if not np.array_equal(P, dense_of(g.shifted_solver(c, 1.0), g.n_cells)):
+            assert_spd(P)
+
+    # a coefficient spread of 1e12, smooth and cell by cell
+    for g in (make_grid_1d(40), make_grid_2d(20, 24)):
+        spd_or_shift(g, np.geomspace(1.0, 1e12, g.n_cells))
+        spd_or_shift(g, 10.0 ** rng.uniform(0.0, 12.0, g.n_cells))
+    # the first implicit operator of the p = 300 case of tests/test_cli.py's
+    # BASE config: its coefficient reaches 4.8e48
+    g = make_grid_1d(16)
+    m = rd.ModelSpec(
+        delta=(0.01, 0.01),
+        coefficients=(rd.SktCoefficients(0.05, (0.0, 1.0), 300.0),
+                      rd.SktCoefficients(0.05, (1.0, 0.0))),
+        initial_data=(rd.Field(g, cosine_profile(g, 0.5)),
+                      rd.Field(g, cosine_profile(g, -0.5))),
+    )
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.1)
+    (A,), _ = coefficient_fields(m, rd.initial_state(m, cfg).u_tilde, [0])
+    assert np.max(A) / np.min(A) > 1e48
+    spd_or_shift(g, 1.0 / (cfg.tau * A))
+
+
+def test_coarse_corrected_solve_falls_back_to_the_shift():
+    # a diagonal of 1e-300 leaves the constant mode's pivot below epsilon
+    # times the others: the coarse block is singular to working precision
+    g = make_grid_1d(24)
+    d = np.linspace(1e-300, 3e-300, g.n_cells)
+    c = shift_of(d)
+    r = np.cos(np.arange(g.n_cells))
+    assert np.array_equal(g.coarse_corrected_solver(d, c)(r), g.shifted_solver(c, 1.0)(r))

@@ -355,20 +355,42 @@ def test_step_concurrency_bit_identical():
                                    (256, 256)], ids=lambda c: "x".join(map(str, c)))
 def test_solve_iterations_do_not_grow_with_the_mesh(cells, rng):
     # unpreconditioned CG needs about n iterations here; the cosine-basis
-    # preconditioner bounds them by max A / min A = 3 whatever the mesh
+    # preconditioner bounds them by max A / min A = 3 whatever the mesh, and
+    # its exact coarse block takes them from 9 to 4 or 5 (at most 5 measured)
     g = rd.Grid(cells, tuple(1.0 / n for n in cells))
     A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
     assert np.max(A) / np.min(A) == pytest.approx(3.0, rel=1e-2)
     u = rng.uniform(0.0, 2.0, g.n_cells)
     u_new, _, implicit = _solve_implicit(g, u, A, 0.01, 1e-10, 10_000)
     _, regularize = _solve_regularize(g, u_new, 0.01, 1e-10, 10_000)
-    assert implicit.converged and implicit.iterations <= 15
+    assert implicit.converged and implicit.iterations <= 7
     assert regularize.converged and regularize.iterations <= 2
 
 
-def test_solver_failure_names_species():
-    g = make_grid_1d(16)
-    m = two_species_model(g)
+def test_sim2d_step_takes_at_most_two_implicit_iterations():
+    # the sim2d benchmark setup without its perturbation: 128^2 cells, smooth
+    # two-species data, p = 1, delta = tau = 0.01; the coefficients are smooth,
+    # so the coarse block of the preconditioner nearly inverts the operator
+    g = make_grid_2d(128, 128)
+    profile = np.prod([np.cos(np.pi * x) for x in g.cell_centers()], axis=0)
+    m = rd.ModelSpec(
+        delta=(0.01, 0.01),
+        coefficients=(rd.SktCoefficients(0.05, (0.0, 1.0)),
+                      rd.SktCoefficients(0.05, (1.0, 0.0))),
+        initial_data=(rd.Field(g, 1.0 + 0.25 * profile), rd.Field(g, 1.0 - 0.25 * profile)),
+    )
+    cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
+    _, infos = rd.step_with_info(rd.initial_state(m, cfg), m, cfg)
+    assert [info.cg_iters_implicit <= 2 for info in infos] == [True, True]
+
+
+def test_solver_failure_names_species(rng):
+    # 64 cells of random data: wider than the preconditioner's exact coarse
+    # block, so one iteration cannot reach the tolerance
+    g = make_grid_1d(64)
+    smooth = two_species_model(g)
+    m = rd.ModelSpec(smooth.delta, smooth.coefficients,
+                     tuple(rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells)) for _ in range(2)))
     good = rd.SchemeConfig(tau=0.01, horizon=0.1)
     state = rd.initial_state(m, good)
     crippled = rd.SchemeConfig(tau=0.01, horizon=0.1, linear_max_iter=1, linear_tol=1e-14)
