@@ -3,17 +3,17 @@
 `solve_frozen_slab` marches the linear problem in which the coefficient field
 is fixed data, the building block behind the scheme's well-posedness.
 `picard_step` turns one time step into a fully implicit one by successive
-coefficient freezing, starting from the semi-implicit prediction. Its sweeps
-run in Gauss-Seidel order: each species freezes its coefficient at the newest
-regularized densities, those this sweep has already updated included. For
-two species with a_1 = a_1(u_tilde_2) and a_2 = a_2(u_tilde_1) the sweep's
+coefficient freezing. Its sweeps run in Gauss-Seidel order from the previous
+time level: each species freezes its coefficient at the newest regularized
+densities, those this sweep has already updated included, so the first
+sweep freezes species 1 exactly as the semi-implicit step does. For two
+species with a_1 = a_1(u_tilde_2) and a_2 = a_2(u_tilde_1) the sweep's
 linearization is 2-cyclic, and this order squares the contraction factor of
 the Jacobi order, in which every species froze at the previous candidate
 (Varga, Matrix Iterative Analysis, ch. 4): it reaches the same fixed point in
-about half the sweeps. Because the
-two paths approximate the same (unique, for locally Lipschitz coefficients)
-solution, their end-of-horizon discrepancy must shrink as tau does; that is
-what `cross_validate` measures.
+about half the sweeps. Because the two paths approximate the same (unique,
+for locally Lipschitz coefficients) solution, their end-of-horizon
+discrepancy must shrink as tau does; that is what `cross_validate` measures.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .model import ModelSpec, coefficient_fields
 from .stepper import (
     SchemeConfig,
     SystemState,
-    frozen_step,
     implicit_diffusion_step,
     initial_state,
     march,
@@ -88,27 +87,25 @@ def picard_step_with_info(
 ) -> tuple[SystemState, int]:
     """One fully implicit step via successive coefficient freezing.
 
-    The first candidate is the semi-implicit prediction (coefficients from the
-    previous time level), taken with `frozen_step`. Each sweep then redoes the
-    frozen-coefficient step from `state` species by species, in Gauss-Seidel
-    order: species i freezes its coefficient at the newest regularized
-    densities, u_tilde_1..u_tilde_{i-1} from this sweep and the rest from the
-    previous candidate, and starts its implicit solve from its previous z.
-    The loop stops when the candidate's relative L2 change across a sweep
-    falls below `sweep_tol`; if the coefficients do not depend on the state
-    this happens on the first sweep and the result coincides with the plain
-    semi-implicit step. Returns the step and the number of sweeps it took.
+    Each sweep redoes the frozen-coefficient step from `state` species by
+    species, in Gauss-Seidel order: species i freezes its coefficient at the
+    newest regularized densities, u_tilde_1..u_tilde_{i-1} from this sweep and
+    the rest from the previous candidate, which is `state` itself before the
+    first sweep. The first sweep starts its implicit solves from zero, every
+    later one from the z that species solved in the sweep before. The loop
+    stops when the candidate's relative L2 change across a sweep falls below
+    `sweep_tol`; with state-independent coefficients that is the second sweep,
+    and the result is bit for bit the semi-implicit step. Returns the step and
+    its sweeps, the first included: the implicit solves per species.
     """
     dt = cfg.tau if tau is None else float(tau)
-    # sweep 0: freeze at the previous time level (the semi-implicit predictor)
-    A_fields, _ = coefficient_fields(m, state.u_tilde, range(state.n_species))
-    candidate, _, z = frozen_step(state, m, cfg, A_fields, dt)
-
+    candidate = state
+    z = [None] * state.n_species
     for sweeps in range(1, p.max_sweeps + 1):
         u, u_tilde, w = list(candidate.u), list(candidate.u_tilde), list(candidate.w)
         for i in range(state.n_species):
             A = coefficient_fields(m, u_tilde, (i,))[0][0]
-            # the previous sweep's solve starts this one's: only A has changed
+            # from the previous sweep's z (zero in the first sweep): only A has changed
             u[i], u_tilde[i], w[i], _, z[i] = species_step(state, m, cfg, i, A, dt, z[i])
         refreshed = SystemState(state.time + dt, u, u_tilde, w)
         change = _relative_l2_change(refreshed.u, candidate.u)

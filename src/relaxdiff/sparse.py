@@ -37,7 +37,8 @@ def cg_solve(
     has the exact solution zero, whatever `x0`. Convergence is declared when
     the true residual satisfies ||b - A x||_2 <= tol * (||b||_2 + floor), so
     an `x0` that already meets it comes back unchanged after 0 iterations;
-    non-convergence is reported, not raised, so the caller decides.
+    non-convergence is reported, not raised, so the caller decides. A
+    breakdown, a non-finite `b` included, raises `LinearSolverError`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -59,6 +60,9 @@ def cg_solve(
     # underflow or overflow. The scaled b peaks at `peak`, in [0.5, 1); a
     # start is scaled by the same power of two.
     peak, exponent = math.frexp(float(np.max(np.abs(b), initial=0.0)))
+    if not math.isfinite(peak):
+        # else the threshold tol * ||b|| is infinite (any x meets it) or NaN
+        raise LinearSolverError("conjugate-gradient breakdown at iteration 1 (non-finite values)")
     x = None if x0 is None or peak == 0.0 else np.ldexp(x0, -exponent)
     x, iterations, res, converged = _pcg(A, np.ldexp(b, -exponent), x, peak, tol, max_iter)
     return np.ldexp(x, exponent), SolverReport(

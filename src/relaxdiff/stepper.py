@@ -2,9 +2,10 @@
 
 Each step freezes the diffusion coefficients at the clamped regularization of
 the previous densities, advances every species through one implicit diffusion
-solve, and regularizes the result (a screened-Poisson solve). `frozen_step`
-is that step for given coefficients, one `species_step` per species; the
-Picard sweeps of `fixedpoint` run `species_step` species by species, each
+solve, and regularizes the result (a screened-Poisson solve). `species_step`
+is one species' part of such a step for a given coefficient:
+`step_with_info` runs it for every species, frozen at the previous time
+level, and the Picard sweeps of `fixedpoint` run it species by species, each
 frozen at the newest regularized densities. `run` marches the scheme to the
 horizon and hands every step's `diagnostics` rows to its callbacks. The two
 diagnostics that need solves of their own live here too:
@@ -72,6 +73,9 @@ class SchemeConfig:
     def __post_init__(self):
         if not (0 < self.tau < np.inf):
             raise ValueError("tau must be positive and finite")
+        # the implicit operator divides by tau
+        if not math.isfinite(1.0 / float(self.tau)):
+            raise ValueError(f"tau {self.tau!r} is too small: 1 / tau is not a finite float")
         if not (0 < self.horizon < np.inf):
             raise ValueError("horizon must be positive and finite")
         if self.tau > self.horizon * (1 + 1e-12):
@@ -92,6 +96,8 @@ class SchemeConfig:
 
 class _ResolventOperator:
     """Matrix-free I - delta * L; symmetric positive definite."""
+
+    name = "regularization"
 
     def __init__(self, grid: Grid, delta: float):
         self.grid = grid
@@ -116,6 +122,8 @@ class _ImplicitStepOperator:
     takes over. A constant A has the shift as its exact inverse.
     """
 
+    name = "implicit diffusion"
+
     def __init__(self, grid: Grid, A: np.ndarray, tau: float):
         self.grid = grid
         self.scale = 1.0 / (tau * A)
@@ -131,18 +139,29 @@ class _ImplicitStepOperator:
         return self.scale * x - self.grid.laplacian(x)
 
 
+def _flux_solve(
+    op, b: np.ndarray, u: np.ndarray, s: float, tol: float, max_iter: int,
+    z_start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, SolverReport]:
+    """Solve op z = b by CG from `z_start`; return u + s * L z, z and the report.
+
+    The flux form equals the solved field up to the solver residual, but it
+    carries exactly the total of `u`. A solve that stalls raises.
+    """
+    z, report = cg_solve(op, b, tol, max_iter, x0=z_start)
+    if not report.converged:
+        raise LinearSolverError(
+            f"{op.name} solve stalled after {report.iterations} iterations "
+            f"(residual {report.residual_norm:.3e})"
+        )
+    return u + s * op.grid.laplacian(z), z, report
+
+
 def _solve_regularize(
     g: Grid, u: np.ndarray, delta: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, SolverReport]:
-    op = _ResolventOperator(g, delta)
-    z, report = cg_solve(op, u, tol, max_iter)
-    if not report.converged:
-        raise LinearSolverError(
-            f"regularization solve stalled after {report.iterations} iterations "
-            f"(residual {report.residual_norm:.3e})"
-        )
-    # flux form: identical to z up to the solver residual, but mass-exact
-    return u + delta * g.laplacian(z), report
+    u_tilde, _, report = _flux_solve(_ResolventOperator(g, delta), u, u, delta, tol, max_iter)
+    return u_tilde, report
 
 
 def _solve_implicit(
@@ -152,14 +171,8 @@ def _solve_implicit(
     """u_new, the solved z = A * u_new, and the report; CG starts from `z_start`."""
     if not np.all(A > 0):
         raise ValueError("implicit step requires strictly positive coefficients")
-    op = _ImplicitStepOperator(g, A, tau)
-    z, report = cg_solve(op, u_n / tau, tol, max_iter, x0=z_start)
-    if not report.converged:
-        raise LinearSolverError(
-            f"implicit diffusion solve stalled after {report.iterations} iterations "
-            f"(residual {report.residual_norm:.3e})"
-        )
-    return u_n + tau * g.laplacian(z), z, report
+    return _flux_solve(_ImplicitStepOperator(g, A, tau), u_n / tau, u_n, tau, tol, max_iter,
+                       z_start)
 
 
 def regularize(g: Grid, u: Field, delta: float, tol: float = 1e-10,
@@ -264,16 +277,17 @@ def species_step(
     return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg), z
 
 
-def frozen_step(
-    state: SystemState, m: ModelSpec, cfg: SchemeConfig, A_fields: Sequence[np.ndarray],
-    dt: float,
-) -> tuple[SystemState, list[tuple[SolverReport, SolverReport]], list[np.ndarray]]:
-    """One step of size `dt` with the coefficients frozen at `A_fields`.
+def step_with_info(
+    state: SystemState, m: ModelSpec, cfg: SchemeConfig, tau: float | None = None
+) -> tuple[SystemState, list[SpeciesStepInfo]]:
+    """Advance one step of size `tau` (default cfg.tau) and report solve stats.
 
-    Runs `species_step` for every species, from zero starts, under the
-    `workers` pool. Returns the next state, each species' (implicit,
-    regularize) solve reports and each species' solved z.
+    Every species freezes its coefficient at `state.u_tilde` and runs
+    `species_step` from a zero start, under the `workers` pool.
     """
+    dt = cfg.tau if tau is None else float(tau)
+    A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, range(state.n_species))
+
     def advance(i: int):
         return species_step(state, m, cfg, i, A_fields[i], dt)
 
@@ -284,23 +298,8 @@ def frozen_step(
     else:
         results = [advance(i) for i in indices]
 
-    new_state = SystemState(
-        time=state.time + dt,
-        u=tuple(r[0] for r in results),
-        u_tilde=tuple(r[1] for r in results),
-        w=tuple(r[2] for r in results),
-    )
-    return new_state, [r[3] for r in results], [r[4] for r in results]
-
-
-def step_with_info(
-    state: SystemState, m: ModelSpec, cfg: SchemeConfig, tau: float | None = None
-) -> tuple[SystemState, list[SpeciesStepInfo]]:
-    """Advance one step of size `tau` (default cfg.tau) and report solve stats."""
-    dt = cfg.tau if tau is None else float(tau)
-    A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, range(state.n_species))
-    new_state, reports, _ = frozen_step(state, m, cfg, A_fields, dt)
-    return new_state, [
+    u, u_tilde, w, reports, _ = zip(*results)
+    return SystemState(state.time + dt, u, u_tilde, w), [
         SpeciesStepInfo(
             species=i + 1,
             cg_iters_implicit=implicit.iterations,

@@ -269,6 +269,9 @@ REJECTED_EDITS = {
     "seed_negative": ([RANDOM_INIT, ("mode = simulate", "mode = simulate\nseed = -1")], []),
     "seed_override_negative": ([RANDOM_INIT], ["--seed", "-5"]),
     "steps_beyond_2_53": ([("tau = 0.02", "tau = 1e-300")], []),
+    # one step, but 1 / tau is not a finite float: the implicit solve overflowed
+    "tau_reciprocal_overflows": ([("tau = 0.02", "tau = 1e-310"), ("T = 0.1", "T = 1e-310")],
+                                 []),
     "output_dir_is_a_file": ([], ["--output-dir", "{text_file}"]),
     # no residual can fall below float64 rounding, so no solve could reach it
     "linear_tol_below_epsilon": ([("tau = 0.02", "tau = 0.02\nlinear_tol = 1e-300")], []),

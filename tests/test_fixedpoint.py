@@ -116,7 +116,9 @@ def test_picard_state_independent_coefficients_match_semi_implicit_bitwise():
     state = rd.initial_state(m, cfg)
     semi = rd.step(state, m, cfg)
     picard, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig())
-    assert sweeps == 1
+    # the first sweep is the semi-implicit step; the second, warm-started at
+    # its z, meets the stopping rule after 0 iterations and changes nothing
+    assert sweeps == 2
     assert np.array_equal(semi.u[0].values, picard.u[0].values)
     assert np.array_equal(semi.u_tilde[0].values, picard.u_tilde[0].values)
     assert np.array_equal(semi.w[0].values, picard.w[0].values)
@@ -162,6 +164,37 @@ def p2_cross_model():
         initial_data=(rd.Field(g, cosine_profile(g, 0.25)),
                       rd.Field(g, cosine_profile(g, -0.25))),
     )
+
+
+def state_independent_model():
+    g = make_grid_1d(128)
+    return rd.ModelSpec(
+        delta=(0.01, 0.02),
+        coefficients=(rd.SktCoefficients(0.3, (0.0, 0.0)), rd.SktCoefficients(0.5, (0.0, 0.0))),
+        initial_data=(rd.Field(g, cosine_profile(g, 0.25)),
+                      rd.Field(g, cosine_profile(g, -0.25))),
+    )
+
+
+@pytest.mark.parametrize("model, expected_sweeps", [(p2_cross_model, 18),
+                                                    (state_independent_model, 2)])
+def test_picard_sweeps_count_every_implicit_solve(monkeypatch, model, expected_sweeps):
+    # the first sweep starts from the previous time level, so no predictor
+    # solves outside the sweeps: each sweep is one implicit solve per species
+    m = model()
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
+    state = rd.initial_state(m, cfg)
+    solve = stepper.cg_solve
+    operators = []
+
+    def counting(A, b, tol, max_iter, x0=None):
+        operators.append(type(A))
+        return solve(A, b, tol, max_iter, x0=x0)
+
+    monkeypatch.setattr(stepper, "cg_solve", counting)
+    _, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig())
+    assert sweeps == expected_sweeps
+    assert operators.count(stepper._ImplicitStepOperator) == m.n_species * sweeps
 
 
 def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):

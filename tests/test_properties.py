@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import relaxdiff as rd
 from relaxdiff.fixedpoint import picard_step_with_info
 from relaxdiff.model import coefficient_fields
-from relaxdiff.stepper import frozen_step
+from relaxdiff.stepper import species_step
 
 LINEAR_TOL = 1e-10
 
@@ -96,9 +96,9 @@ def test_random_picard_steps_are_guaranteed_fixed_points(m, tau):
     # whenever the sweeps converge. Each solve adds at most about linear_tol
     # relative, so u may move by sweep_tol + 10 * linear_tol relative; the
     # largest seen over 3,800 examples was 0.77 * sweep_tol.
-    again, _, _ = frozen_step(state, m, cfg,
-                             coefficient_fields(m, new.u_tilde, range(m.n_species))[0], tau)
-    moved = np.linalg.norm(np.concatenate([a.values - b.values for a, b in zip(again.u, new.u)]))
+    A_fields, _ = coefficient_fields(m, new.u_tilde, range(m.n_species))
+    again = [species_step(state, m, cfg, i, A, tau)[0] for i, A in enumerate(A_fields)]
+    moved = np.linalg.norm(np.concatenate([a.values - b.values for a, b in zip(again, new.u)]))
     size = np.linalg.norm(np.concatenate([f.values for f in new.u]))
     assert moved <= (p.sweep_tol + 10 * LINEAR_TOL) * size
 

@@ -119,6 +119,15 @@ def test_cg_zero_rz_is_a_breakdown():
         rd.cg_solve(Turning(2.0 * np.eye(2)), np.array([1.0, 2.0]))
 
 
+def test_cg_non_finite_right_hand_side_is_a_breakdown():
+    # an infinite b made the threshold tol * ||b|| infinite too, so x = 0
+    # "converged" after 0 iterations
+    A = DenseOperator(2.0 * np.eye(2))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(LinearSolverError, match=r"\(non-finite values\)"):
+            rd.cg_solve(A, np.array([bad, 1.0]))
+
+
 def test_cg_deterministic(rng):
     n = 20
     A = random_spd(rng, n)

@@ -336,8 +336,8 @@ def test_step_concurrency_bit_identical():
             assert np.array_equal(res_a.state.u[i].values, res_b.state.u[i].values)
             assert np.array_equal(res_a.state.w[i].values, res_b.state.w[i].values)
         assert res_a.report.to_csv() == res_b.report.to_csv()
-    # a Picard step honours workers in its predictor only: its sweeps run the
-    # species one after another, and the result does not depend on workers
+    # a Picard step does not use workers: its sweeps run the species one after
+    # another, and the result does not depend on the setting
     g = make_grid_2d(48, 40, (1.0, 0.8))
     m = two_species_model(g)
     picard = []
