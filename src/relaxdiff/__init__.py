@@ -9,7 +9,6 @@ nonnegativity, and keeps the accumulated flux potential monotone in time.
 from .config import RunConfig, SpeciesConfig, build_initial, parse_config
 from .diagnostics import (
     CheckTolerances,
-    DiagnosticsReport,
     StepRecord,
     check_step,
     energy_identity_residual,
@@ -67,7 +66,6 @@ __all__ = [
     "ConfigError",
     "CrossValidationReport",
     "CrossValidationRow",
-    "DiagnosticsReport",
     "DimensionMismatchError",
     "Field",
     "Grid",

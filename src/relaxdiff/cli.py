@@ -43,7 +43,7 @@ def _output_dir(cfg: RunConfig) -> Path:
 
 def run_simulate(cfg: RunConfig) -> int:
     """Full run with per-step invariant enforcement and file outputs."""
-    model = cfg.build_model()
+    model = cfg.model
     outdir = _output_dir(cfg)
     g = model.grid
     tolerances = CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
@@ -111,9 +111,9 @@ def run_converge(cfg: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError(f"[grid] refined for the spatial study: {exc}") from exc
     # so are file: and random: data, which cannot be rebuilt on a refined grid
-    models = [cfg.build_model(g) for g in grids]
+    refined = [cfg.build_model(g) for g in grids[1:]]
 
-    finals = [stepper.run(models[0], replace(cfg.scheme, tau=cfg.scheme.tau / 2**k)).state
+    finals = [stepper.run(cfg.model, replace(cfg.scheme, tau=cfg.scheme.tau / 2**k)).state
               for k in range(cfg.halvings + 1)]
     diffs = [max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.u, b.u))
              for a, b in zip(finals, finals[1:])]
@@ -129,7 +129,7 @@ def run_converge(cfg: RunConfig) -> int:
 
     if cfg.spatial:
         # level 0 is the temporal study's first run
-        states = finals[:1] + [stepper.run(m, cfg.scheme).state for m in models[1:]]
+        states = finals[:1] + [stepper.run(m, cfg.scheme).state for m in refined]
         sdiffs = [max(float(np.max(np.abs(x.values - fine.coarsen(y.values))))
                       for x, y in zip(a.u, b.u))
                   for a, b, fine in zip(states, states[1:], grids[1:])]
@@ -145,7 +145,7 @@ def run_converge(cfg: RunConfig) -> int:
 
 def run_cross_validate(cfg: RunConfig) -> int:
     """Two-path discrepancy study; exits 0 when the gap shrinks with tau."""
-    model = cfg.build_model()
+    model = cfg.model
     if not model.lipschitz:
         raise ConfigError(
             "cross-validate requires locally Lipschitz coefficients "
@@ -167,7 +167,7 @@ def run_cross_validate(cfg: RunConfig) -> int:
 
 def run_invariants(cfg: RunConfig) -> int:
     """Audit run: every per-step invariant, written as machine-readable rows."""
-    model = cfg.build_model()
+    model = cfg.model
     outdir = _output_dir(cfg)
     g = model.grid
     tolerances = CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
@@ -237,13 +237,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"note: config sets mode = {cfg.mode}, running {args.mode} as requested",
                 file=sys.stderr,
             )
-            cfg.mode = args.mode
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
-        # the mode's build_model validates the model under this seed
-        if args.seed is not None:
-            cfg.seed = args.seed
-        return _DISPATCH[cfg.mode](cfg)
+        overrides = {key: value for key, value in
+                     {"output_dir": args.output_dir, "seed": args.seed}.items()
+                     if value is not None}
+        if overrides:  # the replaced config builds its model under the new seed
+            cfg = replace(cfg, **overrides)
+        return _DISPATCH[args.mode](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

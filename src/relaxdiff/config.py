@@ -27,6 +27,11 @@ Unknown sections or keys are fatal: a silently ignored typo in a physical
 parameter is worse than a hard error. An error about one line carries its
 line number. Absent optional keys take the defaults of the dataclass they
 configure.
+
+A `RunConfig` is frozen and carries its validated model: the initial data
+are built from the init recipes and the model is checked once, when the
+config is made. A changed config (`dataclasses.replace`, say with another
+seed) builds and validates its own model.
 """
 
 from __future__ import annotations
@@ -44,19 +49,19 @@ from .stepper import SchemeConfig
 MODES = ("simulate", "converge", "cross-validate", "invariants")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpeciesConfig:
     delta: float
     coefficients: SktCoefficients
     init: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated configuration for one batch run."""
+    """Parsed and validated configuration for one batch run, with its validated model."""
 
     grid: Grid
-    species: list[SpeciesConfig]
+    species: tuple[SpeciesConfig, ...]
     scheme: SchemeConfig
     picard: PicardConfig = field(default_factory=PicardConfig)
     mode: str = "simulate"
@@ -65,6 +70,7 @@ class RunConfig:
     spatial: bool = False
     halvings: int = 3
     a_max: float | None = None
+    model: ModelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -72,11 +78,13 @@ class RunConfig:
                 f"[run] mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if self.halvings < 1:
             raise ConfigError("[run] halvings must be at least 1")
+        object.__setattr__(self, "model", self.build_model())
 
     def build_model(self, grid: Grid | None = None) -> ModelSpec:
         """Instantiate and validate the model, optionally on a refined grid.
 
-        Initial data is rebuilt from the init recipes, so analytic recipes
+        `model` already holds the one on the configured grid. Initial data
+        is rebuilt from the init recipes, so analytic recipes
         (constant/step/bump/cosine) transfer to any resolution; file and
         random data are tied to the configured grid. Raises ConfigError when
         the model violates an assumption of the scheme.
@@ -323,7 +331,5 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[picard]: {exc}") from exc
 
-    cfg = RunConfig(grid, species, scheme, picard, a_max=a_max,
-                    **_section("run", sections["run"], _RUN))
-    cfg.build_model()
-    return cfg
+    return RunConfig(grid, tuple(species), scheme, picard, a_max=a_max,
+                     **_section("run", sections["run"], _RUN))

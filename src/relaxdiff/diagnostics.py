@@ -13,7 +13,7 @@ ignore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -72,18 +72,6 @@ class StepRecord:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
-
-
-@dataclass
-class DiagnosticsReport:
-    """Ordered step/species rows plus CSV serialization."""
-
-    rows: list[StepRecord] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(row.to_csv_row() for row in self.rows)
-        return "\n".join(lines) + "\n"
 
 
 def step_records(

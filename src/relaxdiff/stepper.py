@@ -52,7 +52,7 @@ import numpy as np
 # `run` calls `diagnostics.step_records` through the module, so that a wrapper
 # installed on that attribute sees every call
 from . import diagnostics
-from .diagnostics import DiagnosticsReport, SpeciesStepInfo
+from .diagnostics import SpeciesStepInfo
 from .errors import LinearSolverError, RelaxdiffError
 from .grid import Field, Grid
 from .model import ModelSpec, coefficient_fields
@@ -86,6 +86,9 @@ class SchemeConfig:
         # no residual can fall below float64 rounding relative to ||b||
         if not (self.linear_tol >= 2**-52):
             raise ValueError("linear tolerance must be at least 2**-52, the float64 epsilon")
+        # at tol >= 1 the stopping rule accepts x = 0 for every right-hand side
+        if not (self.linear_tol < 1):
+            raise ValueError("linear tolerance must be below 1")
         if self.linear_max_iter < 1:
             raise ValueError("linear_max_iter must be at least 1")
         if self.output_stride < 1:
@@ -333,7 +336,6 @@ def plan_steps(tau: float, horizon: float) -> tuple[int, float]:
 @dataclass
 class RunResult:
     state: SystemState
-    report: DiagnosticsReport
     shortened_last_step: bool
 
 
@@ -360,18 +362,16 @@ def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
     """March the semi-implicit scheme to the horizon, emitting diagnostics every step.
 
     `on_step(step_index, before, after, records)`, when given, fires after
-    each step with the diagnostics rows of that step. `on_snapshot(step_index,
+    each step with the diagnostics rows of that step; `run` keeps no rows, so
+    a caller that wants them collects them there. `on_snapshot(step_index,
     state)`, when given, fires at step 0, every `output_stride` steps, and at
     the final step.
     """
     n_steps, last_step = plan_steps(cfg.tau, cfg.horizon)
-    report = DiagnosticsReport()
 
     def after_step(k, before, after, infos):
-        records = diagnostics.step_records(k, before, after, infos)
-        report.rows.extend(records)
         if on_step is not None:
-            on_step(k, before, after, records)
+            on_step(k, before, after, diagnostics.step_records(k, before, after, infos))
         if on_snapshot is not None and (k % cfg.output_stride == 0 or k == n_steps):
             on_snapshot(k, after)
 
@@ -383,7 +383,7 @@ def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
 
     # passed straight through, so no local keeps the initial state alive
     state = march(start(), cfg, lambda s, dt: step_with_info(s, m, cfg, tau=dt), after_step)
-    return RunResult(state, report, last_step != cfg.tau)
+    return RunResult(state, last_step != cfg.tau)
 
 
 def w_increment_residual(

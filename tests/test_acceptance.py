@@ -15,7 +15,7 @@ import relaxdiff as rd
 from relaxdiff import cli
 from relaxdiff.fixedpoint import picard_step_with_info
 
-from conftest import dense_laplacian, dense_replay, make_grid_1d, make_grid_2d
+from conftest import dense_laplacian, dense_replay, make_grid_1d, make_grid_2d, run_with_rows
 from test_stepper import deflated_power_lambda1
 
 MASS_TOL = 1e-10
@@ -64,18 +64,18 @@ def reference_runs():
         model = reference_model(grid)
         cfg = rd.SchemeConfig(tau=1e-2, horizon=1.0)
         start = time.perf_counter()
-        result = rd.run(model, cfg)
+        _, rows = run_with_rows(model, cfg)
         elapsed = time.perf_counter() - start
-        runs[label] = (model, result, elapsed)
+        runs[label] = (model, rows, elapsed)
     return runs
 
 
 @criterion(1, "mass conserved to 1e-10 per step and species (1D and 2D), under 10 s")
 def test_mass_conservation(reference_runs):
-    for label, (model, result, elapsed) in reference_runs.items():
+    for label, (model, rows, elapsed) in reference_runs.items():
         g = model.grid
         initial = [rd.integrate(g, f) for f in model.initial_data]
-        for row in result.report.rows:
+        for row in rows:
             ref = initial[row.species - 1]
             assert abs(row.mass_u - ref) <= MASS_TOL * ref, (label, row.step, row.species)
             assert abs(row.mass_utilde - row.mass_u) <= MASS_TOL * ref
@@ -84,9 +84,9 @@ def test_mass_conservation(reference_runs):
 
 @criterion(2, "densities and their regularizations never drop below -1e-9")
 def test_nonnegativity(reference_runs):
-    for label, (model, result, _) in reference_runs.items():
-        worst_u = min(row.min_u for row in result.report.rows)
-        worst_ut = min(row.min_utilde for row in result.report.rows)
+    for label, (model, rows, _) in reference_runs.items():
+        worst_u = min(row.min_u for row in rows)
+        worst_ut = min(row.min_utilde for row in rows)
         assert worst_u >= -POS_TOL, (label, worst_u)
         assert worst_ut >= -POS_TOL, (label, worst_ut)
         touched = min(float(np.min(f.values)) for f in model.initial_data)
@@ -95,8 +95,8 @@ def test_nonnegativity(reference_runs):
 
 @criterion(3, "running w field is nondecreasing to -1e-9 componentwise")
 def test_monotone_w(reference_runs):
-    for label, (_, result, _) in reference_runs.items():
-        worst = min(row.w_min_increment for row in result.report.rows)
+    for label, (_, rows, _) in reference_runs.items():
+        worst = min(row.w_min_increment for row in rows)
         assert worst >= -MONO_TOL, (label, worst)
 
 
@@ -281,11 +281,10 @@ def test_heat_decay_rate():
         initial_data=(rd.Field(g, 1.0 + 0.5 * np.cos(np.pi * x)),),
     )
     cfg = rd.SchemeConfig(tau=1e-3, horizon=0.4)
-    result = rd.run(model, cfg)
+    _, rows = run_with_rows(model, cfg)
     mean = rd.integrate(g, model.initial_data[0])  # unit measure
-    times = [row.time for row in result.report.rows]
-    norms = [max(abs(row.max_u - mean), abs(row.min_u - mean))
-             for row in result.report.rows]
+    times = [row.time for row in rows]
+    norms = [max(abs(row.max_u - mean), abs(row.min_u - mean)) for row in rows]
     rate = -np.polyfit(times, np.log(norms), 1)[0]
     lam1 = deflated_power_lambda1(dense_laplacian(g))
     assert abs(rate - d * lam1) <= 0.05 * d * lam1, (rate, d * lam1)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff import cli, diagnostics, stepper
+from relaxdiff import cli, config, diagnostics, stepper
 
 from conftest import dense_replay
 
@@ -191,6 +192,39 @@ def test_seed_override_changes_random_data(tmp_path):
     assert (a / "diagnostics.csv").read_bytes() != (b / "diagnostics.csv").read_bytes()
 
 
+def test_a_run_builds_its_model_once(tmp_path, monkeypatch):
+    # one build_initial call per species: the parsed config carries the model
+    # its mode runs, and an override builds it again under the seed that runs
+    path, _ = write_cfg(tmp_path)
+    calls = []
+    build_initial = config.build_initial
+    monkeypatch.setattr(config, "build_initial",
+                        lambda *args: calls.append(args) or build_initial(*args))
+    assert cli.run_simulate(rd.parse_config(path.read_text())) == 0
+    assert len(calls) == 2
+    for extra, builds in (([], 2), (["--seed", "5"], 4),
+                          (["--output-dir", str(tmp_path / "other")], 4)):
+        calls.clear()
+        assert cli.main(["simulate", "--config", str(path), *extra]) == 0
+        assert len(calls) == builds, extra
+
+
+def test_run_config_is_frozen_and_carries_the_model_of_its_seed(tmp_path):
+    path, _ = write_cfg(tmp_path)
+    cfg = rd.parse_config(path.read_text().replace(*RANDOM_INIT))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 3
+    # nor can the recipes the model was built from change under it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.species[0].init = "constant:2.0"
+    reseeded = dataclasses.replace(cfg, seed=cfg.seed + 1)
+    assert reseeded.seed == cfg.seed + 1
+    first = cfg.model.initial_data[0].values
+    assert not np.array_equal(reseeded.model.initial_data[0].values, first)
+    assert np.array_equal(reseeded.model.initial_data[0].values,
+                          reseeded.build_model().initial_data[0].values)
+
+
 def test_converge_heat_reduction_first_order(tmp_path):
     path, outdir = write_cfg(tmp_path, mode="converge", tau=0.02, T=0.1)
     single = path.read_text().replace("d_1 = 0.0\nd_2 = 1.0", "d_1 = 0.0")
@@ -275,6 +309,8 @@ REJECTED_EDITS = {
     "output_dir_is_a_file": ([], ["--output-dir", "{text_file}"]),
     # no residual can fall below float64 rounding, so no solve could reach it
     "linear_tol_below_epsilon": ([("tau = 0.02", "tau = 0.02\nlinear_tol = 1e-300")], []),
+    # the stopping rule accepts x = 0 at any tolerance of 1 or more: nothing would move
+    "linear_tol_one": ([("tau = 0.02", "tau = 0.02\nlinear_tol = 1.0")], []),
     "subnormal_init": ([("init = cosine:0.5,1.0", "init = constant:5e-324")], []),
     # 1 / h^2 is not a finite float: h^2 underflows to zero, or to a subnormal
     "h1_tiny": ([("h1 = 0.0625", "h1 = 1e-300")], []),

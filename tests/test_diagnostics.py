@@ -8,7 +8,7 @@ import relaxdiff as rd
 from relaxdiff.diagnostics import CSV_HEADER, step_records
 from relaxdiff.stepper import step_with_info
 
-from conftest import cosine_profile, make_grid_1d, two_species_model
+from conftest import cosine_profile, make_grid_1d, run_with_rows, two_species_model
 
 
 def run_one_step(m, cfg):
@@ -134,17 +134,18 @@ def test_step_records_shape_and_header():
     records = step_records(1, before, after, infos)
     assert len(records) == 2
     assert [r.species for r in records] == [1, 2]
-    report = rd.DiagnosticsReport(rows=records)
-    csv = report.to_csv()
-    assert csv.splitlines()[0] == CSV_HEADER
-    assert len(csv.splitlines()) == 3
+    lines = [CSV_HEADER] + [r.to_csv_row() for r in records]
+    assert lines[0].startswith("step,time,species,")
+    assert [line.count(",") for line in lines] == [CSV_HEADER.count(",")] * 3
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["1", repr(after.time), "1"], ["1", repr(after.time), "2"]]
 
 
 def test_diagnostics_rows_ordered_by_time():
     g = make_grid_1d(8)
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.1)
-    rows = rd.run(m, cfg).report.rows
+    _, rows = run_with_rows(m, cfg)
     times = [r.time for r in rows]
     assert times == sorted(times)
     pairs = {(r.step, r.species) for r in rows}

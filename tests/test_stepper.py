@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from conftest import (
     lipschitz_cross_model,
     make_grid_1d,
     make_grid_2d,
+    run_with_rows,
     two_species_model,
 )
 
@@ -210,8 +213,8 @@ def test_run_step_count_and_final_time():
     m = heat_model(g)
     tau = 0.1
     cfg = rd.SchemeConfig(tau=tau, horizon=3 * tau)
-    result = rd.run(m, cfg)
-    steps = {r.step for r in result.report.rows}
+    result, rows = run_with_rows(m, cfg)
+    steps = {r.step for r in rows}
     assert steps == {1, 2, 3}
     assert abs(result.state.time - 3 * tau) <= 1e-12
     assert not result.shortened_last_step
@@ -221,9 +224,9 @@ def test_run_shortened_last_step():
     g = make_grid_1d(8)
     m = heat_model(g)
     cfg = rd.SchemeConfig(tau=0.4, horizon=1.0)
-    result = rd.run(m, cfg)
+    result, rows = run_with_rows(m, cfg)
     assert result.shortened_last_step
-    assert len({r.step for r in result.report.rows}) == 3
+    assert len({r.step for r in rows}) == 3
     assert result.state.time == 1.0
     assert abs(rd.integrate(g, result.state.u[0])
                - rd.integrate(g, m.initial_data[0])) <= 1e-12
@@ -243,11 +246,34 @@ def test_run_callbacks_see_every_step_and_each_snapshot_step():
     result = rd.run(m, cfg, on_step=on_step,
                     on_snapshot=lambda k, state: snapshots.append((k, state)))
     assert steps == [1, 2, 3, 4]
-    assert records == result.report.rows
+    assert [(r.step, r.species) for r in records] == [(k, 1) for k in (1, 2, 3, 4)]
+    assert [r.time for r in records] == [cfg.tau, 2 * cfg.tau, 3 * cfg.tau, 1.0]
     assert [k for k, _ in snapshots] == [0, 3, 4]
     assert snapshots[0][1].time == 0.0
     assert snapshots[-1][1] is result.state and result.state.time == 1.0
     assert result.shortened_last_step
+
+
+def test_run_keeps_nothing_per_step():
+    # run hands each step's rows to on_step and keeps none, so what it holds
+    # after 1,600 steps is what it held after 400; tracing starts at step 400,
+    # because it slows every allocation about fourfold
+    m = two_species_model(make_grid_1d(16))
+    tau = 1 / 1024
+    cfg = rd.SchemeConfig(tau=tau, horizon=1600 * tau)
+    held = {}
+
+    def on_step(k, before, after, records):
+        if k == 400:
+            tracemalloc.start()
+        if k in (400, 1600):
+            held[k] = tracemalloc.get_traced_memory()[0]
+
+    try:
+        rd.run(m, cfg, on_step=on_step)
+    finally:
+        tracemalloc.stop()
+    assert abs(held[1600] - held[400]) <= 0.1e6, held
 
 
 def test_run_constant_data_rows_identical():
@@ -258,7 +284,7 @@ def test_run_constant_data_rows_identical():
         initial_data=(rd.Field.constant(g, 2.0),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.5)
-    rows = rd.run(m, cfg).report.rows
+    _, rows = run_with_rows(m, cfg)
     masses = {(r.mass_u, r.mass_utilde, r.min_u, r.max_u) for r in rows}
     assert len(masses) == 1
 
@@ -269,10 +295,10 @@ def test_run_heat_decay_rate_matches_first_eigenvalue():
     d = 1.0
     m = heat_model(g, d=d)
     cfg = rd.SchemeConfig(tau=1e-3, horizon=0.4)
-    result = rd.run(m, cfg)
+    _, rows = run_with_rows(m, cfg)
     mean = rd.integrate(g, m.initial_data[0])  # domain has measure one
     times, norms = [], []
-    for r in result.report.rows:
+    for r in rows:
         times.append(r.time)
         norms.append(max(abs(r.max_u - mean), abs(r.min_u - mean)))
     rate = -np.polyfit(times, np.log(norms), 1)[0]
@@ -330,12 +356,12 @@ def test_step_concurrency_bit_identical():
         m = two_species_model(g)
         serial = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=1)
         threaded = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=4)
-        res_a = rd.run(m, serial)
-        res_b = rd.run(m, threaded)
+        res_a, rows_a = run_with_rows(m, serial)
+        res_b, rows_b = run_with_rows(m, threaded)
         for i in range(2):
             assert np.array_equal(res_a.state.u[i].values, res_b.state.u[i].values)
             assert np.array_equal(res_a.state.w[i].values, res_b.state.w[i].values)
-        assert res_a.report.to_csv() == res_b.report.to_csv()
+        assert [r.to_csv_row() for r in rows_a] == [r.to_csv_row() for r in rows_b]
     # a Picard step does not use workers: its sweeps run the species one after
     # another, and the result does not depend on the setting
     g = make_grid_2d(48, 40, (1.0, 0.8))
