@@ -44,7 +44,6 @@ from .snapshots import parse_snapshot, read_snapshot, write_snapshot
 from .sparse import SolverReport, cg_solve
 from .stepper import (
     BoundFit,
-    RunResult,
     SchemeConfig,
     SystemState,
     fit_linear_bound,
@@ -75,7 +74,6 @@ __all__ = [
     "PicardConvergenceError",
     "RelaxdiffError",
     "RunConfig",
-    "RunResult",
     "SchemeConfig",
     "SktCoefficients",
     "SolverReport",

@@ -30,8 +30,10 @@ configure.
 
 A `RunConfig` is frozen and carries its validated model: the initial data
 are built from the init recipes and the model is checked once, when the
-config is made. A changed config (`dataclasses.replace`, say with another
-seed) builds and validates its own model.
+config is made. `parse_config` takes the command line's seed and output
+directory, so the one model it builds is the one of the seed that runs. A
+changed config (`dataclasses.replace`, say with another seed) builds and
+validates its own model.
 """
 
 from __future__ import annotations
@@ -262,8 +264,13 @@ def _require(name: str, values: dict, *keys: str) -> None:
         raise ConfigError(f"[{name}] requires {' and '.join(missing)}")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration; raises ConfigError on any defect."""
+def parse_config(text: str, *, seed: int | None = None,
+                 output_dir: str | None = None) -> RunConfig:
+    """Parse and validate a configuration; raises ConfigError on any defect.
+
+    `seed` and `output_dir`, when given, replace the [run] values before the
+    config, and with it the model, is built.
+    """
     sections = _parse_sections(text)
     for name in ("grid", "scheme", "run"):
         if name not in sections:
@@ -331,5 +338,9 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[picard]: {exc}") from exc
 
-    return RunConfig(grid, tuple(species), scheme, picard, a_max=a_max,
-                     **_section("run", sections["run"], _RUN))
+    run_values = _section("run", sections["run"], _RUN)
+    if seed is not None:
+        run_values["seed"] = seed
+    if output_dir is not None:
+        run_values["output_dir"] = output_dir
+    return RunConfig(grid, tuple(species), scheme, picard, a_max=a_max, **run_values)

@@ -37,7 +37,7 @@ from .stepper import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PicardConfig:
     """Stopping rule for the coefficient-freezing sweep loop."""
 

@@ -37,10 +37,6 @@ class SktCoefficients:
         # r^p is locally Lipschitz on [0, inf) exactly when p >= 1
         return self.power >= 1.0 or all(c == 0.0 for c in self.couplings)
 
-    def evaluate(self, r: np.ndarray) -> float:
-        r = np.asarray(r, dtype=np.float64)
-        return float(self.base + np.dot(self.couplings, np.power(r, self.power)))
-
     def evaluate_many(self, R: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; R has shape (n_species, n_cells)."""
         powered = np.power(R, self.power) if self.power != 1.0 else R
@@ -59,24 +55,26 @@ class TabulatedCoefficients:
     lower_bound: float
     lipschitz: bool = False
 
-    def evaluate(self, r: np.ndarray) -> float:
-        return float(self.func(np.asarray(r, dtype=np.float64)))
-
     def evaluate_many(self, R: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(R[:, j]) for j in range(R.shape[1])])
+        """One call of `func` per column of R, which has shape (n_species, n_points)."""
+        return np.array([float(self.func(R[:, j])) for j in range(R.shape[1])])
 
 
 CoefficientSpec = Union[SktCoefficients, TabulatedCoefficients]
 
 
 def eval_coefficient(spec: CoefficientSpec, r: Sequence[float]) -> float:
-    """Evaluate one species' coefficient at a nonnegative density vector."""
+    """Evaluate one species' coefficient at a nonnegative density vector.
+
+    The value is the one `coefficient_fields` gives the scheme at a cell
+    holding `r`, bit for bit: both evaluate the spec's `evaluate_many`.
+    """
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("coefficient argument must be componentwise nonnegative")
     if not np.all(np.isfinite(r)):
         raise ValueError("coefficient argument must be finite")
-    return spec.evaluate(r)
+    return float(spec.evaluate_many(r[:, None])[0])
 
 
 _LATTICE_POINTS = 33  # samples per axis when a tabulated coefficient is maximized
@@ -96,8 +94,8 @@ def truncation_bound(specs: Sequence[CoefficientSpec], k: float) -> float:
     lattice = None
     for spec in specs:
         if isinstance(spec, SktCoefficients):
-            corner = np.full(n_species, float(k))
-            best = max(best, spec.evaluate(corner))
+            corner = np.full((n_species, 1), float(k))
+            best = max(best, float(spec.evaluate_many(corner)[0]))
         else:
             if lattice is None:
                 axes = [np.linspace(0.0, k, _LATTICE_POINTS)] * n_species
@@ -107,7 +105,7 @@ def truncation_bound(specs: Sequence[CoefficientSpec], k: float) -> float:
     return best
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """Everything that defines one simulation problem except the time scheme.
 
@@ -124,9 +122,9 @@ class ModelSpec:
     a_max: float | None = None
 
     def __post_init__(self):
-        self.delta = tuple(float(d) for d in self.delta)
-        self.coefficients = tuple(self.coefficients)
-        self.initial_data = tuple(self.initial_data)
+        object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        object.__setattr__(self, "initial_data", tuple(self.initial_data))
 
     @property
     def n_species(self) -> int:
@@ -225,8 +223,7 @@ def _validate_coefficients(
     # trust but spot-check the declared bound on sampled inputs
     rng = np.random.default_rng([_SPOT_CHECK_SEED, species])
     samples = rng.uniform(0.0, 10.0, size=(_SPOT_CHECK_SAMPLES, n_species))
-    for r in samples:
-        value = spec.evaluate(r)
+    for r, value in zip(samples, spec.evaluate_many(samples.T)):
         if not np.isfinite(value):
             out.append(
                 Violation("coefficient must be finite", species=species, detail=f"r={r}")

@@ -21,7 +21,6 @@ class SolverReport:
     iterations: int
     residual_norm: float
     converged: bool
-    tolerance_used: float
 
 
 def cg_solve(
@@ -65,8 +64,7 @@ def cg_solve(
         raise LinearSolverError("conjugate-gradient breakdown at iteration 1 (non-finite values)")
     x = None if x0 is None or peak == 0.0 else np.ldexp(x0, -exponent)
     x, iterations, res, converged = _pcg(A, np.ldexp(b, -exponent), x, peak, tol, max_iter)
-    return np.ldexp(x, exponent), SolverReport(
-        iterations, math.ldexp(res, exponent), converged, tol)
+    return np.ldexp(x, exponent), SolverReport(iterations, math.ldexp(res, exponent), converged)
 
 
 def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,

@@ -59,7 +59,7 @@ from .model import ModelSpec, coefficient_fields
 from .sparse import SolverReport, cg_solve
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
     """Time-scheme parameters shared by every run mode."""
 
@@ -333,12 +333,6 @@ def plan_steps(tau: float, horizon: float) -> tuple[int, float]:
     return max(n_full, 1), tau
 
 
-@dataclass
-class RunResult:
-    state: SystemState
-    shortened_last_step: bool
-
-
 def march(state: SystemState, cfg: SchemeConfig, advance: Callable,
           on_step: Callable | None) -> SystemState:
     """The time loop of every run mode: step `state` to cfg.horizon.
@@ -358,8 +352,8 @@ def march(state: SystemState, cfg: SchemeConfig, advance: Callable,
 
 
 def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
-        on_snapshot: Callable | None = None) -> RunResult:
-    """March the semi-implicit scheme to the horizon, emitting diagnostics every step.
+        on_snapshot: Callable | None = None) -> SystemState:
+    """March the semi-implicit scheme to the horizon and return the final state.
 
     `on_step(step_index, before, after, records)`, when given, fires after
     each step with the diagnostics rows of that step; `run` keeps no rows, so
@@ -367,7 +361,7 @@ def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
     state)`, when given, fires at step 0, every `output_stride` steps, and at
     the final step.
     """
-    n_steps, last_step = plan_steps(cfg.tau, cfg.horizon)
+    n_steps, _ = plan_steps(cfg.tau, cfg.horizon)
 
     def after_step(k, before, after, infos):
         if on_step is not None:
@@ -382,8 +376,7 @@ def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
         return state
 
     # passed straight through, so no local keeps the initial state alive
-    state = march(start(), cfg, lambda s, dt: step_with_info(s, m, cfg, tau=dt), after_step)
-    return RunResult(state, last_step != cfg.tau)
+    return march(start(), cfg, lambda s, dt: step_with_info(s, m, cfg, tau=dt), after_step)
 
 
 def w_increment_residual(

@@ -49,10 +49,10 @@ def lipschitz_cross_model(grid, base=0.05, coupling=1.0, delta=0.01, amplitude=0
 
 
 def run_with_rows(model, cfg):
-    """`rd.run` and the diagnostics rows of every step, collected through `on_step`."""
+    """`rd.run`'s final state and every step's diagnostics rows, collected in `on_step`."""
     rows = []
-    result = rd.run(model, cfg, on_step=lambda k, before, after, records: rows.extend(records))
-    return result, rows
+    state = rd.run(model, cfg, on_step=lambda k, before, after, records: rows.extend(records))
+    return state, rows
 
 
 def dense_laplacian(grid):

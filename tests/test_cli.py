@@ -73,13 +73,13 @@ def test_final_snapshot_is_the_run_state_bit_for_bit(tmp_path):
     path, _ = write_cfg(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == 0
     cfg = rd.parse_config(path.read_text())
-    result = stepper.run(cfg.build_model(), cfg.scheme)
+    state = stepper.run(cfg.build_model(), cfg.scheme)
     out = tmp_path / "out"
     last = (out / "diagnostics.csv").read_text().splitlines()[-2:]
     k = int(last[0].split(",")[0])
     grid, fields, time = rd.read_snapshot(out / f"snap_{k}.fld")
-    assert grid == result.state.grid and time == result.state.time
-    assert [f.values.tobytes() for f in fields] == [f.values.tobytes() for f in result.state.u]
+    assert grid == state.grid and time == state.time
+    assert [f.values.tobytes() for f in fields] == [f.values.tobytes() for f in state.u]
     assert [diagnostics.format_number(rd.integrate(grid, f)) for f in fields] == \
         [row.split(",")[3] for row in last]
 
@@ -194,7 +194,7 @@ def test_seed_override_changes_random_data(tmp_path):
 
 def test_a_run_builds_its_model_once(tmp_path, monkeypatch):
     # one build_initial call per species: the parsed config carries the model
-    # its mode runs, and an override builds it again under the seed that runs
+    # its mode runs, built under the overrides, which parse_config applies first
     path, _ = write_cfg(tmp_path)
     calls = []
     build_initial = config.build_initial
@@ -202,11 +202,15 @@ def test_a_run_builds_its_model_once(tmp_path, monkeypatch):
                         lambda *args: calls.append(args) or build_initial(*args))
     assert cli.run_simulate(rd.parse_config(path.read_text())) == 0
     assert len(calls) == 2
-    for extra, builds in (([], 2), (["--seed", "5"], 4),
-                          (["--output-dir", str(tmp_path / "other")], 4)):
+    for extra in ([], ["--seed", "5"], ["--output-dir", str(tmp_path / "other")]):
         calls.clear()
         assert cli.main(["simulate", "--config", str(path), *extra]) == 0
-        assert len(calls) == builds, extra
+        assert len(calls) == 2, extra
+        assert {seed for _, _, seed, _ in calls} == {5 if extra[:1] == ["--seed"] else 0}
+    # so only the seed that runs is validated: the file's own seed is never built
+    path.write_text(path.read_text().replace(*RANDOM_INIT)
+                    .replace("mode = simulate", "mode = simulate\nseed = -1"))
+    assert cli.main(["simulate", "--config", str(path), "--seed", "5"]) == 0
 
 
 def test_run_config_is_frozen_and_carries_the_model_of_its_seed(tmp_path):
@@ -217,6 +221,11 @@ def test_run_config_is_frozen_and_carries_the_model_of_its_seed(tmp_path):
     # nor can the recipes the model was built from change under it
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.species[0].init = "constant:2.0"
+    # nor can a field skip the check its constructor made
+    for part, name, value in ((cfg.scheme, "linear_tol", 5.0), (cfg.picard, "max_sweeps", 0),
+                              (cfg.model, "a_max", -1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, name, value)
     reseeded = dataclasses.replace(cfg, seed=cfg.seed + 1)
     assert reseeded.seed == cfg.seed + 1
     first = cfg.model.initial_data[0].values
@@ -237,6 +246,15 @@ def test_converge_heat_reduction_first_order(tmp_path):
     fit_line = [l for l in content.splitlines() if l.startswith("tau_fit")][0]
     order = float(fit_line.split(",")[-1])
     assert 0.8 <= order <= 1.3
+
+
+def test_converge_needs_two_halvings(tmp_path, capsys):
+    # one halving gives one difference, which fits no order
+    path, _ = write_cfg(tmp_path, mode="converge", extra="halvings = 1\n")
+    assert cli.main(["converge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [run] halvings must be at least 2 for converge\n")
+    assert not (tmp_path / "out" / "converge.csv").exists()
 
 
 def test_converge_steady_state_degenerate(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,8 +112,7 @@ def test_validate_model_spot_checks_tabulated_bound():
 
 
 def test_validate_model_flags_a_max_below_bound():
-    m = two_species_model(make_grid_1d(8))
-    m.a_max = 0.01
+    m = dataclasses.replace(two_species_model(make_grid_1d(8)), a_max=0.01)
     assert any("a_max" in v.condition for v in rd.validate_model(m))
 
 

@@ -70,8 +70,7 @@ def test_random_models_keep_the_guarantees(m, tau):
 
     again, again_rows = run_with_rows(m, cfg)
     assert [r.to_csv_row() for r in again_rows] == [r.to_csv_row() for r in first_rows]
-    for a, b in zip(first.state.u + first.state.u_tilde + first.state.w,
-                    again.state.u + again.state.u_tilde + again.state.w):
+    for a, b in zip(first.u + first.u_tilde + first.w, again.u + again.u_tilde + again.w):
         assert a.values.tobytes() == b.values.tobytes()
 
 
@@ -103,6 +102,34 @@ def test_random_picard_steps_are_guaranteed_fixed_points(m, tau):
     moved = np.linalg.norm(np.concatenate([a.values - b.values for a, b in zip(again, new.u)]))
     size = np.linalg.norm(np.concatenate([f.values for f in new.u]))
     assert moved <= (p.sweep_tol + 10 * LINEAR_TOL) * size
+
+
+@st.composite
+def skt_specs_and_densities(draw):
+    """Two or three polynomial coefficients (couplings in [0, 2], p in
+    {1, 1.5, 2}) and 1..8 nonnegative density vectors, one per column."""
+    n = draw(st.integers(2, 3))
+    specs = tuple(rd.SktCoefficients(draw(st.floats(0.01, 1.0)),
+                                     tuple(draw(st.floats(0.0, 2.0)) for _ in range(n)),
+                                     draw(st.sampled_from((1.0, 1.5, 2.0))))
+                  for _ in range(n))
+    columns = draw(st.lists(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n),
+                            min_size=1, max_size=8))
+    return specs, np.array(columns).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(skt_specs_and_densities())
+def test_eval_coefficient_is_the_value_the_scheme_uses(specs_and_densities):
+    # eval_coefficient at a density vector r gives, bit for bit, the value
+    # coefficient_fields gives a cell whose regularized densities are r
+    specs, R = specs_and_densities
+    grid = rd.Grid((R.shape[1],), (1.0 / R.shape[1],))
+    fields = tuple(rd.Field(grid, row) for row in R)
+    m = rd.ModelSpec(delta=(0.1,) * len(specs), coefficients=specs, initial_data=fields)
+    A, _ = coefficient_fields(m, fields, range(len(specs)))
+    for spec, values in zip(specs, A):
+        assert [rd.eval_coefficient(spec, r) for r in R.T] == values.tolist()
 
 
 def test_subnormal_initial_data_is_rejected():

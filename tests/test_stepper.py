@@ -6,7 +6,7 @@ import pytest
 import relaxdiff as rd
 from relaxdiff.errors import LinearSolverError
 from relaxdiff.fixedpoint import picard_step_with_info
-from relaxdiff.stepper import _solve_implicit, _solve_regularize
+from relaxdiff.stepper import _solve_implicit, _solve_regularize, plan_steps
 
 from conftest import (
     cosine_profile,
@@ -199,7 +199,7 @@ def test_step_first_order_in_tau():
     finals = []
     for k in range(4):
         cfg = rd.SchemeConfig(tau=0.02 / 2**k, horizon=horizon, linear_tol=1e-12)
-        finals.append(rd.run(m, cfg).state)
+        finals.append(rd.run(m, cfg))
     diffs = [
         max(np.max(np.abs(a.u[i].values - b.u[i].values)) for i in range(2))
         for a, b in zip(finals, finals[1:])
@@ -213,22 +213,22 @@ def test_run_step_count_and_final_time():
     m = heat_model(g)
     tau = 0.1
     cfg = rd.SchemeConfig(tau=tau, horizon=3 * tau)
-    result, rows = run_with_rows(m, cfg)
+    state, rows = run_with_rows(m, cfg)
     steps = {r.step for r in rows}
     assert steps == {1, 2, 3}
-    assert abs(result.state.time - 3 * tau) <= 1e-12
-    assert not result.shortened_last_step
+    assert abs(state.time - 3 * tau) <= 1e-12
+    assert plan_steps(cfg.tau, cfg.horizon) == (3, tau)
 
 
 def test_run_shortened_last_step():
     g = make_grid_1d(8)
     m = heat_model(g)
     cfg = rd.SchemeConfig(tau=0.4, horizon=1.0)
-    result, rows = run_with_rows(m, cfg)
-    assert result.shortened_last_step
+    state, rows = run_with_rows(m, cfg)
+    assert plan_steps(cfg.tau, cfg.horizon)[1] != cfg.tau
     assert len({r.step for r in rows}) == 3
-    assert result.state.time == 1.0
-    assert abs(rd.integrate(g, result.state.u[0])
+    assert state.time == 1.0
+    assert abs(rd.integrate(g, state.u[0])
                - rd.integrate(g, m.initial_data[0])) <= 1e-12
 
 
@@ -243,15 +243,15 @@ def test_run_callbacks_see_every_step_and_each_snapshot_step():
         steps.append(k)
         records.extend(rows)
 
-    result = rd.run(m, cfg, on_step=on_step,
-                    on_snapshot=lambda k, state: snapshots.append((k, state)))
+    final = rd.run(m, cfg, on_step=on_step,
+                   on_snapshot=lambda k, state: snapshots.append((k, state)))
     assert steps == [1, 2, 3, 4]
     assert [(r.step, r.species) for r in records] == [(k, 1) for k in (1, 2, 3, 4)]
     assert [r.time for r in records] == [cfg.tau, 2 * cfg.tau, 3 * cfg.tau, 1.0]
     assert [k for k, _ in snapshots] == [0, 3, 4]
     assert snapshots[0][1].time == 0.0
-    assert snapshots[-1][1] is result.state and result.state.time == 1.0
-    assert result.shortened_last_step
+    assert snapshots[-1][1] is final and final.time == 1.0
+    assert plan_steps(cfg.tau, cfg.horizon)[1] != cfg.tau
 
 
 def test_run_keeps_nothing_per_step():
@@ -356,11 +356,11 @@ def test_step_concurrency_bit_identical():
         m = two_species_model(g)
         serial = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=1)
         threaded = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=4)
-        res_a, rows_a = run_with_rows(m, serial)
-        res_b, rows_b = run_with_rows(m, threaded)
+        state_a, rows_a = run_with_rows(m, serial)
+        state_b, rows_b = run_with_rows(m, threaded)
         for i in range(2):
-            assert np.array_equal(res_a.state.u[i].values, res_b.state.u[i].values)
-            assert np.array_equal(res_a.state.w[i].values, res_b.state.w[i].values)
+            assert np.array_equal(state_a.u[i].values, state_b.u[i].values)
+            assert np.array_equal(state_a.w[i].values, state_b.w[i].values)
         assert [r.to_csv_row() for r in rows_a] == [r.to_csv_row() for r in rows_b]
     # a Picard step does not use workers: its sweeps run the species one after
     # another, and the result does not depend on the setting
