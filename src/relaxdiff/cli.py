@@ -17,6 +17,7 @@ overrides, so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -63,7 +64,7 @@ def run_simulate(cfg: RunConfig) -> int:
                                      + "; ".join(str(v) for v in violations))
 
         def on_snapshot(k, state):
-            write_snapshot(outdir / f"snap_{k}.fld", g, list(state.u), state.time)
+            write_snapshot(outdir / f"snap_{k}.fld", list(state.u), state.time)
 
         stepper.run(model, cfg.scheme, on_step=on_step, on_snapshot=on_snapshot)
 
@@ -96,6 +97,18 @@ def _fit_order(lines: list[str], study: str, label: str, diffs: list[float],
     return False
 
 
+def _check_finest_step(cfg: RunConfig) -> None:
+    """Reject a refinement study whose finest step tau / 2^halvings is invalid.
+
+    1 / tau and horizon / tau only grow as tau halves, so that level binds.
+    """
+    try:
+        replace(cfg.scheme, tau=math.ldexp(cfg.scheme.tau, -cfg.halvings))
+    except ValueError as exc:
+        raise ConfigError(f"[run] halvings = {cfg.halvings} makes the finest step "
+                          f"invalid: {exc}") from exc
+
+
 _DEGENERATE_FLOOR = 1e-13
 
 
@@ -103,6 +116,7 @@ def run_converge(cfg: RunConfig) -> int:
     """Refinement study; exits 0 when the fitted orders are in the expected bands."""
     if cfg.halvings < 2:  # one difference fits no order, so nothing would be checked
         raise ConfigError("[run] halvings must be at least 2 for converge")
+    _check_finest_step(cfg)
     lines = ["study,level,step,diff_inf,order_estimate"]
     ok = True
 
@@ -151,6 +165,7 @@ def run_cross_validate(cfg: RunConfig) -> int:
             "cross-validate requires locally Lipschitz coefficients "
             "(polynomial family: p >= 1); this model is not flagged as such"
         )
+    _check_finest_step(cfg)
     outdir = _output_dir(cfg)
     report = fixedpoint.cross_validate(model, cfg.scheme, cfg.picard, cfg.halvings)
     lines = ["tau,discrepancy,sweeps"]
@@ -183,9 +198,8 @@ def run_invariants(cfg: RunConfig) -> int:
         def on_step(k, before, after, records):
             rows = invariant_rows(before, records, tolerances, initial_masses)
             if k % identity_stride == 0:
-                residual = w_increment_residual(
-                    model, before, after, tol=cfg.scheme.linear_tol,
-                    tau=after.time - before.time)
+                residual = w_increment_residual(model, before, after,
+                                                tol=cfg.scheme.linear_tol)
                 rows.append((0, "w_identity_residual", residual, 100 * cfg.scheme.linear_tol))
             for species, check, value, threshold in rows:
                 status = "pass" if value <= threshold else "fail"

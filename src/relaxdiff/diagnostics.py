@@ -185,28 +185,25 @@ def check_step(
 
 
 def energy_identity_residual(
-    trajectory: Sequence[Field],
-    A_nodes: Sequence[np.ndarray],
-    w0: Field,
-    tau: float,
+    trajectory: Sequence[Field], A_nodes: Sequence[np.ndarray], tau: float
 ) -> float:
     """Relative defect of the continuous-time energy balance on a slab run.
 
     The balance equates the coefficient-weighted space-time square of the
     trajectory plus half the squared gradient of the accumulated flux
-    potential with the pairing of the initial data against that potential.
-    The marching scheme satisfies it up to a positive O(tau) remainder, so
-    halving tau should roughly halve the returned value.
+    potential with the pairing of the initial data, `trajectory[0]`, against
+    that potential. The marching scheme satisfies it up to a positive O(tau)
+    remainder, so halving tau should roughly halve the returned value.
     """
-    g = w0.grid
     steps = len(trajectory) - 1
     if len(A_nodes) != steps:
         raise ValueError("one coefficient field per executed step required")
+    g = trajectory[0].grid
     meas = g.cell_measure
     lhs_bulk = 0.0
     rhs = 0.0
     S = np.zeros(g.n_cells)
-    w0v = w0.values
+    w0v = trajectory[0].values
     for n in range(steps):
         A = np.asarray(A_nodes[n], dtype=np.float64)
         w_next = trajectory[n + 1].values

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PicardConvergenceError
-from .grid import Field, Grid
+from .grid import Field
 from .model import ModelSpec, coefficient_fields
 from .stepper import (
     SchemeConfig,
@@ -52,7 +52,6 @@ class PicardConfig:
 
 
 def solve_frozen_slab(
-    g: Grid,
     A_nodes: Sequence[np.ndarray],
     w0: Field,
     tau: float,
@@ -60,15 +59,14 @@ def solve_frozen_slab(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> list[Field]:
-    """Time-march the linear problem with per-node frozen coefficients.
+    """Time-march the linear problem with per-node frozen coefficients on the grid of `w0`.
 
     Returns the whole trajectory [w0, w1, ..., wN] with one implicit
     diffusion solve per node; N = len(A_nodes).
     """
-    trajectory = [Field(g, w0.values)]
+    trajectory = [w0.copy()]
     for A in A_nodes:
-        trajectory.append(implicit_diffusion_step(g, trajectory[-1], Field(g, A), tau,
-                                                  tol, max_iter))
+        trajectory.append(implicit_diffusion_step(trajectory[-1], A, tau, tol, max_iter))
     return trajectory
 
 

@@ -123,9 +123,8 @@ class Grid:
         applies one shift on every iteration pays for it once. A constant
         field is in the kernel of L and comes back as values / c, bit for bit.
         """
-        bases, mu = self._cosine_axes()
-        # on the field's layout, grid axis k varies along array axis -1 - k
-        spectrum = c + s * functools.reduce(np.add.outer, mu[::-1])
+        bases, lam = _cosine_spectrum(self.cells, self.spacing)
+        spectrum = c + s * lam
 
         def divide(spectral: np.ndarray) -> None:
             spectral /= spectrum
@@ -138,51 +137,45 @@ class Grid:
 
         return solve
 
-    def coarse_corrected_solver(self, d: np.ndarray,
-                                c: float) -> Callable[[np.ndarray], np.ndarray]:
+    def coarse_corrected_solver(self, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """An SPD approximate solve of (diag(d) - L) x = values, exact on the lowest modes.
 
         In the cosine basis the lowest `COARSE_MODES_*` modes per axis are
         solved with the Galerkin block E = C_l diag(d) C_l^T + Lambda_l of the
         operator, and every other mode is divided by c + mu, as
-        `shifted_solver(c, 1)` does (Nicolaides, SIAM J. Numer. Anal. 24(2),
-        1987). A smooth `d` couples only the few lowest modes strongly, so
-        this is close to the exact inverse. E is factored as L L^T once here
-        and applied as W^T (W y) with W = L^{-1}, which is SPD whatever the
-        rounding in W. If E is singular to working precision or its
-        factorization fails, this is the plain shift.
+        `shifted_solver(c, 1)` does with c = sqrt(min d) sqrt(max d) (Nicolaides,
+        SIAM J. Numer. Anal. 24(2), 1987). A smooth `d` couples only the few
+        lowest modes strongly, so this is close to the exact inverse. E is
+        factored as L L^T once here and applied as W^T (W y) with W = L^{-1},
+        which is SPD whatever the rounding in W. A constant `d` (whose exact
+        inverse the shift is) or an E that is singular to working precision or
+        fails to factor gives the plain shift.
         """
         d = self._axes_view(d)
-        bases, mu = self._cosine_axes()
+        lo, hi = float(np.min(d)), float(np.max(d))
+        c = math.sqrt(lo) * math.sqrt(hi)
+        if lo == hi:
+            return self.shifted_solver(c, 1.0)
+        bases, lam = _cosine_spectrum(self.cells, self.spacing)
         m = COARSE_MODES_1D if self.ndim == 1 else COARSE_MODES_2D
-        coarse = tuple(min(n, m) for n in self.cells)
-        W = _coarse_inverse_factor(d, mu, coarse)
+        block = tuple(slice(0, min(n, m)) for n in self.cells[::-1])
+        low = lam[block]
+        W = _coarse_inverse_factor(d, low)
         if W is None:
             return self.shifted_solver(c, 1.0)
-        spectrum = c + functools.reduce(np.add.outer, mu[::-1])
-        block = tuple(slice(0, k) for k in coarse[::-1])
-        shape = coarse[::-1]
+        spectrum = c + lam
 
         def correct(spectral: np.ndarray) -> None:
             exact = W.T @ (W @ spectral[block].reshape(-1))
             spectral /= spectrum
-            spectral[block] = exact.reshape(shape)
+            spectral[block] = exact.reshape(low.shape)
 
         def solve(values: np.ndarray) -> np.ndarray:
             return self._in_cosine_basis(self._axes_view(values), bases, correct)
 
         return solve
 
-    def _cosine_axes(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Each axis' cosine basis and the eigenvalues mu of -L along it."""
-        bases, mu = [], []
-        for n, h in zip(self.cells, self.spacing):
-            C, sin2 = _cosine_basis(n)
-            bases.append(C)
-            mu.append(4.0 * sin2 / (h * h))
-        return bases, mu
-
-    def _in_cosine_basis(self, arr: np.ndarray, bases: list[np.ndarray],
+    def _in_cosine_basis(self, arr: np.ndarray, bases: tuple[np.ndarray, ...],
                          act: Callable[[np.ndarray], None]) -> np.ndarray:
         """Map a field to cosine coefficients, let `act` change them in place, map back."""
         if self.ndim == 1:
@@ -206,17 +199,17 @@ COARSE_MODES_1D = 16
 COARSE_MODES_2D = 12
 
 
-def _coarse_inverse_factor(d: np.ndarray, mu: list[np.ndarray],
-                           coarse: tuple[int, ...]) -> np.ndarray | None:
+def _coarse_inverse_factor(d: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
     """W = L^{-1} for the Cholesky factor L L^T of the coarse Galerkin block, or None.
 
-    `d` is the diagonal on the field's layout (grid axis k along array axis
-    -1 - k), `mu` the eigenvalues of -L along each grid axis and `coarse` the
-    number of modes kept per grid axis. The block is assembled one axis at a
-    time, by contracting `d` with that axis' `_basis_products`. Its rows are
-    the coarse cosine coefficients in the order of the field's layout.
+    `d` is the diagonal and `lam` the eigenvalues of -L on the coarse modes,
+    both on the field's layout (grid axis k along array axis -1 - k), so
+    `lam` has the shape of the coarse modes kept. The block is assembled one
+    axis at a time, by contracting `d` with that axis' `_basis_products`. Its
+    rows are the coarse cosine coefficients in the order of the field's layout.
     """
-    pairs = [_basis_products(lam.size, m) for lam, m in zip(mu, coarse)]
+    coarse = lam.shape[::-1]
+    pairs = [_basis_products(n, m) for n, m in zip(d.shape[::-1], coarse)]
     with np.errstate(over="ignore", invalid="ignore"):
         if len(coarse) == 1:
             (m1,) = coarse
@@ -225,8 +218,7 @@ def _coarse_inverse_factor(d: np.ndarray, mu: list[np.ndarray],
             m1, m2 = coarse
             E = (pairs[1] @ d @ pairs[0].T).reshape(m2, m2, m1, m1)
             E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
-    E.flat[::E.shape[0] + 1] += functools.reduce(
-        np.add.outer, [lam[:m] for lam, m in zip(mu, coarse)][::-1]).reshape(-1)
+    E.flat[::E.shape[0] + 1] += lam.reshape(-1)
     if not np.all(np.isfinite(E)):
         return None
     try:
@@ -275,6 +267,20 @@ def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     C.flags.writeable = False
     sin2.flags.writeable = False
     return C, sin2
+
+
+@functools.lru_cache(maxsize=8)
+def _cosine_spectrum(cells: tuple[int, ...], spacing: tuple[float, ...]) -> tuple:
+    """Each axis' cosine basis, and the eigenvalues of -L on the field's layout.
+
+    Entry (j, i) of the 2D table is mu2[j] + mu1[i], mu_k = 4 sin^2 / h_k^2
+    along grid axis k. Read-only, because every solver of the grid shares it.
+    """
+    bases = tuple(_cosine_basis(n)[0] for n in cells)
+    mu = [4.0 * _cosine_basis(n)[1] / (h * h) for n, h in zip(cells, spacing)]
+    lam = functools.reduce(np.add.outer, mu[::-1])  # grid axis k along array axis -1 - k
+    lam.flags.writeable = False
+    return bases, lam
 
 
 @functools.lru_cache(maxsize=8)
@@ -331,18 +337,13 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
-def _require_on_grid(g: Grid, f: Field) -> None:
-    if f.grid != g:
-        raise DimensionMismatchError("field does not live on this grid")
-
-
-def laplacian_apply(g: Grid, f: Field) -> Field:
-    """Zero-flux Laplacian of a field; returns a fresh field."""
-    _require_on_grid(g, f)
-    return Field(g, g.laplacian(f.values))
+def laplacian_apply(f: Field) -> Field:
+    """Zero-flux Laplacian of a field; returns a fresh field on its grid."""
+    return Field(f.grid, f.grid.laplacian(f.values))
 
 
 def integrate(g: Grid, f: Field) -> float:
     """Cell-measure weighted sum, the discrete integral over the domain."""
-    _require_on_grid(g, f)
+    if f.grid != g:
+        raise DimensionMismatchError("field does not live on this grid")
     return g.cell_measure * float(np.sum(f.values))

@@ -31,9 +31,11 @@ MAGIC = b"RELAXDIFF v2"
 _VALUE = np.dtype("<f8")
 
 
-def format_snapshot(grid: Grid, fields: list[Field], time: float) -> bytes:
+def format_snapshot(fields: list[Field], time: float) -> bytes:
+    """The snapshot of `fields`, all on the grid of the first, at `time`."""
     if not fields or not math.isfinite(time):
         raise ConfigError("a snapshot holds at least one species at a finite time")
+    grid = fields[0].grid
     header = [str(grid.ndim)]
     header += [str(n) for n in grid.cells]
     header += [repr(float(h)) for h in grid.spacing]
@@ -41,14 +43,14 @@ def format_snapshot(grid: Grid, fields: list[Field], time: float) -> bytes:
     parts = [MAGIC, b"\n", " ".join(header).encode("ascii"), b"\n"]
     for f in fields:
         if f.grid != grid:
-            raise ConfigError("snapshot fields must share the snapshot grid")
+            raise ConfigError("snapshot fields must share one grid")
         parts.append(f.values.astype(_VALUE).tobytes())
     return b"".join(parts)
 
 
-def write_snapshot(path, grid: Grid, fields: list[Field], time: float) -> None:
+def write_snapshot(path, fields: list[Field], time: float) -> None:
     with open(path, "wb") as fh:
-        fh.write(format_snapshot(grid, fields, time))
+        fh.write(format_snapshot(fields, time))
 
 
 def parse_snapshot(data: bytes) -> tuple[Grid, list[Field], float]:

@@ -116,13 +116,14 @@ class _ResolventOperator:
 class _ImplicitStepOperator:
     """Matrix-free diag(1 / (tau A)) - L; symmetric positive definite.
 
-    Preconditioned in two levels: the lowest cosine modes are solved exactly
-    with the operator's own Galerkin block, and every other mode with the
-    shift c I - L, c the geometric mean of the diagonal. That shift alone
-    puts the preconditioned spectrum in [sqrt(min / max), sqrt(max / min)] of
-    the diagonal; the coefficients are evaluated at regularized densities, so
-    1 / (tau A) is smooth and couples the low modes that the coarse block
-    takes over. A constant A has the shift as its exact inverse.
+    Preconditioned by `Grid.coarse_corrected_solver`: the lowest cosine modes
+    are solved exactly with the operator's own Galerkin block, and every other
+    mode with the shift c I - L, c the geometric mean of the diagonal. That
+    shift alone puts the preconditioned spectrum in [sqrt(min / max),
+    sqrt(max / min)] of the diagonal; the coefficients are evaluated at
+    regularized densities, so 1 / (tau A) is smooth and couples the low modes
+    that the coarse block takes over. A constant A has the shift as its exact
+    inverse.
     """
 
     name = "implicit diffusion"
@@ -131,12 +132,7 @@ class _ImplicitStepOperator:
         self.grid = grid
         self.scale = 1.0 / (tau * A)
         self.n_rows = self.n_cols = grid.n_cells
-        lo, hi = float(np.min(self.scale)), float(np.max(self.scale))
-        self.shift = math.sqrt(lo) * math.sqrt(hi)
-        if lo == hi:
-            self.precondition = grid.shifted_solver(self.shift, 1.0)
-        else:
-            self.precondition = grid.coarse_corrected_solver(self.scale, self.shift)
+        self.precondition = grid.coarse_corrected_solver(self.scale)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.scale * x - self.grid.laplacian(x)
@@ -178,32 +174,30 @@ def _solve_implicit(
                        z_start)
 
 
-def regularize(g: Grid, u: Field, delta: float, tol: float = 1e-10,
-               max_iter: int = 10_000) -> Field:
-    """Solve (I - delta L) v = u with zero-flux boundaries.
+def regularize(u: Field, delta: float, tol: float = 1e-10, max_iter: int = 10_000) -> Field:
+    """Solve (I - delta L) v = u with zero-flux boundaries, on the grid of `u`.
 
     The result has exactly the mean of `u` and maps nonnegative input to
     nonnegative output up to solver round-off.
     """
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    values, _ = _solve_regularize(g, np.asarray(u.values, dtype=np.float64), delta,
-                                  tol, max_iter)
-    return Field(g, values)
+    values, _ = _solve_regularize(u.grid, u.values, delta, tol, max_iter)
+    return Field(u.grid, values)
 
 
-def implicit_diffusion_step(g: Grid, u_n: Field, A: Field, tau: float,
+def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
                             tol: float = 1e-10, max_iter: int = 10_000) -> Field:
-    """One backward step of u_t = L(A * u) with the coefficient field frozen.
+    """One backward step of u_t = L(A * u) with the per-cell coefficients A frozen.
 
-    Solves (I / tau - L diag(A)) u_new = u_n / tau through the symmetric
-    substitution z = A * u_new. The column sums of the step matrix all equal
-    1 / tau, so the cell total of u is conserved; the M-matrix structure keeps
-    nonnegative data nonnegative.
+    Solves (I / tau - L diag(A)) u_new = u_n / tau on the grid of `u_n`
+    through the symmetric substitution z = A * u_new. The column sums of the
+    step matrix all equal 1 / tau, so the cell total of u is conserved; the
+    M-matrix structure keeps nonnegative data nonnegative.
     """
-    values, _, _ = _solve_implicit(g, np.asarray(u_n.values, dtype=np.float64),
-                                   np.asarray(A.values, dtype=np.float64), tau, tol,
-                                   max_iter)
+    g = u_n.grid
+    A = Field(g, A).values  # one finite coefficient per cell, or the error of a field
+    values, _, _ = _solve_implicit(g, u_n.values, A, tau, tol, max_iter)
     return Field(g, values)
 
 
@@ -243,13 +237,18 @@ def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     """State at t = 0: regularized initial data and w = delta * u_tilde."""
     g = m.grid
     u = tuple(f.copy() for f in m.initial_data)
-    u_tilde = []
+    u_tilde, w = [], []
     for i, (f, d) in enumerate(zip(u, m.delta)):
-        with _prefix_solver_errors(f"species {i + 1}, initial regularization"):
-            u_tilde.append(_solve_regularize(g, f.values, d, cfg.linear_tol,
-                                             cfg.linear_max_iter)[0])
-    return SystemState(0.0, u, tuple(Field(g, ut) for ut in u_tilde),
-                       tuple(Field(g, d * ut) for d, ut in zip(m.delta, u_tilde)))
+        where = f"species {i + 1}, initial regularization"
+        with _prefix_solver_errors(where):
+            ut, _ = _solve_regularize(g, f.values, d, cfg.linear_tol, cfg.linear_max_iter)
+        w_i = d * ut
+        # delta > 0, so w is finite only if u_tilde is
+        if not np.all(np.isfinite(w_i)):
+            raise RelaxdiffError(f"{where}: the regularized state is not finite")
+        u_tilde.append(Field(g, ut))
+        w.append(Field(g, w_i))
+    return SystemState(0.0, u, u_tilde, w)
 
 
 def species_step(
@@ -380,20 +379,16 @@ def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
 
 
 def w_increment_residual(
-    m: ModelSpec,
-    before: SystemState,
-    after: SystemState,
-    tol: float = 1e-12,
-    tau: float | None = None,
+    m: ModelSpec, before: SystemState, after: SystemState, tol: float = 1e-12
 ) -> float:
     """Max-norm mismatch between the w increment and its resolvent identity.
 
-    The increment should equal tau * (I - delta L)^{-1} (A * u_new) with A the
-    coefficients frozen at `before`; the mismatch is bounded by solver error.
+    The increment should equal tau * (I - delta L)^{-1} (A * u_new) with tau
+    the step from `before` to `after` and A the coefficients frozen at
+    `before`; the mismatch is bounded by solver error.
     """
     g = after.grid
-    if tau is None:
-        tau = after.time - before.time
+    tau = after.time - before.time
     A_fields, _ = coefficient_fields(m, before.u_tilde, range(after.n_species))
     worst = 0.0
     for i in range(after.n_species):

@@ -158,8 +158,8 @@ def test_energy_identity_order():
             tau = T / n_steps
             A_nodes = [A_of(k * tau) for k in range(n_steps)]
             assert min(float(a.min()) for a in A_nodes) > 0.0
-            trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau, tol=1e-13)
-            residuals.append(rd.energy_identity_residual(trajectory, A_nodes, w0, tau))
+            trajectory = rd.solve_frozen_slab(A_nodes, w0, tau, tol=1e-13)
+            residuals.append(rd.energy_identity_residual(trajectory, A_nodes, tau))
         for r1, r2 in zip(residuals, residuals[1:]):
             assert 1.4 <= r1 / r2 <= 2.6, (seed, residuals)
 

@@ -338,10 +338,10 @@ REJECTED_EDITS = {
 }
 
 
-def run_cli(path, *args):
+def run_cli(path, *args, mode="simulate"):
     src = str(Path(rd.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "relaxdiff.cli", "simulate", "--config", str(path), *args],
+        [sys.executable, "-m", "relaxdiff.cli", mode, "--config", str(path), *args],
         capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
 
 
@@ -458,6 +458,47 @@ def test_initial_regularization_failure_names_species(tmp_path, case):
     assert "Traceback" not in proc.stderr
     line = proc.stderr.splitlines()[-1]
     assert line.startswith(f"error: species 1, initial regularization: {failure}")
+
+
+# a regularization of initial data near the float64 maximum overflows; every
+# mode regularizes its initial data first
+@pytest.mark.parametrize("mode", ["simulate", "converge", "cross-validate", "invariants"])
+@pytest.mark.parametrize("species, init", [(2, "random:0,1e308"), (1, "bump:0.3,0.2,1e308")],
+                         ids=["random", "bump"])
+def test_overflowing_initial_regularization_exits_1_without_traceback(tmp_path, mode, species,
+                                                                     init):
+    path, _ = write_cfg(tmp_path, mode=mode)
+    old = "cosine:0.5,1.0" if species == 1 else "cosine:-0.5,1.0"
+    path.write_text(path.read_text().replace(old, init))
+    proc = run_cli(path, mode=mode)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"error: species {species}, initial regularization: the regularized state is not finite")
+
+
+# case: (write_cfg arguments, [run] halvings, the reason in the config error).
+# The finest step tau / 2^halvings is invalid: its 1 / tau overflows, or it is
+# zero after 10^20 halvings, whose levels would otherwise run without end.
+FINEST_STEPS = {
+    "tau_too_small": ({"tau": 1e-308, "T": 1e-308}, "2",
+                      "tau 2.499999999999997e-309 is too small: 1 / tau is not a finite float"),
+    "halvings_huge": ({}, "100000000000000000000", "tau must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("mode", ["converge", "cross-validate"])
+@pytest.mark.parametrize("case", sorted(FINEST_STEPS))
+def test_refinement_study_rejects_its_finest_step_before_any_run(tmp_path, case, mode):
+    kwargs, halvings, reason = FINEST_STEPS[case]
+    path, outdir = write_cfg(tmp_path, mode=mode, extra=f"halvings = {halvings}\n", **kwargs)
+    text = path.read_text().replace("cosine:0.5,1.0", "constant:1.0")
+    path.write_text(text.replace("cosine:-0.5,1.0", "constant:1.0"))
+    proc = run_cli(path, mode=mode)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"config error: [run] halvings = {halvings} makes the finest step invalid: {reason}"]
+    assert not Path(outdir).exists()
 
 
 # 2**-52 is only the least tolerance a config may set: the floor a solve can

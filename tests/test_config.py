@@ -79,7 +79,7 @@ def test_readme_snapshot_reader_indexes_species_and_axes(tmp_path, rng):
     g = make_grid_2d(3, 4)
     fields = [rd.Field(g, rng.standard_normal(g.n_cells)) for _ in range(2)]
     path = tmp_path / "snap_1.fld"
-    rd.write_snapshot(path, g, fields, 0.5)
+    rd.write_snapshot(path, fields, 0.5)
     scope = {"np": np, "path": path}
     exec(compile(reader, "README.md", "exec"), scope)
     u = scope["u"]
@@ -237,7 +237,7 @@ def test_snapshot_round_trip_exact(rng):
     for g in (make_grid_1d(7, 1.3), make_grid_2d(3, 4, (1.0, 0.7))):
         fields = [rd.Field(g, rng.uniform(0.0, 3.0, g.n_cells)) for _ in range(2)]
         time = float(rng.uniform(0.0, 10.0))
-        data = rd.snapshots.format_snapshot(g, fields, time)
+        data = rd.snapshots.format_snapshot(fields, time)
         magic, header, body = data.split(b"\n", 2)
         assert magic == b"RELAXDIFF v2"
         assert len(body) == 8 * g.n_cells * 2
@@ -252,7 +252,7 @@ def test_snapshot_file_round_trip(tmp_path, rng):
     g = make_grid_1d(5)
     f = rd.Field(g, rng.standard_normal(5))
     path = tmp_path / "snap_3.fld"
-    rd.write_snapshot(path, g, [f], 0.375)
+    rd.write_snapshot(path, [f], 0.375)
     g2, fields2, time2 = rd.read_snapshot(path)
     assert np.array_equal(fields2[0].values, f.values)
     assert time2 == 0.375

@@ -177,7 +177,7 @@ def test_fit_linear_bound_heat_reduction_sup_at_initial_time():
     cfg = rd.SchemeConfig(tau=0.01, horizon=1.0)
     fit = rd.fit_linear_bound(m, cfg, horizons=[0.25, 0.5, 1.0])
     # the sup-norm decays, so the running sup is pinned at t = 0
-    initial = rd.regularize(g, m.initial_data[0], 0.1)
+    initial = rd.regularize(m.initial_data[0], 0.1)
     expected = 0.1 * float(np.max(np.abs(initial.values)))
     assert fit.sup_utilde == pytest.approx((expected,) * 3, rel=1e-9)
     assert abs(fit.fitted_slope) <= 1e-9 * abs(fit.fitted_intercept)
@@ -195,24 +195,24 @@ def test_energy_identity_residual_zero_data():
     g = make_grid_1d(8)
     A_nodes = [np.ones(8)] * 4
     w0 = rd.Field.constant(g, 0.0)
-    trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau=0.1)
-    assert rd.energy_identity_residual(trajectory, A_nodes, w0, 0.1) == 0.0
+    trajectory = rd.solve_frozen_slab(A_nodes, w0, tau=0.1)
+    assert rd.energy_identity_residual(trajectory, A_nodes, 0.1) == 0.0
 
 
 def test_energy_identity_residual_constant_data():
     g = make_grid_1d(8)
     A_nodes = [np.ones(8)] * 5
     w0 = rd.Field.constant(g, 2.0)
-    trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau=0.1)
-    assert rd.energy_identity_residual(trajectory, A_nodes, w0, 0.1) == 0.0
+    trajectory = rd.solve_frozen_slab(A_nodes, w0, tau=0.1)
+    assert rd.energy_identity_residual(trajectory, A_nodes, 0.1) == 0.0
 
 
 def test_energy_identity_residual_shape_check():
     g = make_grid_1d(8)
     w0 = rd.Field.constant(g, 1.0)
-    trajectory = rd.solve_frozen_slab(g, [np.ones(8)] * 3, w0, tau=0.1)
+    trajectory = rd.solve_frozen_slab([np.ones(8)] * 3, w0, tau=0.1)
     with pytest.raises(ValueError):
-        rd.energy_identity_residual(trajectory, [np.ones(8)] * 2, w0, 0.1)
+        rd.energy_identity_residual(trajectory, [np.ones(8)] * 2, 0.1)
 
 
 def test_energy_identity_residual_halves_with_tau(rng):
@@ -232,7 +232,7 @@ def test_energy_identity_residual_halves_with_tau(rng):
     for n_steps in (16, 32, 64):
         tau = T / n_steps
         A_nodes = [A_of(k * tau) for k in range(n_steps)]
-        trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau, tol=1e-13)
-        residuals.append(rd.energy_identity_residual(trajectory, A_nodes, w0, tau))
+        trajectory = rd.solve_frozen_slab(A_nodes, w0, tau, tol=1e-13)
+        residuals.append(rd.energy_identity_residual(trajectory, A_nodes, tau))
     for r1, r2 in zip(residuals, residuals[1:]):
         assert 1.4 <= r1 / r2 <= 2.6

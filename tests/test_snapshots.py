@@ -41,7 +41,7 @@ def test_write_read_reproduces_fields_bit_for_bit(snap):
     grid, fields, time = snap
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snap.fld"
-        rd.write_snapshot(path, grid, fields, time)
+        rd.write_snapshot(path, fields, time)
         grid2, fields2, time2 = rd.read_snapshot(path)
     assert grid2 == grid
     assert bits([time2]) == bits([time])
@@ -54,7 +54,7 @@ def test_damaged_file_raises_only_config_error(snap, data):
     """A truncated or extended file is rejected; a file with one header token
     replaced may still parse, but nothing other than a ConfigError escapes."""
     grid, fields, time = snap
-    raw = rd.snapshots.format_snapshot(grid, fields, time)
+    raw = rd.snapshots.format_snapshot(fields, time)
     damage = data.draw(st.sampled_from(["truncate", "extend", "mutate"]))
     if damage == "truncate":
         with pytest.raises(ConfigError):
@@ -103,6 +103,17 @@ def test_v1_text_snapshot_is_rejected(tmp_path):
 def test_writer_refuses_what_the_reader_rejects():
     grid = rd.Grid((2,), (0.5,))
     with pytest.raises(ConfigError):
-        rd.snapshots.format_snapshot(grid, [], 0.0)
+        rd.snapshots.format_snapshot([], 0.0)
     with pytest.raises(ConfigError):
-        rd.snapshots.format_snapshot(grid, [rd.Field.constant(grid, 1.0)], float("nan"))
+        rd.snapshots.format_snapshot([rd.Field.constant(grid, 1.0)], float("nan"))
+
+
+def test_writer_rejects_fields_on_two_grids(tmp_path):
+    # the header records one grid, the first field's; a field on another grid
+    # of the same size would be written as if it were on that one
+    grid, other = rd.Grid((4,), (0.25,)), rd.Grid((4,), (0.5,))
+    fields = [rd.Field.constant(grid, 1.0), rd.Field.constant(other, 2.0)]
+    with pytest.raises(ConfigError, match="share one grid"):
+        rd.snapshots.format_snapshot(fields, 0.0)
+    with pytest.raises(ConfigError, match="share one grid"):
+        rd.write_snapshot(tmp_path / "snap.fld", fields[::-1], 0.0)
