@@ -26,7 +26,6 @@ from .fixedpoint import (
     CrossValidationRow,
     PicardConfig,
     cross_validate,
-    picard_step,
     picard_step_with_info,
     solve_frozen_slab,
 )
@@ -51,7 +50,6 @@ from .stepper import (
     initial_state,
     regularize,
     run,
-    step,
     step_with_info,
     w_increment_residual,
 )
@@ -95,13 +93,11 @@ __all__ = [
     "laplacian_apply",
     "parse_config",
     "parse_snapshot",
-    "picard_step",
     "picard_step_with_info",
     "read_snapshot",
     "regularize",
     "run",
     "solve_frozen_slab",
-    "step",
     "step_with_info",
     "truncation_bound",
     "validate_model",

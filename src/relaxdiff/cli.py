@@ -198,8 +198,8 @@ def run_invariants(cfg: RunConfig) -> int:
         def on_step(k, before, after, records):
             rows = invariant_rows(before, records, tolerances, initial_masses)
             if k % identity_stride == 0:
-                residual = w_increment_residual(model, before, after,
-                                                tol=cfg.scheme.linear_tol)
+                residual = w_increment_residual(model, before, after, cfg.scheme.linear_tol,
+                                                cfg.scheme.linear_max_iter)
                 rows.append((0, "w_identity_residual", residual, 100 * cfg.scheme.linear_tol))
             for species, check, value, threshold in rows:
                 status = "pass" if value <= threshold else "fail"

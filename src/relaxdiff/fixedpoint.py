@@ -2,11 +2,11 @@
 
 `solve_frozen_slab` marches the linear problem in which the coefficient field
 is fixed data, the building block behind the scheme's well-posedness.
-`picard_step` turns one time step into a fully implicit one by successive
-coefficient freezing. Its sweeps run in Gauss-Seidel order from the previous
-time level: each species freezes its coefficient at the newest regularized
-densities, those this sweep has already updated included, so the first
-sweep freezes species 1 exactly as the semi-implicit step does. For two
+`picard_step_with_info` turns one time step into a fully implicit one by
+successive coefficient freezing. Its sweeps run in Gauss-Seidel order from
+the previous time level: each species freezes its coefficient at the newest
+regularized densities, those this sweep has already updated included, so the
+first sweep freezes species 1 exactly as the semi-implicit step does. For two
 species with a_1 = a_1(u_tilde_2) and a_2 = a_2(u_tilde_1) the sweep's
 linearization is 2-cyclic, and this order squares the contraction factor of
 the Jacobi order, in which every species froze at the previous candidate
@@ -26,6 +26,7 @@ import numpy as np
 from .errors import PicardConvergenceError
 from .grid import Field
 from .model import ModelSpec, coefficient_fields
+from .sparse import LINEAR_MAX_ITER, LINEAR_TOL
 from .stepper import (
     SchemeConfig,
     SystemState,
@@ -56,8 +57,8 @@ def solve_frozen_slab(
     w0: Field,
     tau: float,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    tol: float = LINEAR_TOL,
+    max_iter: int = LINEAR_MAX_ITER,
 ) -> list[Field]:
     """Time-march the linear problem with per-node frozen coefficients on the grid of `w0`.
 
@@ -81,9 +82,9 @@ def picard_step_with_info(
     m: ModelSpec,
     cfg: SchemeConfig,
     p: PicardConfig,
-    tau: float | None = None,
+    tau: float,
 ) -> tuple[SystemState, int]:
-    """One fully implicit step via successive coefficient freezing.
+    """One fully implicit step of size `tau` via successive coefficient freezing.
 
     Each sweep redoes the frozen-coefficient step from `state` species by
     species, in Gauss-Seidel order: species i freezes its coefficient at the
@@ -96,7 +97,6 @@ def picard_step_with_info(
     and the result is bit for bit the semi-implicit step. Returns the step and
     its sweeps, the first included: the implicit solves per species.
     """
-    dt = cfg.tau if tau is None else float(tau)
     candidate = state
     z = [None] * state.n_species
     for sweeps in range(1, p.max_sweeps + 1):
@@ -104,8 +104,8 @@ def picard_step_with_info(
         for i in range(state.n_species):
             A = coefficient_fields(m, u_tilde, (i,))[0][0]
             # from the previous sweep's z (zero in the first sweep): only A has changed
-            u[i], u_tilde[i], w[i], _, z[i] = species_step(state, m, cfg, i, A, dt, z[i])
-        refreshed = SystemState(state.time + dt, u, u_tilde, w)
+            u[i], u_tilde[i], w[i], _, z[i] = species_step(state, m, cfg, i, A, tau, z[i])
+        refreshed = SystemState(state.time + tau, u, u_tilde, w)
         change = _relative_l2_change(refreshed.u, candidate.u)
         candidate = refreshed
         if change < p.sweep_tol:
@@ -116,14 +116,6 @@ def picard_step_with_info(
         sweeps=p.max_sweeps,
         last_change=float(change),
     )
-
-
-def picard_step(
-    state: SystemState, m: ModelSpec, cfg: SchemeConfig, p: PicardConfig
-) -> SystemState:
-    """Fully implicit step; see `picard_step_with_info`."""
-    new_state, _ = picard_step_with_info(state, m, cfg, p)
-    return new_state
 
 
 # cross-validation passes when each halving of tau shrinks the discrepancy this much

@@ -49,8 +49,9 @@ def format_snapshot(fields: list[Field], time: float) -> bytes:
 
 
 def write_snapshot(path, fields: list[Field], time: float) -> None:
+    data = format_snapshot(fields, time)  # a rejected snapshot creates no file
     with open(path, "wb") as fh:
-        fh.write(format_snapshot(fields, time))
+        fh.write(data)
 
 
 def parse_snapshot(data: bytes) -> tuple[Grid, list[Field], float]:

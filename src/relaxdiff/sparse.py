@@ -13,6 +13,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LinearSolverError
 
+# The stopping defaults of every solve: `SchemeConfig` and each library call
+# that solves take them from here.
+LINEAR_TOL = 1e-10
+LINEAR_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class SolverReport:
@@ -24,7 +29,7 @@ class SolverReport:
 
 
 def cg_solve(
-    A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
+    A, b: np.ndarray, tol: float = LINEAR_TOL, max_iter: int = LINEAR_MAX_ITER,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolverReport]:
     """Preconditioned conjugate gradients for a symmetric positive-definite operator.
@@ -47,8 +52,6 @@ def cg_solve(
     n = A.n_cols
     if b.shape != (n,):
         raise DimensionMismatchError(f"right-hand side must have length {n}")
-    if max_iter is None:
-        max_iter = max(50, 10 * n)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n,):

@@ -56,7 +56,16 @@ from .diagnostics import SpeciesStepInfo
 from .errors import LinearSolverError, RelaxdiffError
 from .grid import Field, Grid
 from .model import ModelSpec, coefficient_fields
-from .sparse import SolverReport, cg_solve
+from .sparse import LINEAR_MAX_ITER, LINEAR_TOL, SolverReport, cg_solve
+
+
+def _check_step_size(tau: float) -> None:
+    """Reject a step size that is not positive and finite or whose 1 / tau is not."""
+    if not (0 < tau < np.inf):
+        raise ValueError("tau must be positive and finite")
+    # the implicit operator divides by tau
+    if not math.isfinite(1.0 / float(tau)):
+        raise ValueError(f"tau {tau!r} is too small: 1 / tau is not a finite float")
 
 
 @dataclass(frozen=True)
@@ -65,17 +74,13 @@ class SchemeConfig:
 
     tau: float
     horizon: float
-    linear_tol: float = 1e-10
-    linear_max_iter: int = 10_000
+    linear_tol: float = LINEAR_TOL
+    linear_max_iter: int = LINEAR_MAX_ITER
     output_stride: int = 1
     workers: int = 1
 
     def __post_init__(self):
-        if not (0 < self.tau < np.inf):
-            raise ValueError("tau must be positive and finite")
-        # the implicit operator divides by tau
-        if not math.isfinite(1.0 / float(self.tau)):
-            raise ValueError(f"tau {self.tau!r} is too small: 1 / tau is not a finite float")
+        _check_step_size(self.tau)
         if not (0 < self.horizon < np.inf):
             raise ValueError("horizon must be positive and finite")
         if self.tau > self.horizon * (1 + 1e-12):
@@ -174,20 +179,21 @@ def _solve_implicit(
                        z_start)
 
 
-def regularize(u: Field, delta: float, tol: float = 1e-10, max_iter: int = 10_000) -> Field:
+def regularize(u: Field, delta: float, tol: float = LINEAR_TOL,
+               max_iter: int = LINEAR_MAX_ITER) -> Field:
     """Solve (I - delta L) v = u with zero-flux boundaries, on the grid of `u`.
 
     The result has exactly the mean of `u` and maps nonnegative input to
     nonnegative output up to solver round-off.
     """
-    if not (delta > 0):
-        raise ValueError("delta must be positive")
+    if not (0 < delta < np.inf):
+        raise ValueError("delta must be positive and finite")
     values, _ = _solve_regularize(u.grid, u.values, delta, tol, max_iter)
     return Field(u.grid, values)
 
 
 def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
-                            tol: float = 1e-10, max_iter: int = 10_000) -> Field:
+                            tol: float = LINEAR_TOL, max_iter: int = LINEAR_MAX_ITER) -> Field:
     """One backward step of u_t = L(A * u) with the per-cell coefficients A frozen.
 
     Solves (I / tau - L diag(A)) u_new = u_n / tau on the grid of `u_n`
@@ -195,6 +201,7 @@ def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
     step matrix all equal 1 / tau, so the cell total of u is conserved; the
     M-matrix structure keeps nonnegative data nonnegative.
     """
+    _check_step_size(tau)
     g = u_n.grid
     A = Field(g, A).values  # one finite coefficient per cell, or the error of a field
     values, _, _ = _solve_implicit(g, u_n.values, A, tau, tol, max_iter)
@@ -280,18 +287,17 @@ def species_step(
 
 
 def step_with_info(
-    state: SystemState, m: ModelSpec, cfg: SchemeConfig, tau: float | None = None
+    state: SystemState, m: ModelSpec, cfg: SchemeConfig, tau: float
 ) -> tuple[SystemState, list[SpeciesStepInfo]]:
-    """Advance one step of size `tau` (default cfg.tau) and report solve stats.
+    """Advance one semi-implicit step of size `tau` and report solve stats.
 
     Every species freezes its coefficient at `state.u_tilde` and runs
     `species_step` from a zero start, under the `workers` pool.
     """
-    dt = cfg.tau if tau is None else float(tau)
     A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, range(state.n_species))
 
     def advance(i: int):
-        return species_step(state, m, cfg, i, A_fields[i], dt)
+        return species_step(state, m, cfg, i, A_fields[i], tau)
 
     indices = range(state.n_species)
     if cfg.workers > 1 and state.n_species > 1:
@@ -301,7 +307,7 @@ def step_with_info(
         results = [advance(i) for i in indices]
 
     u, u_tilde, w, reports, _ = zip(*results)
-    return SystemState(state.time + dt, u, u_tilde, w), [
+    return SystemState(state.time + tau, u, u_tilde, w), [
         SpeciesStepInfo(
             species=i + 1,
             cg_iters_implicit=implicit.iterations,
@@ -312,12 +318,6 @@ def step_with_info(
         )
         for i, (implicit, regularize) in enumerate(reports)
     ]
-
-
-def step(state: SystemState, m: ModelSpec, cfg: SchemeConfig) -> SystemState:
-    """One semi-implicit step of size cfg.tau."""
-    new_state, _ = step_with_info(state, m, cfg)
-    return new_state
 
 
 def plan_steps(tau: float, horizon: float) -> tuple[int, float]:
@@ -379,7 +379,8 @@ def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
 
 
 def w_increment_residual(
-    m: ModelSpec, before: SystemState, after: SystemState, tol: float = 1e-12
+    m: ModelSpec, before: SystemState, after: SystemState, tol: float = LINEAR_TOL,
+    max_iter: int = LINEAR_MAX_ITER,
 ) -> float:
     """Max-norm mismatch between the w increment and its resolvent identity.
 
@@ -393,8 +394,7 @@ def w_increment_residual(
     worst = 0.0
     for i in range(after.n_species):
         expected, _ = _solve_regularize(
-            g, tau * A_fields[i] * after.u[i].values, m.delta[i], tol, 100_000
-        )
+            g, tau * A_fields[i] * after.u[i].values, m.delta[i], tol, max_iter)
         actual = after.w[i].values - before.w[i].values
         worst = max(worst, float(np.max(np.abs(actual - expected))))
     return worst

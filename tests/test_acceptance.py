@@ -127,7 +127,7 @@ def test_oracle_equivalence():
         replay = dense_replay(model, cfg, 5)
         state = rd.initial_state(model, cfg)
         for k in range(5):
-            state = rd.step(state, model, cfg)
+            state = rd.step_with_info(state, model, cfg, cfg.tau)[0]
             u_ref, ut_ref, w_ref = replay[k + 1]
             for i in range(model.n_species):
                 assert np.max(np.abs(state.u[i].values - u_ref[i])) <= 1e-9

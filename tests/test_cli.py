@@ -123,7 +123,7 @@ def test_zero_mass_tolerance_turns_roundoff_into_violations():
     state = rd.initial_state(m, cfg)
     hits = 0
     for _ in range(20):
-        nxt, infos = stepper.step_with_info(state, m, cfg)
+        nxt, infos = stepper.step_with_info(state, m, cfg, cfg.tau)
         records = diagnostics.step_records(1, state, nxt, infos)
         masses = [rd.integrate(g, f) for f in state.u]
         hits += bool(rd.check_step(state, records, strict, masses))

@@ -13,7 +13,7 @@ from conftest import cosine_profile, make_grid_1d, run_with_rows, two_species_mo
 
 def run_one_step(m, cfg):
     state = rd.initial_state(m, cfg)
-    nxt, infos = step_with_info(state, m, cfg)
+    nxt, infos = step_with_info(state, m, cfg, cfg.tau)
     return state, nxt, infos
 
 

@@ -99,7 +99,7 @@ def test_picard_constant_data_single_sweep():
     )
     cfg = rd.SchemeConfig(tau=0.1, horizon=0.1)
     state = rd.initial_state(m, cfg)
-    nxt, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig())
+    nxt, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)
     assert sweeps == 1
     for i in range(2):
         assert np.array_equal(nxt.u[i].values, state.u[i].values)
@@ -114,8 +114,8 @@ def test_picard_state_independent_coefficients_match_semi_implicit_bitwise():
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
     state = rd.initial_state(m, cfg)
-    semi = rd.step(state, m, cfg)
-    picard, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig())
+    semi = rd.step_with_info(state, m, cfg, cfg.tau)[0]
+    picard, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)
     # the first sweep is the semi-implicit step; the second, warm-started at
     # its z, meets the stopping rule after 0 iterations and changes nothing
     assert sweeps == 2
@@ -129,7 +129,7 @@ def test_picard_preserves_mass_and_positivity():
     m = lipschitz_cross_model(g)
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
     state = rd.initial_state(m, cfg)
-    nxt = rd.picard_step(state, m, cfg, rd.PicardConfig())
+    nxt = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)[0]
     for i in range(2):
         assert abs(rd.integrate(g, nxt.u[i]) - rd.integrate(g, state.u[i])) \
             <= 1e-12 * rd.integrate(g, state.u[i])
@@ -144,9 +144,9 @@ def test_picard_gap_shrinks_quadratically_per_step():
     for tau in (0.0025, 0.00125, 0.000625, 0.0003125):
         cfg = rd.SchemeConfig(tau=tau, horizon=tau, linear_tol=1e-13)
         state = rd.initial_state(m, cfg)
-        semi = rd.step(state, m, cfg)
+        semi = rd.step_with_info(state, m, cfg, cfg.tau)[0]
         picard, _ = picard_step_with_info(
-            state, m, cfg, rd.PicardConfig(sweep_tol=1e-13, max_sweeps=200))
+            state, m, cfg, rd.PicardConfig(sweep_tol=1e-13, max_sweeps=200), cfg.tau)
         gaps.append(max(np.max(np.abs(semi.u[i].values - picard.u[i].values))
                         for i in range(2)))
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
@@ -192,7 +192,7 @@ def test_picard_sweeps_count_every_implicit_solve(monkeypatch, model, expected_s
         return solve(A, b, tol, max_iter, x0=x0)
 
     monkeypatch.setattr(stepper, "cg_solve", counting)
-    _, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig())
+    _, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)
     assert sweeps == expected_sweeps
     assert operators.count(stepper._ImplicitStepOperator) == m.n_species * sweeps
 
@@ -220,7 +220,8 @@ def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
             return x, report
 
         monkeypatch.setattr(stepper, "cg_solve", counting)
-        _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig())
+        _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig(),
+                                          cfg.tau)
         totals[start] = (sum(iterations), len(iterations), sweeps)
     (cold, cold_solves, cold_sweeps), (warm, warm_solves, warm_sweeps) = (
         totals["cold"], totals["warm"])
@@ -237,7 +238,8 @@ def test_picard_sweeps_run_in_gauss_seidel_order():
     # step (and 36 on the first step of the xval1d benchmark workload)
     m = p2_cross_model()
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
-    _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig())
+    _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig(),
+                                      cfg.tau)
     assert sweeps == 18
 
 
@@ -247,7 +249,8 @@ def test_picard_nonconvergence_is_reported():
     cfg = rd.SchemeConfig(tau=0.1, horizon=0.1)
     state = rd.initial_state(m, cfg)
     with pytest.raises(PicardConvergenceError) as err:
-        picard_step_with_info(state, m, cfg, rd.PicardConfig(max_sweeps=1, sweep_tol=1e-14))
+        picard_step_with_info(state, m, cfg, rd.PicardConfig(max_sweeps=1, sweep_tol=1e-14),
+                              cfg.tau)
     assert err.value.sweeps == 1
     assert err.value.last_change > 0
 

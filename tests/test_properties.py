@@ -81,7 +81,7 @@ def test_random_picard_steps_are_guaranteed_fixed_points(m, tau):
     p = rd.PicardConfig()
     state = rd.initial_state(m, cfg)
     try:
-        new, _ = picard_step_with_info(state, m, cfg, p)
+        new, _ = picard_step_with_info(state, m, cfg, p, cfg.tau)
     except rd.PicardConvergenceError:
         return
     slack = -10 * LINEAR_TOL

@@ -117,3 +117,10 @@ def test_writer_rejects_fields_on_two_grids(tmp_path):
         rd.snapshots.format_snapshot(fields, 0.0)
     with pytest.raises(ConfigError, match="share one grid"):
         rd.write_snapshot(tmp_path / "snap.fld", fields[::-1], 0.0)
+
+
+def test_rejected_snapshot_leaves_no_file(tmp_path):
+    path = tmp_path / "snap.fld"
+    with pytest.raises(ConfigError):
+        rd.write_snapshot(path, [], 0.0)
+    assert not path.exists()

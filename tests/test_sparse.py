@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,12 @@ def test_cg_warm_start_scales_exactly_with_tiny_and_huge_data(rng):
                                        x0=np.ldexp(start, exponent))
         assert scaled.converged and scaled.iterations == report.iterations
         assert np.array_equal(x_scaled, np.ldexp(x, exponent))
+
+
+@pytest.mark.parametrize("solve", [rd.cg_solve, rd.regularize, rd.implicit_diffusion_step,
+                                   rd.solve_frozen_slab, rd.w_increment_residual])
+def test_every_solve_shares_the_scheme_stopping_defaults(solve):
+    scheme = inspect.signature(rd.SchemeConfig).parameters
+    params = inspect.signature(solve).parameters
+    assert params["tol"].default == scheme["linear_tol"].default
+    assert params["max_iter"].default == scheme["linear_max_iter"].default

@@ -81,6 +81,31 @@ def test_implicit_step_rejects_nonpositive_coefficients():
             rd.implicit_diffusion_step(u, A, tau=0.1)
 
 
+def one_implicit_step(u, tau):
+    return rd.implicit_diffusion_step(u, np.ones(u.grid.n_cells), tau)
+
+
+def one_slab_node(u, tau):
+    return rd.solve_frozen_slab([np.ones(u.grid.n_cells)], u, tau)
+
+
+# the rule SchemeConfig applies to tau: positive, finite and a finite 1 / tau
+BAD_TAU = [(-0.1, "tau must be positive and finite"), (0.0, "tau must be positive and finite"),
+           (np.nan, "tau must be positive and finite"), (np.inf, "tau must be positive and finite"),
+           (5e-324, "1 / tau is not a finite float")]
+
+
+@pytest.mark.parametrize("call, value, match", [
+    *((call, tau, match) for call in (one_implicit_step, one_slab_node) for tau, match in BAD_TAU),
+    *((rd.regularize, delta, "delta must be positive and finite")
+      for delta in (-0.1, 0.0, np.nan, np.inf)),
+])
+def test_single_operations_reject_bad_scalars_before_solving(call, value, match):
+    u = rd.Field(make_grid_1d(8), np.linspace(0.5, 1.5, 8))
+    with pytest.raises(ValueError, match=match):
+        call(u, value)
+
+
 def test_implicit_step_conserves_mass_exactly(rng):
     g = make_grid_2d(8, 8)
     for _ in range(5):
@@ -114,7 +139,7 @@ def test_step_constant_data_is_steady_bitwise():
     )
     cfg = rd.SchemeConfig(tau=0.1, horizon=1.0)
     state = rd.initial_state(m, cfg)
-    nxt = rd.step(state, m, cfg)
+    nxt = rd.step_with_info(state, m, cfg, cfg.tau)[0]
     for i in range(2):
         assert np.array_equal(nxt.u[i].values, state.u[i].values)
         assert np.array_equal(nxt.u_tilde[i].values, state.u_tilde[i].values)
@@ -130,7 +155,7 @@ def test_step_heat_reduction_two_cells():
     )
     cfg = rd.SchemeConfig(tau=1.0, horizon=1.0, linear_tol=1e-13)
     state = rd.initial_state(m, cfg)
-    nxt = rd.step(state, m, cfg)
+    nxt = rd.step_with_info(state, m, cfg, cfg.tau)[0]
     assert nxt.u[0].values == pytest.approx([4 / 3, 2 / 3], rel=1e-12)
 
 
@@ -139,7 +164,7 @@ def test_step_matches_dense_oracle_one_step():
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05, linear_tol=1e-12)
     state = rd.initial_state(m, cfg)
-    nxt = rd.step(state, m, cfg)
+    nxt = rd.step_with_info(state, m, cfg, cfg.tau)[0]
     replay = dense_replay(m, cfg, 1)
     u_ref, ut_ref, w_ref = replay[-1]
     for i in range(2):
@@ -175,7 +200,7 @@ def test_trajectory_matches_dense_oracle_small_grids():
         state = rd.initial_state(m, cfg)
         replay = dense_replay(m, cfg, 5)
         for k in range(5):
-            state = rd.step(state, m, cfg)
+            state = rd.step_with_info(state, m, cfg, cfg.tau)[0]
             u_ref, ut_ref, w_ref = replay[k + 1]
             for i in range(m.n_species):
                 assert np.max(np.abs(state.u[i].values - u_ref[i])) <= 1e-9
@@ -189,7 +214,7 @@ def test_w_increment_resolvent_identity():
     cfg = rd.SchemeConfig(tau=0.01, horizon=0.1, linear_tol=1e-12)
     state = rd.initial_state(m, cfg)
     for _ in range(3):
-        nxt = rd.step(state, m, cfg)
+        nxt = rd.step_with_info(state, m, cfg, cfg.tau)[0]
         residual = rd.w_increment_residual(m, state, nxt, tol=1e-13)
         assert residual <= 1e-10
         state = nxt
@@ -373,7 +398,7 @@ def test_step_concurrency_bit_identical():
     for workers in (1, 4):
         cfg = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=workers)
         picard.append(picard_step_with_info(rd.initial_state(m, cfg), m, cfg,
-                                            rd.PicardConfig()))
+                                            rd.PicardConfig(), cfg.tau))
     (a, sweeps_a), (b, sweeps_b) = picard
     assert sweeps_a == sweeps_b > 1
     for fa, fb in zip(a.u + a.u_tilde + a.w, b.u + b.u_tilde + b.w):
@@ -409,7 +434,7 @@ def test_sim2d_step_takes_at_most_two_implicit_iterations():
         initial_data=(rd.Field(g, 1.0 + 0.25 * profile), rd.Field(g, 1.0 - 0.25 * profile)),
     )
     cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
-    _, infos = rd.step_with_info(rd.initial_state(m, cfg), m, cfg)
+    _, infos = rd.step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
     assert [info.cg_iters_implicit <= 2 for info in infos] == [True, True]
 
 
@@ -424,7 +449,7 @@ def test_solver_failure_names_species(rng):
     state = rd.initial_state(m, good)
     crippled = rd.SchemeConfig(tau=0.01, horizon=0.1, linear_max_iter=1, linear_tol=1e-14)
     with pytest.raises(LinearSolverError, match="species"):
-        rd.step(state, m, crippled)
+        rd.step_with_info(state, m, crippled, crippled.tau)
 
 
 def test_scheme_config_validation():
