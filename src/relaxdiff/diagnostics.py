@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import Violation
 from .grid import Field, integrate
+from .sparse import check_step_size
 
 if TYPE_CHECKING:
     from .stepper import SystemState
@@ -195,6 +196,7 @@ def energy_identity_residual(
     that potential. The marching scheme satisfies it up to a positive O(tau)
     remainder, so halving tau should roughly halve the returned value.
     """
+    check_step_size(tau)
     steps = len(trajectory) - 1
     if len(A_nodes) != steps:
         raise ValueError("one coefficient field per executed step required")

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import PicardConvergenceError
 from .grid import Field
 from .model import ModelSpec, coefficient_fields
-from .sparse import LINEAR_MAX_ITER, LINEAR_TOL
+from .sparse import LINEAR_MAX_ITER, LINEAR_TOL, check_step_size
 from .stepper import (
     SchemeConfig,
     SystemState,
@@ -65,6 +65,7 @@ def solve_frozen_slab(
     Returns the whole trajectory [w0, w1, ..., wN] with one implicit
     diffusion solve per node; N = len(A_nodes).
     """
+    check_step_size(tau)
     trajectory = [w0.copy()]
     for A in A_nodes:
         trajectory.append(implicit_diffusion_step(trajectory[-1], A, tau, tol, max_iter))
@@ -166,6 +167,8 @@ def cross_validate(
     discretizations share a unique limit, making the shrinking discrepancy a
     meaningful consistency check.
     """
+    if halvings < 1:
+        raise ValueError("halvings must be at least 1: no shrink ratio to check otherwise")
     if not m.lipschitz:
         raise ValueError(
             "cross-validation requires locally Lipschitz coefficients; the two "

@@ -16,15 +16,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 
 
-# The solver keeps a dense n x n cosine basis per axis length (8 n^2 bytes):
-# 512 MiB at this cap, which still admits a 1024-cell axis refined twice.
+# A grid's cosine tables hold a dense n x n basis per distinct axis length
+# (8 n^2 bytes): 512 MiB at this cap, which still admits a 1024-cell axis refined twice.
 MAX_AXIS_CELLS = 2**13
 
 
@@ -117,14 +117,15 @@ class Grid:
     def shifted_solver(self, c: float, s: float) -> Callable[[np.ndarray], np.ndarray]:
         """The exact solve of (c I - s L) x = values, as a function of values.
 
-        Works in the cosine eigenbasis of each axis, whose dense matrix is
-        built on first use and cached per axis length (8 n^2 bytes). The
-        shifted spectrum c + s mu is built once here, so an operator that
-        applies one shift on every iteration pays for it once. A constant
-        field is in the kernel of L and comes back as values / c, bit for bit.
+        Works in the cosine eigenbasis of each axis, from the grid's
+        `_cosine_tables`, built on first use and cached (one dense basis of
+        8 n^2 bytes per distinct axis length). The shifted spectrum c + s mu
+        is built once here, so an operator that applies one shift on every
+        iteration pays for it once. A constant field is in the kernel of L
+        and comes back as values / c, bit for bit.
         """
-        bases, lam = _cosine_spectrum(self.cells, self.spacing)
-        spectrum = c + s * lam
+        t = _cosine_tables(self.cells, self.spacing)
+        spectrum = c + s * t.lam
 
         def divide(spectral: np.ndarray) -> None:
             spectral /= spectrum
@@ -133,7 +134,7 @@ class Grid:
             arr = self._axes_view(values)
             if np.all(arr == arr.flat[0]):
                 return arr.reshape(-1) / c
-            return self._in_cosine_basis(arr, bases, divide)
+            return self._in_cosine_basis(arr, t.bases, divide)
 
         return solve
 
@@ -156,22 +157,19 @@ class Grid:
         c = math.sqrt(lo) * math.sqrt(hi)
         if lo == hi:
             return self.shifted_solver(c, 1.0)
-        bases, lam = _cosine_spectrum(self.cells, self.spacing)
-        m = COARSE_MODES_1D if self.ndim == 1 else COARSE_MODES_2D
-        block = tuple(slice(0, min(n, m)) for n in self.cells[::-1])
-        low = lam[block]
-        W = _coarse_inverse_factor(d, low)
+        t = _cosine_tables(self.cells, self.spacing)
+        W = _coarse_inverse_factor(d, t)
         if W is None:
             return self.shifted_solver(c, 1.0)
-        spectrum = c + lam
+        spectrum = c + t.lam
 
         def correct(spectral: np.ndarray) -> None:
-            exact = W.T @ (W @ spectral[block].reshape(-1))
+            exact = W.T @ (W @ spectral[t.block].reshape(-1))
             spectral /= spectrum
-            spectral[block] = exact.reshape(low.shape)
+            spectral[t.block] = exact.reshape(t.low.shape)
 
         def solve(values: np.ndarray) -> np.ndarray:
-            return self._in_cosine_basis(self._axes_view(values), bases, correct)
+            return self._in_cosine_basis(self._axes_view(values), t.bases, correct)
 
         return solve
 
@@ -199,26 +197,25 @@ COARSE_MODES_1D = 16
 COARSE_MODES_2D = 12
 
 
-def _coarse_inverse_factor(d: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
+def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables) -> np.ndarray | None:
     """W = L^{-1} for the Cholesky factor L L^T of the coarse Galerkin block, or None.
 
-    `d` is the diagonal and `lam` the eigenvalues of -L on the coarse modes,
-    both on the field's layout (grid axis k along array axis -1 - k), so
-    `lam` has the shape of the coarse modes kept. The block is assembled one
-    axis at a time, by contracting `d` with that axis' `_basis_products`. Its
-    rows are the coarse cosine coefficients in the order of the field's layout.
+    `d` is the diagonal on the field's layout (grid axis k along array axis
+    -1 - k). The block is assembled one axis at a time, by contracting `d`
+    with that axis' basis products, and its diagonal gains the low
+    eigenvalues `t.low`. Its rows are the coarse cosine coefficients in the
+    order of the field's layout.
     """
-    coarse = lam.shape[::-1]
-    pairs = [_basis_products(n, m) for n, m in zip(d.shape[::-1], coarse)]
+    coarse = t.low.shape[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         if len(coarse) == 1:
             (m1,) = coarse
-            E = (pairs[0] @ d).reshape(m1, m1)
+            E = (t.products[0] @ d).reshape(m1, m1)
         else:
             m1, m2 = coarse
-            E = (pairs[1] @ d @ pairs[0].T).reshape(m2, m2, m1, m1)
+            E = (t.products[1] @ d @ t.products[0].T).reshape(m2, m2, m1, m1)
             E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
-    E.flat[::E.shape[0] + 1] += lam.reshape(-1)
+    E.flat[::E.shape[0] + 1] += t.low.reshape(-1)
     if not np.all(np.isfinite(E)):
         return None
     try:
@@ -252,49 +249,45 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return W
 
 
-@functools.lru_cache(maxsize=8)
-def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DCT-II matrix of length n and sin^2(pi k / 2n) per row k.
+class _CosineTables(NamedTuple):
+    """The read-only data of one grid's cosine solves (see `_cosine_tables`)."""
 
-    Row k of the matrix is the k-th eigenvector of the 1D zero-flux
-    Laplacian, cos(pi k (j + 1/2) / n) scaled to unit length. Both arrays are
-    read-only, because every caller shares them.
-    """
-    k = np.arange(n)
-    C = np.cos(np.pi / n * np.outer(k, k + 0.5)) * math.sqrt(2.0 / n)
-    C[0] = math.sqrt(1.0 / n)
-    sin2 = np.sin(np.pi / (2 * n) * k) ** 2
-    C.flags.writeable = False
-    sin2.flags.writeable = False
-    return C, sin2
+    bases: tuple[np.ndarray, ...]
+    lam: np.ndarray
+    block: tuple[slice, ...]
+    low: np.ndarray
+    products: tuple[np.ndarray, ...]
 
 
 @functools.lru_cache(maxsize=8)
-def _cosine_spectrum(cells: tuple[int, ...], spacing: tuple[float, ...]) -> tuple:
-    """Each axis' cosine basis, and the eigenvalues of -L on the field's layout.
+def _cosine_tables(cells: tuple[int, ...], spacing: tuple[float, ...]) -> _CosineTables:
+    """The cosine tables of a grid, built once and shared by all of its solvers.
 
-    Entry (j, i) of the 2D table is mu2[j] + mu1[i], mu_k = 4 sin^2 / h_k^2
-    along grid axis k. Read-only, because every solver of the grid shares it.
+    `bases` and `products` hold one read-only array per grid axis, the same
+    one for axes of one length. Row k of a basis is the k-th eigenvector of
+    the 1D zero-flux Laplacian, cos(pi k (j + 1/2) / n) scaled to unit length,
+    with eigenvalue mu_k = 4 sin^2(pi k / 2n) / h^2 of -L. Row a * m + b of
+    `products` is the cellwise product of basis rows a and b, so a contraction
+    with a diagonal d gives the Galerkin entries c_a diag(d) c_b^T. `lam` holds
+    the eigenvalues of -L on the field's layout, mu2[j] + mu1[i] at (j, i) in
+    2D; `block` slices its lowest `COARSE_MODES_*` modes per axis (all of a
+    shorter axis), and `low` is `lam[block]`.
     """
-    bases = tuple(_cosine_basis(n)[0] for n in cells)
-    mu = [4.0 * _cosine_basis(n)[1] / (h * h) for n, h in zip(cells, spacing)]
+    m = COARSE_MODES_1D if len(cells) == 1 else COARSE_MODES_2D
+    basis, sin2, products = {}, {}, {}  # one of each per distinct axis length
+    for n in dict.fromkeys(cells):
+        k = np.arange(n)
+        C = np.cos(np.pi / n * np.outer(k, k + 0.5)) * math.sqrt(2.0 / n)
+        C[0] = math.sqrt(1.0 / n)
+        basis[n], sin2[n] = C, np.sin(np.pi / (2 * n) * k) ** 2
+        products[n] = (C[:m, None] * C[None, :m]).reshape(-1, n)
+    mu = [4.0 * sin2[n] / (h * h) for n, h in zip(cells, spacing)]
     lam = functools.reduce(np.add.outer, mu[::-1])  # grid axis k along array axis -1 - k
-    lam.flags.writeable = False
-    return bases, lam
-
-
-@functools.lru_cache(maxsize=8)
-def _basis_products(n: int, m: int) -> np.ndarray:
-    """Products c_a * c_b of the first m rows of the length-n cosine basis.
-
-    Row a * m + b holds the cellwise product of basis rows a and b, so a
-    contraction with a diagonal d gives the Galerkin entries c_a diag(d) c_b^T.
-    Read-only, like the basis it is made from.
-    """
-    C, _ = _cosine_basis(n)
-    pairs = (C[:m, None] * C[None, :m]).reshape(m * m, n)
-    pairs.flags.writeable = False
-    return pairs
+    for a in (*basis.values(), *products.values(), lam):
+        a.flags.writeable = False
+    block = (slice(0, m),) * len(cells)  # all modes of a shorter axis
+    return _CosineTables(tuple(basis[n] for n in cells), lam, block, lam[block],
+                         tuple(products[n] for n in cells))
 
 
 def _axis_fluxes(arr: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -19,6 +19,15 @@ LINEAR_TOL = 1e-10
 LINEAR_MAX_ITER = 10_000
 
 
+def check_step_size(tau: float) -> None:
+    """Reject a step size that is not positive and finite or whose 1 / tau is not."""
+    if not (0 < tau < np.inf):
+        raise ValueError("tau must be positive and finite")
+    # the implicit operator divides by tau
+    if not math.isfinite(1.0 / float(tau)):
+        raise ValueError(f"tau {tau!r} is too small: 1 / tau is not a finite float")
+
+
 @dataclass(frozen=True)
 class SolverReport:
     """Outcome of one iterative solve."""

@@ -41,7 +41,6 @@ the discrete form of its monotonicity in time.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -56,16 +55,7 @@ from .diagnostics import SpeciesStepInfo
 from .errors import LinearSolverError, RelaxdiffError
 from .grid import Field, Grid
 from .model import ModelSpec, coefficient_fields
-from .sparse import LINEAR_MAX_ITER, LINEAR_TOL, SolverReport, cg_solve
-
-
-def _check_step_size(tau: float) -> None:
-    """Reject a step size that is not positive and finite or whose 1 / tau is not."""
-    if not (0 < tau < np.inf):
-        raise ValueError("tau must be positive and finite")
-    # the implicit operator divides by tau
-    if not math.isfinite(1.0 / float(tau)):
-        raise ValueError(f"tau {tau!r} is too small: 1 / tau is not a finite float")
+from .sparse import LINEAR_MAX_ITER, LINEAR_TOL, SolverReport, cg_solve, check_step_size
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ class SchemeConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_step_size(self.tau)
+        check_step_size(self.tau)
         if not (0 < self.horizon < np.inf):
             raise ValueError("horizon must be positive and finite")
         if self.tau > self.horizon * (1 + 1e-12):
@@ -201,7 +191,7 @@ def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
     step matrix all equal 1 / tau, so the cell total of u is conserved; the
     M-matrix structure keeps nonnegative data nonnegative.
     """
-    _check_step_size(tau)
+    check_step_size(tau)
     g = u_n.grid
     A = Field(g, A).values  # one finite coefficient per cell, or the error of a field
     values, _, _ = _solve_implicit(g, u_n.values, A, tau, tol, max_iter)

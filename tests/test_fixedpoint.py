@@ -267,6 +267,20 @@ def test_cross_validate_requires_lipschitz():
         rd.cross_validate(m, cfg, rd.PicardConfig())
 
 
+@pytest.mark.parametrize("halvings", [0, -1])
+def test_cross_validate_rejects_fewer_than_one_halving_before_any_run(halvings, monkeypatch):
+    # with no halving there is no shrink ratio, and the report would pass unchecked
+    m = lipschitz_cross_model(make_grid_1d(8))
+    cfg = rd.SchemeConfig(tau=0.05, horizon=0.1)
+
+    def no_run(*args):
+        raise AssertionError("cross_validate ran a step")
+
+    monkeypatch.setattr(fixedpoint, "initial_state", no_run)
+    with pytest.raises(ValueError, match="halvings must be at least 1"):
+        rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=halvings)
+
+
 def test_cross_validate_constant_data_degenerate():
     g = make_grid_1d(12)
     m = rd.ModelSpec(

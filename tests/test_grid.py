@@ -5,7 +5,7 @@ import pytest
 
 import relaxdiff as rd
 from relaxdiff.errors import DimensionMismatchError
-from relaxdiff.grid import COARSE_MODES_1D, COARSE_MODES_2D, MAX_AXIS_CELLS
+from relaxdiff.grid import COARSE_MODES_1D, COARSE_MODES_2D, MAX_AXIS_CELLS, _cosine_tables
 from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import _solve_implicit
 
@@ -202,6 +202,45 @@ def test_shifted_solve_constant_field_bitwise():
 def test_shifted_solve_rejects_wrong_length():
     with pytest.raises(DimensionMismatchError):
         make_grid_2d(3, 4).shifted_solver(1.0, 1.0)(np.ones(11))
+
+
+def tables_of(g):
+    return _cosine_tables(g.cells, g.spacing)
+
+
+def test_a_square_grid_holds_one_basis():
+    t = tables_of(make_grid_2d(20, 20, (1.0, 0.7)))
+    assert t.bases[0] is t.bases[1] and t.products[0] is t.products[1]
+    # the spacings differ, so the axes' eigenvalues do
+    assert not np.array_equal(t.lam[0], t.lam[:, 0])
+
+
+def test_cosine_tables_are_read_only():
+    t = tables_of(make_grid_2d(20, 24))
+    for a in (*t.bases, *t.products, t.lam, t.low):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+@pytest.mark.parametrize("g", [make_grid_1d(5), make_grid_1d(40), make_grid_2d(7, 20),
+                               make_grid_2d(24, 20)],
+                         ids=lambda g: "x".join(map(str, g.cells)))
+def test_coarse_block_keeps_the_lowest_modes_per_axis(g):
+    t = tables_of(g)
+    m = COARSE_MODES_1D if g.ndim == 1 else COARSE_MODES_2D
+    kept = [min(n, m) for n in g.cells]
+    assert t.low.shape == tuple(kept[::-1])
+    assert np.array_equal(t.low, t.lam[tuple(slice(0, k) for k in kept[::-1])])
+    assert [p.shape for p in t.products] == [(k * k, n) for k, n in zip(kept, g.cells)]
+
+
+def test_both_solvers_of_a_grid_build_its_tables_once():
+    g = make_grid_2d(19, 23, (0.31, 0.29))  # a grid no other test uses
+    r = np.cos(np.arange(g.n_cells))
+    misses = _cosine_tables.cache_info().misses
+    g.shifted_solver(1.0, 0.5)(r)
+    g.coarse_corrected_solver(smooth_diagonal(g))(r)
+    assert _cosine_tables.cache_info().misses == misses + 1
 
 
 def dense_of(solve, n):

@@ -89,6 +89,19 @@ def one_slab_node(u, tau):
     return rd.solve_frozen_slab([np.ones(u.grid.n_cells)], u, tau)
 
 
+# an empty slab runs no solve, so only the step-size rule can reject its tau
+def empty_slab(u, tau):
+    return rd.solve_frozen_slab([], u, tau)
+
+
+def empty_slab_energy(u, tau):
+    return rd.energy_identity_residual([u], [], tau)
+
+
+def one_node_slab_energy(u, tau):
+    return rd.energy_identity_residual([u, u], [np.ones(u.grid.n_cells)], tau)
+
+
 # the rule SchemeConfig applies to tau: positive, finite and a finite 1 / tau
 BAD_TAU = [(-0.1, "tau must be positive and finite"), (0.0, "tau must be positive and finite"),
            (np.nan, "tau must be positive and finite"), (np.inf, "tau must be positive and finite"),
@@ -96,7 +109,9 @@ BAD_TAU = [(-0.1, "tau must be positive and finite"), (0.0, "tau must be positiv
 
 
 @pytest.mark.parametrize("call, value, match", [
-    *((call, tau, match) for call in (one_implicit_step, one_slab_node) for tau, match in BAD_TAU),
+    *((call, tau, match) for call in (one_implicit_step, one_slab_node, empty_slab,
+                                      empty_slab_energy, one_node_slab_energy)
+      for tau, match in BAD_TAU),
     *((rd.regularize, delta, "delta must be positive and finite")
       for delta in (-0.1, 0.0, np.nan, np.inf)),
 ])
