@@ -73,30 +73,6 @@ def run_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _study_rows(study: str, steps: list[float], diffs: list[float]) -> list[str]:
-    """converge.csv rows of one study, with the order seen between levels."""
-    rows = []
-    for k, d in enumerate(diffs):
-        order = ""
-        if k > 0 and d > 0 and diffs[k - 1] > 0:
-            order = format_number(np.log2(diffs[k - 1] / d))
-        rows.append(f"{study},{k},{format_number(steps[k])},{format_number(d)},{order}")
-    return rows
-
-
-def _fit_order(lines: list[str], study: str, label: str, diffs: list[float],
-               band: tuple[float, float]) -> bool:
-    """Append the fitted order of one study; False when it leaves `band`."""
-    # order p from successive differences d_k ~ C * 2^(-p k)
-    logs = [np.log2(d) for d in diffs]
-    order = float(-np.polyfit(np.arange(len(logs)), logs, 1)[0])
-    lines.append(f"{study}_fit,,,,{format_number(order)}")
-    if band[0] <= order <= band[1]:
-        return True
-    print(f"{label} order {order:.3f} outside [{band[0]}, {band[1]}]", file=sys.stderr)
-    return False
-
-
 def _check_finest_step(cfg: RunConfig) -> None:
     """Reject a refinement study whose finest step tau / 2^halvings is invalid.
 
@@ -110,6 +86,34 @@ def _check_finest_step(cfg: RunConfig) -> None:
 
 
 _DEGENERATE_FLOOR = 1e-13
+# each study's name in messages and the band its fitted order must lie in
+_STUDIES = {"tau": ("temporal", (0.8, 1.3)), "h": ("spatial", (1.6, 2.4))}
+
+
+def _study(lines: list[str], study: str, steps: list[float], diffs: list[float],
+           scale: float) -> bool:
+    """Append one study's converge.csv rows and fitted order; False when it leaves its band.
+
+    `steps[k]` is level k's step or spacing and `diffs[k]` its difference to
+    level k + 1. The study is degenerate, and fits no order, unless every
+    difference is above _DEGENERATE_FLOOR * scale.
+    """
+    label, (low, high) = _STUDIES[study]
+    for k, d in enumerate(diffs):
+        order = ""
+        if k > 0 and d > 0 and diffs[k - 1] > 0:
+            order = format_number(np.log2(diffs[k - 1] / d))
+        lines.append(f"{study},{k},{format_number(steps[k])},{format_number(d)},{order}")
+    if not all(d > _DEGENERATE_FLOOR * scale for d in diffs):
+        print(f"{label} study degenerate (zero differences)", file=sys.stderr)
+        return True
+    # order p from successive differences d_k ~ C * 2^(-p k)
+    order = float(-np.polyfit(np.arange(len(diffs)), [np.log2(d) for d in diffs], 1)[0])
+    lines.append(f"{study}_fit,,,,{format_number(order)}")
+    if low <= order <= high:
+        return True
+    print(f"{label} order {order:.3f} outside [{low}, {high}]", file=sys.stderr)
+    return False
 
 
 def run_converge(cfg: RunConfig) -> int:
@@ -118,7 +122,6 @@ def run_converge(cfg: RunConfig) -> int:
         raise ConfigError("[run] halvings must be at least 2 for converge")
     _check_finest_step(cfg)
     lines = ["study,level,step,diff_inf,order_estimate"]
-    ok = True
 
     grids = [cfg.grid]
     if cfg.spatial:  # a refined grid the kernels cannot serve is rejected before any run
@@ -129,17 +132,12 @@ def run_converge(cfg: RunConfig) -> int:
     # so are file: and random: data, which cannot be rebuilt on a refined grid
     refined = [cfg.build_model(g) for g in grids[1:]]
 
-    finals = [stepper.run(cfg.model, replace(cfg.scheme, tau=cfg.scheme.tau / 2**k))
-              for k in range(cfg.halvings + 1)]
+    taus = [math.ldexp(cfg.scheme.tau, -k) for k in range(cfg.halvings + 1)]
+    finals = [stepper.run(cfg.model, replace(cfg.scheme, tau=tau)) for tau in taus]
     diffs = [max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.u, b.u))
              for a, b in zip(finals, finals[1:])]
     scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in finals[0].u))
-    live = [d for d in diffs if d > _DEGENERATE_FLOOR * scale]
-    lines += _study_rows("tau", [cfg.scheme.tau / 2**k for k in range(len(diffs))], diffs)
-    if len(live) != len(diffs):
-        print("temporal study degenerate (zero differences)", file=sys.stderr)
-    else:
-        ok = _fit_order(lines, "tau", "temporal", diffs, (0.8, 1.3))
+    ok = _study(lines, "tau", taus, diffs, scale)
 
     if cfg.spatial:
         # level 0 is the temporal study's first run
@@ -147,11 +145,7 @@ def run_converge(cfg: RunConfig) -> int:
         sdiffs = [max(float(np.max(np.abs(x.values - fine.coarsen(y.values))))
                       for x, y in zip(a.u, b.u))
                   for a, b, fine in zip(states, states[1:], grids[1:])]
-        lines += _study_rows("h", [g.spacing[0] for g in grids], sdiffs)
-        if all(d <= _DEGENERATE_FLOOR * scale for d in sdiffs):
-            print("spatial study degenerate (zero differences)", file=sys.stderr)
-        else:
-            ok = _fit_order(lines, "h", "spatial", sdiffs, (1.6, 2.4)) and ok
+        ok = _study(lines, "h", [g.spacing[0] for g in grids], sdiffs, scale) and ok
 
     (_output_dir(cfg) / "converge.csv").write_text("\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -259,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except RelaxdiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # reading the config and init files raises ConfigError instead
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

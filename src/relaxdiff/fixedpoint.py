@@ -18,6 +18,7 @@ discrepancy must shrink as tau does; that is what `cross_validate` measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -174,11 +175,12 @@ def cross_validate(
             "cross-validation requires locally Lipschitz coefficients; the two "
             "paths are only guaranteed to approximate one solution in that case"
         )
+    # the finest level first: an invalid step is rejected before any run
+    levels = [replace(cfg, tau=math.ldexp(cfg.tau, -k)) for k in range(halvings, -1, -1)]
     rows = []
     scale = 0.0
     start = initial_state(m, cfg)  # independent of tau, never mutated
-    for k in range(halvings + 1):
-        cfg_k = replace(cfg, tau=cfg.tau / (2**k))
+    for cfg_k in reversed(levels):
         semi = march(start, cfg_k, lambda s, dt: step_with_info(s, m, cfg_k, tau=dt), None)
         sweeps = []
         picard = march(start, cfg_k,

@@ -87,8 +87,8 @@ def truncation_bound(specs: Sequence[CoefficientSpec], k: float) -> float:
     because the couplings are nonnegative. Tabulated coefficients are
     maximized over a lattice with `_LATTICE_POINTS` samples per axis.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not (0 <= k < np.inf):
+        raise ValueError("k must be nonnegative and finite")
     n_species = len(specs)
     best = -np.inf
     lattice = None

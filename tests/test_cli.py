@@ -2,6 +2,7 @@ import dataclasses
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,17 @@ def test_converge_heat_reduction_first_order(tmp_path):
     fit_line = [l for l in content.splitlines() if l.startswith("tau_fit")][0]
     order = float(fit_line.split(",")[-1])
     assert 0.8 <= order <= 1.3
+
+
+@pytest.mark.parametrize("study, label", [("tau", "temporal"), ("h", "spatial")])
+def test_study_with_one_difference_at_the_floor_is_degenerate(study, label, capsys):
+    # one zero difference fits no order: its log would be -inf
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli._study(lines, study, [0.1, 0.05, 0.025], [1e-3, 0.0], 1.0)
+    assert lines == [f"{study},0,0.1,0.001,", f"{study},1,0.05,0.0,"]
+    assert capsys.readouterr().err == f"{label} study degenerate (zero differences)\n"
 
 
 def test_converge_needs_two_halvings(tmp_path, capsys):
@@ -499,6 +511,23 @@ def test_refinement_study_rejects_its_finest_step_before_any_run(tmp_path, case,
     assert proc.stderr.splitlines() == [
         f"config error: [run] halvings = {halvings} makes the finest step invalid: {reason}"]
     assert not Path(outdir).exists()
+
+
+# (mode, output file): a directory in the file's place makes its open fail
+# (a read-only mode would not, for root)
+UNWRITABLE = [("simulate", "diagnostics.csv"), ("simulate", "snap_0.fld"),
+              ("invariants", "invariants.csv"), ("converge", "converge.csv"),
+              ("cross-validate", "crossval.csv")]
+
+
+@pytest.mark.parametrize("mode, name", UNWRITABLE)
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, mode, name):
+    path, outdir = write_cfg(tmp_path, mode=mode)
+    (Path(outdir) / name).mkdir(parents=True)
+    assert cli.main([mode, "--config", str(path)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("config error: cannot write output: "), last
+    assert name in last
 
 
 # 2**-52 is only the least tolerance a config may set: the floor a solve can

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
+from relaxdiff import stepper
 from relaxdiff.diagnostics import CSV_HEADER, step_records
 from relaxdiff.stepper import step_with_info
 
@@ -189,6 +190,31 @@ def test_fit_linear_bound_needs_three_horizons():
     cfg = rd.SchemeConfig(tau=0.05, horizon=1.0)
     with pytest.raises(ValueError):
         rd.fit_linear_bound(m, cfg, horizons=[0.5, 1.0])
+
+
+def test_fit_linear_bound_horizon_before_the_first_step_reads_the_initial_state():
+    g = make_grid_1d(32)
+    m = two_species_model(g)
+    cfg = rd.SchemeConfig(tau=0.01, horizon=1.0)
+    fit = rd.fit_linear_bound(m, cfg, horizons=[cfg.tau / 2, 0.05, 0.1])
+    start = rd.initial_state(m, cfg)
+    assert fit.sup_utilde[0] == max(d * float(np.max(np.abs(f.values)))
+                                    for d, f in zip(m.delta, start.u_tilde))
+    assert fit.sup_utilde[0] <= fit.sup_utilde[1] <= fit.sup_utilde[2]
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_fit_linear_bound_rejects_a_bad_horizon_before_any_run(bad, monkeypatch):
+    g = make_grid_1d(8)
+    m = two_species_model(g)
+    cfg = rd.SchemeConfig(tau=0.05, horizon=1.0)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("fit_linear_bound ran the model")
+
+    monkeypatch.setattr(stepper, "run", no_run)
+    with pytest.raises(ValueError, match="horizons must be positive and finite"):
+        rd.fit_linear_bound(m, cfg, horizons=[bad, 0.5, 1.0])
 
 
 def test_energy_identity_residual_zero_data():

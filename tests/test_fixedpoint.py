@@ -281,6 +281,19 @@ def test_cross_validate_rejects_fewer_than_one_halving_before_any_run(halvings, 
         rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=halvings)
 
 
+def test_cross_validate_rejects_an_invalid_finest_step_before_any_run(monkeypatch):
+    # tau / 2**60 puts 2**61 steps in the horizon, past the 2**53 that SchemeConfig allows
+    m = lipschitz_cross_model(make_grid_1d(4))
+    cfg = rd.SchemeConfig(tau=0.01, horizon=0.02)
+
+    def no_run(*args):
+        raise AssertionError("cross_validate ran a level")
+
+    monkeypatch.setattr(fixedpoint, "march", no_run)
+    with pytest.raises(ValueError, match=r"horizon / tau must not exceed 2\*\*53"):
+        rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=60)
+
+
 def test_cross_validate_constant_data_degenerate():
     g = make_grid_1d(12)
     m = rd.ModelSpec(

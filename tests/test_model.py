@@ -141,3 +141,10 @@ def test_coefficient_fields_a_max_truncation():
     fields, counts = coefficient_fields(m, tilde, (0,))
     assert fields[0].tolist() == [1.0, 1.5, 1.5, 1.5]
     assert counts == [3]
+
+
+@pytest.mark.parametrize("k", [-1.0, float("nan"), float("inf")])
+def test_truncation_bound_rejects_a_level_outside_zero_to_infinity(k):
+    spec = rd.SktCoefficients(1.0, (1.0, 2.0), 1.0)
+    with pytest.raises(ValueError, match="k must be nonnegative and finite"):
+        rd.truncation_bound([spec, spec], k)
