@@ -132,22 +132,24 @@ def run_converge(cfg: RunConfig) -> int:
     # so are file: and random: data, which cannot be rebuilt on a refined grid
     refined = [cfg.build_model(g) for g in grids[1:]]
 
-    taus = [math.ldexp(cfg.scheme.tau, -k) for k in range(cfg.halvings + 1)]
-    finals = [stepper.run(cfg.model, replace(cfg.scheme, tau=tau)) for tau in taus]
-    diffs = [max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.u, b.u))
-             for a, b in zip(finals, finals[1:])]
-    scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in finals[0].u))
-    ok = _study(lines, "tau", taus, diffs, scale)
+    # opened before the study, so an unwritable file costs no run
+    with open(_output_dir(cfg) / "converge.csv", "w", newline="\n") as out:
+        taus = [math.ldexp(cfg.scheme.tau, -k) for k in range(cfg.halvings + 1)]
+        finals = [stepper.run(cfg.model, replace(cfg.scheme, tau=tau)) for tau in taus]
+        diffs = [max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.u, b.u))
+                 for a, b in zip(finals, finals[1:])]
+        scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in finals[0].u))
+        ok = _study(lines, "tau", taus, diffs, scale)
 
-    if cfg.spatial:
-        # level 0 is the temporal study's first run
-        states = finals[:1] + [stepper.run(m, cfg.scheme) for m in refined]
-        sdiffs = [max(float(np.max(np.abs(x.values - fine.coarsen(y.values))))
-                      for x, y in zip(a.u, b.u))
-                  for a, b, fine in zip(states, states[1:], grids[1:])]
-        ok = _study(lines, "h", [g.spacing[0] for g in grids], sdiffs, scale) and ok
+        if cfg.spatial:
+            # level 0 is the temporal study's first run
+            states = finals[:1] + [stepper.run(m, cfg.scheme) for m in refined]
+            sdiffs = [max(float(np.max(np.abs(x.values - fine.coarsen(y.values))))
+                          for x, y in zip(a.u, b.u))
+                      for a, b, fine in zip(states, states[1:], grids[1:])]
+            ok = _study(lines, "h", [g.spacing[0] for g in grids], sdiffs, scale) and ok
 
-    (_output_dir(cfg) / "converge.csv").write_text("\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -160,12 +162,13 @@ def run_cross_validate(cfg: RunConfig) -> int:
             "(polynomial family: p >= 1); this model is not flagged as such"
         )
     _check_finest_step(cfg)
-    outdir = _output_dir(cfg)
-    report = fixedpoint.cross_validate(model, cfg.scheme, cfg.picard, cfg.halvings)
-    lines = ["tau,discrepancy,sweeps"]
-    for row in report.rows:
-        lines.append(f"{format_number(row.tau)},{format_number(row.discrepancy)},{row.sweeps}")
-    (outdir / "crossval.csv").write_text("\n".join(lines) + "\n")
+    # opened before the study, so an unwritable file costs no run
+    with open(_output_dir(cfg) / "crossval.csv", "w", newline="\n") as out:
+        report = fixedpoint.cross_validate(model, cfg.scheme, cfg.picard, cfg.halvings)
+        lines = ["tau,discrepancy,sweeps"]
+        for row in report.rows:
+            lines.append(f"{format_number(row.tau)},{format_number(row.discrepancy)},{row.sweeps}")
+        out.write("\n".join(lines) + "\n")
     if report.passed():
         return 0
     ratios = ", ".join(f"{r:.2f}" for r in report.shrink_ratios())

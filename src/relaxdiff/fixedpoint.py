@@ -92,9 +92,10 @@ def picard_step_with_info(
     species, in Gauss-Seidel order: species i freezes its coefficient at the
     newest regularized densities, u_tilde_1..u_tilde_{i-1} from this sweep and
     the rest from the previous candidate, which is `state` itself before the
-    first sweep. The first sweep starts its implicit solves from zero, every
-    later one from the z that species solved in the sweep before. The loop
-    stops when the candidate's relative L2 change across a sweep falls below
+    first sweep. In 2D the first sweep starts its implicit solves from zero,
+    every later one from the z that species solved in the sweep before; a 1D
+    implicit solve always starts from its exact answer. The loop stops when
+    the candidate's relative L2 change across a sweep falls below
     `sweep_tol`; with state-independent coefficients that is the second sweep,
     and the result is bit for bit the semi-implicit step. Returns the step and
     its sweeps, the first included: the implicit solves per species.

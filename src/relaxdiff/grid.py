@@ -8,7 +8,8 @@ mass balance of the time stepper exact rather than approximate.
 The same Laplacian is diagonal in the orthonormal cosine (DCT-II) basis of
 each axis (Strang, "The Discrete Cosine Transform", SIAM Review 41(1), 1999),
 so shifted systems (c I - s L) x = r are solved exactly by two basis changes
-and one division.
+and one division. In 1D, diag(d) - L is tridiagonal and is solved exactly by
+elimination.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import DimensionMismatchError
 # A grid's cosine tables hold a dense n x n basis per distinct axis length
 # (8 n^2 bytes): 512 MiB at this cap, which still admits a 1024-cell axis refined twice.
 MAX_AXIS_CELLS = 2**13
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -139,24 +142,33 @@ class Grid:
         return solve
 
     def coarse_corrected_solver(self, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """An SPD approximate solve of (diag(d) - L) x = values, exact on the lowest modes.
+        """An SPD solve of (diag(d) - L) x = values, exact in 1D and on the low modes in 2D.
 
-        In the cosine basis the lowest `COARSE_MODES_*` modes per axis are
-        solved with the Galerkin block E = C_l diag(d) C_l^T + Lambda_l of the
-        operator, and every other mode is divided by c + mu, as
-        `shifted_solver(c, 1)` does with c = sqrt(min d) sqrt(max d) (Nicolaides,
-        SIAM J. Numer. Anal. 24(2), 1987). A smooth `d` couples only the few
-        lowest modes strongly, so this is close to the exact inverse. E is
-        factored as L L^T once here and applied as W^T (W y) with W = L^{-1},
-        which is SPD whatever the rounding in W. A constant `d` (whose exact
-        inverse the shift is) or an E that is singular to working precision or
-        fails to factor gives the plain shift.
+        A constant `d` gets the shift `shifted_solver(c, 1)`, its exact
+        inverse, with c = sqrt(min d) sqrt(max d). In 1D the operator is a
+        diagonally dominant tridiagonal M-matrix, solved by elimination
+        without pivoting (`_elimination_solver`). In 2D the lowest
+        `COARSE_MODES_2D` cosine modes per axis are solved with the Galerkin
+        block E = C_l diag(d) C_l^T + Lambda_l of the operator, and every
+        other mode is divided by c + mu, as the shift does (Nicolaides, SIAM
+        J. Numer. Anal. 24(2), 1987). A smooth `d` couples only the few lowest
+        modes strongly, so this is close to the exact inverse. E is factored
+        as L L^T once here and applied as W^T (W y) with W = L^{-1}, which is
+        SPD whatever the rounding in W. A pivot of either factorization that
+        is not positive and finite, or is below epsilon times the largest,
+        gives the plain shift.
         """
         d = self._axes_view(d)
         lo, hi = float(np.min(d)), float(np.max(d))
         c = math.sqrt(lo) * math.sqrt(hi)
         if lo == hi:
             return self.shifted_solver(c, 1.0)
+        if self.ndim == 1:
+            h = self.spacing[0]
+            eliminate = _elimination_solver(d.tolist(), 1.0 / (h * h))
+            if eliminate is None:
+                return self.shifted_solver(c, 1.0)
+            return lambda values: eliminate(self._axes_view(values))
         t = _cosine_tables(self.cells, self.spacing)
         W = _coarse_inverse_factor(d, t)
         if W is None:
@@ -187,18 +199,58 @@ class Grid:
         return (C2.T @ spectral @ C1).reshape(-1)
 
 
-# The coarse block of `Grid.coarse_corrected_solver` has prod(m) rows, m modes
-# per axis. Per solve, its assembly costs about 2 N m^2 multiply-adds for N
-# cells in 2D (N m^2 in 1D), and its factoring and inversion (prod m)^3 / 3
+def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The exact solve of (diag(d) - L) x = r on a 1D grid with w = 1 / h^2, or None.
+
+    The operator is tridiagonal: d_i plus w per neighbor on the diagonal, -w
+    off it. For d >= 0 it is a diagonally dominant M-matrix, so elimination
+    without pivoting is stable (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, section 9.5). The pivots are formed without a
+    subtraction: row i keeps e_i = d_i + t_{i-1} of its diagonal after
+    elimination, passes t_i = w (e_i / (e_i + w)) on to the next row, and
+    has the pivot e_i + w (e_i in the last row). Every step of the solve
+    adds and multiplies nonnegative numbers, so a nonnegative r gives a
+    nonnegative x exactly. Pure-Python loops: no BLAS call, so the bits do
+    not depend on the thread count. A pivot that is not positive and finite,
+    or is below epsilon times the largest, gives None.
+    """
+    pivots, t = [], 0.0
+    for di in d[:-1]:
+        e = di + t
+        pivot = e + w
+        pivots.append(pivot)
+        t = w * (e / pivot)
+    pivots.append(d[-1] + t)
+    # a NaN or infinite pivot makes the sum non-finite
+    if not (math.isfinite(sum(pivots)) and min(pivots) > _EPS * max(pivots)):
+        return None
+    gains = [w / p for p in pivots]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        v, forward = 0.0, []
+        for ri, p in zip(r.tolist(), pivots):
+            v = (ri + w * v) / p
+            forward.append(v)
+        x, back = 0.0, []
+        for vi, g in zip(reversed(forward), reversed(gains)):
+            x = vi + g * x
+            back.append(x)
+        return np.array(back[::-1])
+
+    return solve
+
+
+# The coarse block of `Grid.coarse_corrected_solver` on a 2D grid has prod(m)
+# rows, m modes per axis. Per solve, its assembly costs about 2 N m^2
+# multiply-adds for N cells, and its factoring and inversion (prod m)^3 / 3
 # each; each CG iteration applies it for 2 (prod m)^2. At 128^2 (a 144-row
 # block) that is 7 M once per solve (about 1 ms) and 41 k per iteration,
 # against the 8 M of the four basis products of every iteration.
-COARSE_MODES_1D = 16
 COARSE_MODES_2D = 12
 
 
 def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables) -> np.ndarray | None:
-    """W = L^{-1} for the Cholesky factor L L^T of the coarse Galerkin block, or None.
+    """W = L^{-1} for the Cholesky factor L L^T of the 2D coarse Galerkin block, or None.
 
     `d` is the diagonal on the field's layout (grid axis k along array axis
     -1 - k). The block is assembled one axis at a time, by contracting `d`
@@ -206,15 +258,10 @@ def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables) -> np.ndarray | None
     eigenvalues `t.low`. Its rows are the coarse cosine coefficients in the
     order of the field's layout.
     """
-    coarse = t.low.shape[::-1]
+    m2, m1 = t.low.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(coarse) == 1:
-            (m1,) = coarse
-            E = (t.products[0] @ d).reshape(m1, m1)
-        else:
-            m1, m2 = coarse
-            E = (t.products[1] @ d @ t.products[0].T).reshape(m2, m2, m1, m1)
-            E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
+        E = (t.products[1] @ d @ t.products[0].T).reshape(m2, m2, m1, m1)
+    E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
     E.flat[::E.shape[0] + 1] += t.low.reshape(-1)
     if not np.all(np.isfinite(E)):
         return None
@@ -225,7 +272,7 @@ def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables) -> np.ndarray | None
     # a pivot below epsilon times the largest one: E is singular to working
     # precision, and no factor of it solves the coarse modes
     pivots = np.diag(factor) ** 2
-    if not np.min(pivots) > np.finfo(np.float64).eps * np.max(pivots):
+    if not np.min(pivots) > _EPS * np.max(pivots):
         return None
     W = _lower_inverse(factor)
     return W if np.all(np.isfinite(W)) else None
@@ -255,7 +302,7 @@ class _CosineTables(NamedTuple):
     bases: tuple[np.ndarray, ...]
     lam: np.ndarray
     block: tuple[slice, ...]
-    low: np.ndarray
+    low: np.ndarray | None
     products: tuple[np.ndarray, ...]
 
 
@@ -266,28 +313,35 @@ def _cosine_tables(cells: tuple[int, ...], spacing: tuple[float, ...]) -> _Cosin
     `bases` and `products` hold one read-only array per grid axis, the same
     one for axes of one length. Row k of a basis is the k-th eigenvector of
     the 1D zero-flux Laplacian, cos(pi k (j + 1/2) / n) scaled to unit length,
-    with eigenvalue mu_k = 4 sin^2(pi k / 2n) / h^2 of -L. Row a * m + b of
-    `products` is the cellwise product of basis rows a and b, so a contraction
-    with a diagonal d gives the Galerkin entries c_a diag(d) c_b^T. `lam` holds
-    the eigenvalues of -L on the field's layout, mu2[j] + mu1[i] at (j, i) in
-    2D; `block` slices its lowest `COARSE_MODES_*` modes per axis (all of a
-    shorter axis), and `low` is `lam[block]`.
+    with eigenvalue mu_k = 4 sin^2(pi k / 2n) / h^2 of -L. `lam` holds the
+    eigenvalues of -L on the field's layout, mu2[j] + mu1[i] at (j, i) in 2D.
+
+    The rest serves the 2D coarse block; a 1D grid, which solves by
+    elimination, has none of it (`low` is None). Row a * m + b of `products`
+    is the cellwise product of basis rows a and b, so a contraction with a
+    diagonal d gives the Galerkin entries c_a diag(d) c_b^T. `block` slices
+    the lowest `COARSE_MODES_2D` modes per axis (all of a shorter axis), and
+    `low` is `lam[block]`.
     """
-    m = COARSE_MODES_1D if len(cells) == 1 else COARSE_MODES_2D
-    basis, sin2, products = {}, {}, {}  # one of each per distinct axis length
+    basis, sin2 = {}, {}  # one of each per distinct axis length
     for n in dict.fromkeys(cells):
         k = np.arange(n)
         C = np.cos(np.pi / n * np.outer(k, k + 0.5)) * math.sqrt(2.0 / n)
         C[0] = math.sqrt(1.0 / n)
         basis[n], sin2[n] = C, np.sin(np.pi / (2 * n) * k) ** 2
-        products[n] = (C[:m, None] * C[None, :m]).reshape(-1, n)
     mu = [4.0 * sin2[n] / (h * h) for n, h in zip(cells, spacing)]
     lam = functools.reduce(np.add.outer, mu[::-1])  # grid axis k along array axis -1 - k
-    for a in (*basis.values(), *products.values(), lam):
+    for a in (*basis.values(), lam):
         a.flags.writeable = False
-    block = (slice(0, m),) * len(cells)  # all modes of a shorter axis
-    return _CosineTables(tuple(basis[n] for n in cells), lam, block, lam[block],
-                         tuple(products[n] for n in cells))
+    bases = tuple(basis[n] for n in cells)
+    if len(cells) == 1:
+        return _CosineTables(bases, lam, (), None, ())
+    m = COARSE_MODES_2D
+    products = {n: (C[:m, None] * C[None, :m]).reshape(-1, n) for n, C in basis.items()}
+    for a in products.values():
+        a.flags.writeable = False
+    block = (slice(0, m),) * 2  # all modes of a shorter axis
+    return _CosineTables(bases, lam, block, lam[block], tuple(products[n] for n in cells))
 
 
 def _axis_fluxes(arr: np.ndarray, axis: int, h: float) -> np.ndarray:

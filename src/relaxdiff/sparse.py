@@ -1,7 +1,9 @@
 """Deterministic preconditioned conjugate gradients for matrix-free SPD operators.
 
-The solver is written from scratch with a fixed accumulation order so that
-repeated solves are bit-identical.
+Repeated solves of the same data with the same BLAS thread count are
+bit-identical. The inner products and norms are numpy's BLAS calls, whose
+OpenBLAS reductions split across threads from 16,384 entries on, so on such
+grids the last bits can change with `OPENBLAS_NUM_THREADS`.
 """
 
 from __future__ import annotations

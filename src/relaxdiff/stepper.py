@@ -13,9 +13,11 @@ diagnostics that need solves of their own live here too:
 `fit_linear_bound` runs the growth-in-time study of u_tilde.
 
 Both linear solves are symmetric positive definite and handled by conjugate
-gradients, preconditioned in the cosine eigenbasis of the Laplacian. The
-regularization operator is a constant-coefficient shift of the Laplacian,
-solved exactly there, so its solve needs one iteration. The implicit
+gradients. The regularization operator is a constant-coefficient shift of
+the Laplacian, solved exactly in its cosine eigenbasis, and in 1D the
+implicit operator is a tridiagonal M-matrix, solved exactly by elimination.
+Such a solve starts CG from the exact inverse applied to the right-hand
+side, which the stopping rule accepts after 0 iterations. The 2D implicit
 operator's preconditioner solves its lowest cosine modes exactly with the
 operator's Galerkin block and shifts the rest by the geometric mean of its
 diagonal: the shift alone bounds the iteration count by max A / min A
@@ -96,6 +98,7 @@ class _ResolventOperator:
     """Matrix-free I - delta * L; symmetric positive definite."""
 
     name = "regularization"
+    exact = True  # `precondition` is the operator's inverse
 
     def __init__(self, grid: Grid, delta: float):
         self.grid = grid
@@ -111,10 +114,11 @@ class _ResolventOperator:
 class _ImplicitStepOperator:
     """Matrix-free diag(1 / (tau A)) - L; symmetric positive definite.
 
-    Preconditioned by `Grid.coarse_corrected_solver`: the lowest cosine modes
-    are solved exactly with the operator's own Galerkin block, and every other
-    mode with the shift c I - L, c the geometric mean of the diagonal. That
-    shift alone puts the preconditioned spectrum in [sqrt(min / max),
+    Preconditioned by `Grid.coarse_corrected_solver`, which in 1D is the
+    exact inverse by tridiagonal elimination. In 2D it solves the lowest
+    cosine modes exactly with the operator's own Galerkin block, and every
+    other mode with the shift c I - L, c the geometric mean of the diagonal.
+    That shift alone puts the preconditioned spectrum in [sqrt(min / max),
     sqrt(max / min)] of the diagonal; the coefficients are evaluated at
     regularized densities, so 1 / (tau A) is smooth and couples the low modes
     that the coarse block takes over. A constant A has the shift as its exact
@@ -128,6 +132,7 @@ class _ImplicitStepOperator:
         self.scale = 1.0 / (tau * A)
         self.n_rows = self.n_cols = grid.n_cells
         self.precondition = grid.coarse_corrected_solver(self.scale)
+        self.exact = grid.ndim == 1
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.scale * x - self.grid.laplacian(x)
@@ -137,11 +142,17 @@ def _flux_solve(
     op, b: np.ndarray, u: np.ndarray, s: float, tol: float, max_iter: int,
     z_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
-    """Solve op z = b by CG from `z_start`; return u + s * L z, z and the report.
+    """Solve op z = b by CG; return u + s * L z, z and the report.
 
-    The flux form equals the solved field up to the solver residual, but it
-    carries exactly the total of `u`. A solve that stalls raises.
+    An operator whose preconditioner is its exact inverse (`op.exact`)
+    starts from that inverse applied to b, which the stopping rule accepts
+    after 0 iterations unless rounding leaves it short; any other starts from
+    `z_start`, else from zero. The flux form equals the solved field up to
+    the solver residual, but it carries exactly the total of `u`. A solve
+    that stalls raises.
     """
+    if op.exact:
+        z_start = op.precondition(b)
     z, report = cg_solve(op, b, tol, max_iter, x0=z_start)
     if not report.converged:
         raise LinearSolverError(
@@ -162,7 +173,7 @@ def _solve_implicit(
     g: Grid, u_n: np.ndarray, A: np.ndarray, tau: float, tol: float, max_iter: int,
     z_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
-    """u_new, the solved z = A * u_new, and the report; CG starts from `z_start`."""
+    """u_new, the solved z = A * u_new, and the report; see `_flux_solve` for the start."""
     if not np.all(A > 0):
         raise ValueError("implicit step requires strictly positive coefficients")
     return _flux_solve(_ImplicitStepOperator(g, A, tau), u_n / tau, u_n, tau, tol, max_iter,
@@ -254,10 +265,10 @@ def species_step(
 ) -> tuple[Field, Field, Field, tuple[SolverReport, SolverReport], np.ndarray]:
     """Species `i`'s part of a step of size `dt` with its coefficient frozen at `A`.
 
-    The implicit diffusion solve from `state.u[i]`, started from `z_start`
-    when given (else from zero), then the regularization of the result, then
-    the w update. Returns the next u, u_tilde and w of species `i`, its
-    (implicit, regularize) solve reports and its solved z.
+    The implicit diffusion solve from `state.u[i]` (a 2D one started from
+    `z_start` when given, see `_flux_solve`), then the regularization of the
+    result, then the w update. Returns the next u, u_tilde and w of species
+    `i`, its (implicit, regularize) solve reports and its solved z.
     """
     g = m.grid
     where = f"species {i + 1}, step from t = {state.time!r}"
@@ -282,7 +293,7 @@ def step_with_info(
     """Advance one semi-implicit step of size `tau` and report solve stats.
 
     Every species freezes its coefficient at `state.u_tilde` and runs
-    `species_step` from a zero start, under the `workers` pool.
+    `species_step` without a warm start, under the `workers` pool.
     """
     A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, range(state.n_species))
 

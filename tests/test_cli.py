@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff import cli, config, diagnostics, stepper
+from relaxdiff import cli, config, diagnostics, fixedpoint, stepper
 
 from conftest import dense_replay
 
@@ -54,8 +54,19 @@ def write_cfg(tmp_path, name="run.cfg", n1=16, tau=0.02, T=0.1, mode="simulate",
     return path, outdir
 
 
-def test_simulate_writes_expected_files(tmp_path):
+def as_2d(path, n2):
+    """Turn a config written by `write_cfg` into one on n1 x n2 cells of width h1."""
+    text = path.read_text()
+    h1 = re.search(r"^h1 = (\S+)$", text, re.M).group(1)
+    path.write_text(text.replace("dims = 1", "dims = 2").replace(
+        f"h1 = {h1}", f"h1 = {h1}\nn2 = {n2}\nh2 = {h1}"))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_simulate_writes_expected_files(tmp_path, dims):
     path, outdir = write_cfg(tmp_path)
+    if dims == 2:
+        as_2d(path, 16)
     assert cli.main(["simulate", "--config", str(path)]) == 0
     out = tmp_path / "out"
     diag = (out / "diagnostics.csv").read_text().splitlines()
@@ -65,7 +76,12 @@ def test_simulate_writes_expected_files(tmp_path):
     assert len(diag) == 1 + 5 * 2
     for row in diag[1:]:
         total, implicit, regularize = map(int, row.split(",")[-3:])
-        assert total == implicit + regularize and implicit > 0 and regularize > 0
+        assert total == implicit + regularize
+        # each solve whose preconditioner is the exact inverse starts from
+        # its answer, which meets the stopping rule: every regularization,
+        # and the 1D implicit solves (elimination); 2D implicit solves iterate
+        assert regularize == 0
+        assert implicit == 0 if dims == 1 else implicit > 0
     assert (out / "snap_0.fld").exists()
     assert (out / "snap_5.fld").exists()
 
@@ -133,9 +149,11 @@ def test_zero_mass_tolerance_turns_roundoff_into_violations():
 
 
 def test_simulate_exit_nonzero_on_solver_failure(tmp_path, capsys):
-    # 64 cells of random data: wider than the preconditioner's exact coarse
-    # block, so the implicit solves need more than two iterations
-    path, _ = write_cfg(tmp_path, n1=64, extra="\n[picard]\nmax_sweeps = 1\n")
+    # 24^2 cells of random data: wider than the 2D preconditioner's exact
+    # coarse block, so the implicit solves need more than two iterations (a
+    # 1D implicit solve is exact, and does not stall)
+    path, _ = write_cfg(tmp_path, n1=24, extra="\n[picard]\nmax_sweeps = 1\n")
+    as_2d(path, 24)
     text = path.read_text().replace("T = 0.1", "T = 0.1\nlinear_max_iter = 2")
     text = re.sub(r"init = cosine:-?0\.5,1\.0", "init = random:0.5,1.5", text)
     path.write_text(text)
@@ -419,10 +437,12 @@ OVERFLOWS = {
                    ("init = cosine:-0.5,1.0", "init = constant:1e200")],
               "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 1 "
               "(non-finite values)"),
-    # r.z underflows to zero in species 1's implicit solve; it was a ZeroDivisionError
+    # a coefficient of 1e300 leaves the implicit operator singular to working
+    # precision, so its elimination falls back to the shift and CG overflows;
+    # its r.z once underflowed to zero, a ZeroDivisionError
     "direction": ({}, [("d_2 = 1.0", "d_2 = 1e300")],
-                  "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 3 "
-                  "(r.z not positive)"),
+                  "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 4 "
+                  "(non-finite values)"),
     # A * u = 1e300 is finite, but the w update adds tau * A * u = 1e310
     "w_update": ({"tau": 1e10, "T": 1e10},
                  [("init = cosine:0.5,1.0", "init = constant:1e150"),
@@ -528,6 +548,24 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, mode, name):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("config error: cannot write output: "), last
     assert name in last
+
+
+@pytest.mark.parametrize("mode, name", [("converge", "converge.csv"),
+                                        ("cross-validate", "crossval.csv")])
+def test_unwritable_study_file_stops_the_study_before_it_starts(tmp_path, monkeypatch, capsys,
+                                                                mode, name):
+    # a study takes seconds; its file is opened before the first solve
+    path, outdir = write_cfg(tmp_path, mode=mode)
+    (Path(outdir) / name).mkdir(parents=True)
+
+    def study_ran(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(stepper, "run", study_ran)
+    monkeypatch.setattr(fixedpoint, "cross_validate", study_ran)
+    assert cli.main([mode, "--config", str(path)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("config error: cannot write output: ") and name in last, last
 
 
 # 2**-52 is only the least tolerance a config may set: the floor a solve can

@@ -6,7 +6,7 @@ from relaxdiff import fixedpoint, stepper
 from relaxdiff.errors import PicardConvergenceError
 from relaxdiff.fixedpoint import picard_step_with_info
 
-from conftest import cosine_profile, lipschitz_cross_model, make_grid_1d
+from conftest import cosine_profile, lipschitz_cross_model, make_grid_1d, make_grid_2d
 
 
 def smooth_coefficient_function(grid, rng, floor=0.5, ceil=2.0):
@@ -116,8 +116,8 @@ def test_picard_state_independent_coefficients_match_semi_implicit_bitwise():
     state = rd.initial_state(m, cfg)
     semi = rd.step_with_info(state, m, cfg, cfg.tau)[0]
     picard, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)
-    # the first sweep is the semi-implicit step; the second, warm-started at
-    # its z, meets the stopping rule after 0 iterations and changes nothing
+    # the first sweep is the semi-implicit step; the second solves the same
+    # system from the same exact start, and changes nothing
     assert sweeps == 2
     assert np.array_equal(semi.u[0].values, picard.u[0].values)
     assert np.array_equal(semi.u_tilde[0].values, picard.u_tilde[0].values)
@@ -200,10 +200,11 @@ def test_picard_sweeps_count_every_implicit_solve(monkeypatch, model, expected_s
 def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
     # each sweep starts its implicit solves from the previous sweep's z; the
     # cold run drops that start, so the two differ only in the CG iterations.
-    # 256 cells of random data: wider than the preconditioner's exact coarse
-    # block, whose solves of smooth data take one iteration warm or cold
+    # 24^2 cells of random data: wider than the 2D preconditioner's exact
+    # coarse block, whose solves of smooth data take one iteration warm or
+    # cold (a 1D solve starts from its answer by elimination instead)
     smooth = p2_cross_model()
-    g = make_grid_1d(256)
+    g = make_grid_2d(24, 24)
     rng = np.random.default_rng(7)
     m = rd.ModelSpec(smooth.delta, smooth.coefficients,
                      tuple(rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells)) for _ in range(2)))

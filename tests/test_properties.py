@@ -11,10 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 import relaxdiff as rd
 from relaxdiff.fixedpoint import picard_step_with_info
+from relaxdiff.grid import _elimination_solver
 from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import species_step
 
-from conftest import run_with_rows
+from conftest import dense_laplacian, run_with_rows
 
 LINEAR_TOL = 1e-10
 
@@ -130,6 +131,38 @@ def test_eval_coefficient_is_the_value_the_scheme_uses(specs_and_densities):
     A, _ = coefficient_fields(m, fields, range(len(specs)))
     for spec, values in zip(specs, A):
         assert [rd.eval_coefficient(spec, r) for r in R.T] == values.tolist()
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """A 1D grid of 1..300 cells and the diagonal d of diag(d) - L on it:
+    d spreads by up to 1e6 over the cells from its least value, which is
+    1e-3 to 1e3 times the coupling w = 1 / h^2 (the implicit step's
+    h^2 / (tau A) is about 2e-3 to 2e-2 on the xval1d benchmark workload),
+    and a right-hand side of either sign."""
+    n = draw(st.integers(1, 300))
+    grid = rd.Grid((n,), (draw(st.floats(0.01, 1.0)),))
+    w = 1.0 / grid.spacing[0] ** 2
+    least = w * 10.0 ** draw(st.floats(-3.0, 3.0))
+    spread = 10.0 ** draw(st.floats(0.0, 6.0))
+    d = least * spread ** draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    r = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3) | st.just(0.0)))
+    return grid, d, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(tridiagonal_systems())
+def test_elimination_solves_accurately_and_keeps_the_sign(system):
+    grid, d, r = system
+    solve = _elimination_solver(d.tolist(), 1.0 / grid.spacing[0] ** 2)
+    assert solve is not None  # no pivot is small in a diagonally dominant system
+    # the residual on the assembled matrix, against the stopping rule's 1e-10
+    x = solve(r)
+    M = np.diag(d) - dense_laplacian(grid)
+    assert np.linalg.norm(r - M @ x) <= 1e-12 * np.linalg.norm(r)
+    # elimination on this M-matrix only adds and multiplies nonnegative
+    # numbers, so nonnegative data gives a nonnegative solution, bit for bit
+    assert np.all(solve(np.abs(r)) >= 0.0)
 
 
 def test_subnormal_initial_data_is_rejected():

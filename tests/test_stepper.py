@@ -426,6 +426,7 @@ def test_solve_iterations_do_not_grow_with_the_mesh(cells, rng):
     # unpreconditioned CG needs about n iterations here; the cosine-basis
     # preconditioner bounds them by max A / min A = 3 whatever the mesh, and
     # its exact coarse block takes them from 9 to 4 or 5 (at most 5 measured)
+    # in 2D; a 1D implicit solve starts from its answer and takes none
     g = rd.Grid(cells, tuple(1.0 / n for n in cells))
     A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
     assert np.max(A) / np.min(A) == pytest.approx(3.0, rel=1e-2)
@@ -454,8 +455,9 @@ def test_sim2d_step_takes_at_most_two_implicit_iterations():
 
 
 def test_solver_failure_names_species(rng):
-    # 64 cells of random data: wider than the preconditioner's exact coarse
-    # block, so one iteration cannot reach the tolerance
+    # 64 cells of random data at linear_tol = 1e-14: the exact starts of the
+    # 1D implicit solves meet it, but species 2's regularization (residual
+    # about 1e-13) does not within one iteration
     g = make_grid_1d(64)
     smooth = two_species_model(g)
     m = rd.ModelSpec(smooth.delta, smooth.coefficients,
