@@ -24,7 +24,6 @@ from .errors import (
 from .fixedpoint import (
     CrossValidationReport,
     CrossValidationRow,
-    PicardConfig,
     cross_validate,
     picard_step_with_info,
     solve_frozen_slab,
@@ -68,7 +67,6 @@ __all__ = [
     "Grid",
     "LinearSolverError",
     "ModelSpec",
-    "PicardConfig",
     "PicardConvergenceError",
     "RelaxdiffError",
     "RunConfig",

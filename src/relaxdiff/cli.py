@@ -121,7 +121,6 @@ def run_converge(cfg: RunConfig) -> int:
     if cfg.halvings < 2:  # one difference fits no order, so nothing would be checked
         raise ConfigError("[run] halvings must be at least 2 for converge")
     _check_finest_step(cfg)
-    lines = ["study,level,step,diff_inf,order_estimate"]
 
     grids = [cfg.grid]
     if cfg.spatial:  # a refined grid the kernels cannot serve is rejected before any run
@@ -132,8 +131,11 @@ def run_converge(cfg: RunConfig) -> int:
     # so are file: and random: data, which cannot be rebuilt on a refined grid
     refined = [cfg.build_model(g) for g in grids[1:]]
 
-    # opened before the study, so an unwritable file costs no run
+    # opened before the study, so an unwritable file costs no run, and a
+    # failed study leaves the header
     with open(_output_dir(cfg) / "converge.csv", "w", newline="\n") as out:
+        out.write("study,level,step,diff_inf,order_estimate\n")
+        lines = []
         taus = [math.ldexp(cfg.scheme.tau, -k) for k in range(cfg.halvings + 1)]
         finals = [stepper.run(cfg.model, replace(cfg.scheme, tau=tau)) for tau in taus]
         diffs = [max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.u, b.u))
@@ -162,13 +164,14 @@ def run_cross_validate(cfg: RunConfig) -> int:
             "(polynomial family: p >= 1); this model is not flagged as such"
         )
     _check_finest_step(cfg)
-    # opened before the study, so an unwritable file costs no run
+    # opened before the study, so an unwritable file costs no run, and a
+    # failed study leaves the header
     with open(_output_dir(cfg) / "crossval.csv", "w", newline="\n") as out:
-        report = fixedpoint.cross_validate(model, cfg.scheme, cfg.picard, cfg.halvings)
-        lines = ["tau,discrepancy,sweeps"]
+        out.write("tau,discrepancy,sweeps\n")
+        report = fixedpoint.cross_validate(model, cfg.scheme, cfg.halvings)
         for row in report.rows:
-            lines.append(f"{format_number(row.tau)},{format_number(row.discrepancy)},{row.sweeps}")
-        out.write("\n".join(lines) + "\n")
+            out.write(f"{format_number(row.tau)},{format_number(row.discrepancy)},"
+                      f"{row.sweeps}\n")
     if report.passed():
         return 0
     ratios = ", ".join(f"{r:.2f}" for r in report.shrink_ratios())
@@ -195,8 +198,7 @@ def run_invariants(cfg: RunConfig) -> int:
         def on_step(k, before, after, records):
             rows = invariant_rows(before, records, tolerances, initial_masses)
             if k % identity_stride == 0:
-                residual = w_increment_residual(model, before, after, cfg.scheme.linear_tol,
-                                                cfg.scheme.linear_max_iter)
+                residual = w_increment_residual(model, before, after, cfg.scheme.linear_tol)
                 rows.append((0, "w_identity_residual", residual, 100 * cfg.scheme.linear_tol))
             for species, check, value, threshold in rows:
                 status = "pass" if value <= threshold else "fail"

@@ -28,6 +28,13 @@ parameter is worse than a hard error. An error about one line carries its
 line number. Absent optional keys take the defaults of the dataclass they
 configure.
 
+`[scheme] linear_tol` is the one stopping setting. Every solve stops on it,
+with at most `sparse.LINEAR_MAX_ITER` iterations, and the Picard sweeps of
+cross-validate stop when a sweep changes the densities by less than
+`10 * linear_tol` relative, after at most `fixedpoint.MAX_SWEEPS` sweeps.
+Neither cap nor the sweeps' stop is a key, and there is no Picard section,
+so a config that sets one is rejected like any other unknown section or key.
+
 A `RunConfig` is frozen and carries its validated model: the initial data
 are built from the init recipes and the model is checked once, when the
 config is made. `parse_config` takes the command line's seed and output
@@ -43,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fixedpoint import PicardConfig
 from .grid import Field, Grid
 from .model import ModelSpec, SktCoefficients, validate_model
 from .stepper import SchemeConfig
@@ -65,7 +71,6 @@ class RunConfig:
     grid: Grid
     species: tuple[SpeciesConfig, ...]
     scheme: SchemeConfig
-    picard: PicardConfig = field(default_factory=PicardConfig)
     mode: str = "simulate"
     output_dir: str = "out"
     seed: int = 0
@@ -217,7 +222,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _known_section(name: str) -> bool:
-    if name in ("grid", "scheme", "run", "picard"):
+    if name in ("grid", "scheme", "run"):
         return True
     if name.startswith("species."):
         suffix = name[len("species."):]
@@ -237,10 +242,9 @@ def _to_bool(value: str) -> bool:
 # one converter per key; a key missing from its section's table is unknown
 _GRID = {"dims": int, "n1": int, "n2": int, "h1": float, "h2": float}
 _SPECIES = {"delta": float, "coeff": str, "d": float, "p": float, "init": str}  # + d_1 .. d_I
-_SCHEME = {"tau": float, "T": float, "linear_tol": float, "linear_max_iter": int,
-           "output_stride": int, "workers": int, "a_max": float}
+_SCHEME = {"tau": float, "T": float, "linear_tol": float, "output_stride": int,
+           "workers": int, "a_max": float}
 _RUN = {"mode": str, "output_dir": str, "seed": int, "spatial": _to_bool, "halvings": int}
-_PICARD = {"max_sweeps": int, "sweep_tol": float}
 
 
 def _section(name: str, data: dict[str, tuple[str, int]], table: dict) -> dict:
@@ -333,14 +337,9 @@ def parse_config(text: str, *, seed: int | None = None,
     except ValueError as exc:
         raise ConfigError(f"[scheme]: {exc}") from exc
 
-    try:
-        picard = PicardConfig(**_section("picard", sections.get("picard", {}), _PICARD))
-    except ValueError as exc:
-        raise ConfigError(f"[picard]: {exc}") from exc
-
     run_values = _section("run", sections["run"], _RUN)
     if seed is not None:
         run_values["seed"] = seed
     if output_dir is not None:
         run_values["output_dir"] = output_dir
-    return RunConfig(grid, tuple(species), scheme, picard, a_max=a_max, **run_values)
+    return RunConfig(grid, tuple(species), scheme, a_max=a_max, **run_values)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import PicardConvergenceError
 from .grid import Field
 from .model import ModelSpec, coefficient_fields
-from .sparse import LINEAR_MAX_ITER, LINEAR_TOL, check_step_size
+from .sparse import LINEAR_TOL, check_step_size
 from .stepper import (
     SchemeConfig,
     SystemState,
@@ -39,18 +39,8 @@ from .stepper import (
 )
 
 
-@dataclass(frozen=True)
-class PicardConfig:
-    """Stopping rule for the coefficient-freezing sweep loop."""
-
-    max_sweeps: int = 50
-    sweep_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if not (self.sweep_tol > 0):
-            raise ValueError("sweep_tol must be positive")
+# the sweep loop gives up after this many sweeps of one step
+MAX_SWEEPS = 50
 
 
 def solve_frozen_slab(
@@ -59,7 +49,6 @@ def solve_frozen_slab(
     tau: float,
     *,
     tol: float = LINEAR_TOL,
-    max_iter: int = LINEAR_MAX_ITER,
 ) -> list[Field]:
     """Time-march the linear problem with per-node frozen coefficients on the grid of `w0`.
 
@@ -69,7 +58,7 @@ def solve_frozen_slab(
     check_step_size(tau)
     trajectory = [w0.copy()]
     for A in A_nodes:
-        trajectory.append(implicit_diffusion_step(trajectory[-1], A, tau, tol, max_iter))
+        trajectory.append(implicit_diffusion_step(trajectory[-1], A, tau, tol))
     return trajectory
 
 
@@ -83,7 +72,6 @@ def picard_step_with_info(
     state: SystemState,
     m: ModelSpec,
     cfg: SchemeConfig,
-    p: PicardConfig,
     tau: float,
 ) -> tuple[SystemState, int]:
     """One fully implicit step of size `tau` via successive coefficient freezing.
@@ -96,13 +84,15 @@ def picard_step_with_info(
     every later one from the z that species solved in the sweep before; a 1D
     implicit solve always starts from its exact answer. The loop stops when
     the candidate's relative L2 change across a sweep falls below
-    `sweep_tol`; with state-independent coefficients that is the second sweep,
-    and the result is bit for bit the semi-implicit step. Returns the step and
-    its sweeps, the first included: the implicit solves per species.
+    10 * cfg.linear_tol, the slack of the solves it iterates; with
+    state-independent coefficients that is the second sweep, and the result
+    is bit for bit the semi-implicit step. After MAX_SWEEPS sweeps it raises
+    `PicardConvergenceError`. Returns the step and its sweeps, the first
+    included: the implicit solves per species.
     """
     candidate = state
     z = [None] * state.n_species
-    for sweeps in range(1, p.max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         u, u_tilde, w = list(candidate.u), list(candidate.u_tilde), list(candidate.w)
         for i in range(state.n_species):
             A = coefficient_fields(m, u_tilde, (i,))[0][0]
@@ -111,12 +101,12 @@ def picard_step_with_info(
         refreshed = SystemState(state.time + tau, u, u_tilde, w)
         change = _relative_l2_change(refreshed.u, candidate.u)
         candidate = refreshed
-        if change < p.sweep_tol:
+        if change < 10 * cfg.linear_tol:
             return candidate, sweeps
     raise PicardConvergenceError(
-        f"sweep loop did not converge in {p.max_sweeps} sweeps "
-        f"(last relative change {change:.3e}); a smaller tau may help",
-        sweeps=p.max_sweeps,
+        f"step from t = {state.time!r} (tau = {tau!r}): sweep loop did not converge "
+        f"in {MAX_SWEEPS} sweeps (last relative change {change:.3e}); a smaller tau may help",
+        sweeps=MAX_SWEEPS,
         last_change=float(change),
     )
 
@@ -160,7 +150,6 @@ class CrossValidationReport:
 def cross_validate(
     m: ModelSpec,
     cfg: SchemeConfig,
-    p: PicardConfig,
     halvings: int = 3,
 ) -> CrossValidationReport:
     """Run both paths to the horizon at tau, tau/2, ... and compare.
@@ -185,7 +174,7 @@ def cross_validate(
         semi = march(start, cfg_k, lambda s, dt: step_with_info(s, m, cfg_k, tau=dt), None)
         sweeps = []
         picard = march(start, cfg_k,
-                       lambda s, dt: picard_step_with_info(s, m, cfg_k, p, tau=dt),
+                       lambda s, dt: picard_step_with_info(s, m, cfg_k, tau=dt),
                        lambda k, before, after, n: sweeps.append(n))
         gap = max(
             float(np.max(np.abs(semi.u[i].values - picard.u[i].values)))

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LinearSolverError
 
-# The stopping defaults of every solve: `SchemeConfig` and each library call
-# that solves take them from here.
+# The default tolerance of every solve, which `SchemeConfig` and each library
+# call that solves take from here, and the iteration cap of every solve the
+# library runs: a constant, not a setting (only `cg_solve` takes its own).
 LINEAR_TOL = 1e-10
 LINEAR_MAX_ITER = 10_000
 

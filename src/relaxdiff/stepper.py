@@ -67,7 +67,6 @@ class SchemeConfig:
     tau: float
     horizon: float
     linear_tol: float = LINEAR_TOL
-    linear_max_iter: int = LINEAR_MAX_ITER
     output_stride: int = 1
     workers: int = 1
 
@@ -86,8 +85,6 @@ class SchemeConfig:
         # at tol >= 1 the stopping rule accepts x = 0 for every right-hand side
         if not (self.linear_tol < 1):
             raise ValueError("linear tolerance must be below 1")
-        if self.linear_max_iter < 1:
-            raise ValueError("linear_max_iter must be at least 1")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
         if self.workers < 1:
@@ -139,7 +136,7 @@ class _ImplicitStepOperator:
 
 
 def _flux_solve(
-    op, b: np.ndarray, u: np.ndarray, s: float, tol: float, max_iter: int,
+    op, b: np.ndarray, u: np.ndarray, s: float, tol: float,
     z_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
     """Solve op z = b by CG; return u + s * L z, z and the report.
@@ -149,11 +146,12 @@ def _flux_solve(
     after 0 iterations unless rounding leaves it short; any other starts from
     `z_start`, else from zero. The flux form equals the solved field up to
     the solver residual, but it carries exactly the total of `u`. A solve
-    that stalls raises.
+    that has not converged after LINEAR_MAX_ITER iterations (read at each
+    call) raises.
     """
     if op.exact:
         z_start = op.precondition(b)
-    z, report = cg_solve(op, b, tol, max_iter, x0=z_start)
+    z, report = cg_solve(op, b, tol, LINEAR_MAX_ITER, x0=z_start)
     if not report.converged:
         raise LinearSolverError(
             f"{op.name} solve stalled after {report.iterations} iterations "
@@ -163,25 +161,23 @@ def _flux_solve(
 
 
 def _solve_regularize(
-    g: Grid, u: np.ndarray, delta: float, tol: float, max_iter: int
+    g: Grid, u: np.ndarray, delta: float, tol: float
 ) -> tuple[np.ndarray, SolverReport]:
-    u_tilde, _, report = _flux_solve(_ResolventOperator(g, delta), u, u, delta, tol, max_iter)
+    u_tilde, _, report = _flux_solve(_ResolventOperator(g, delta), u, u, delta, tol)
     return u_tilde, report
 
 
 def _solve_implicit(
-    g: Grid, u_n: np.ndarray, A: np.ndarray, tau: float, tol: float, max_iter: int,
+    g: Grid, u_n: np.ndarray, A: np.ndarray, tau: float, tol: float,
     z_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
     """u_new, the solved z = A * u_new, and the report; see `_flux_solve` for the start."""
     if not np.all(A > 0):
         raise ValueError("implicit step requires strictly positive coefficients")
-    return _flux_solve(_ImplicitStepOperator(g, A, tau), u_n / tau, u_n, tau, tol, max_iter,
-                       z_start)
+    return _flux_solve(_ImplicitStepOperator(g, A, tau), u_n / tau, u_n, tau, tol, z_start)
 
 
-def regularize(u: Field, delta: float, tol: float = LINEAR_TOL,
-               max_iter: int = LINEAR_MAX_ITER) -> Field:
+def regularize(u: Field, delta: float, tol: float = LINEAR_TOL) -> Field:
     """Solve (I - delta L) v = u with zero-flux boundaries, on the grid of `u`.
 
     The result has exactly the mean of `u` and maps nonnegative input to
@@ -189,12 +185,12 @@ def regularize(u: Field, delta: float, tol: float = LINEAR_TOL,
     """
     if not (0 < delta < np.inf):
         raise ValueError("delta must be positive and finite")
-    values, _ = _solve_regularize(u.grid, u.values, delta, tol, max_iter)
+    values, _ = _solve_regularize(u.grid, u.values, delta, tol)
     return Field(u.grid, values)
 
 
 def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
-                            tol: float = LINEAR_TOL, max_iter: int = LINEAR_MAX_ITER) -> Field:
+                            tol: float = LINEAR_TOL) -> Field:
     """One backward step of u_t = L(A * u) with the per-cell coefficients A frozen.
 
     Solves (I / tau - L diag(A)) u_new = u_n / tau on the grid of `u_n`
@@ -205,7 +201,7 @@ def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
     check_step_size(tau)
     g = u_n.grid
     A = Field(g, A).values  # one finite coefficient per cell, or the error of a field
-    values, _, _ = _solve_implicit(g, u_n.values, A, tau, tol, max_iter)
+    values, _, _ = _solve_implicit(g, u_n.values, A, tau, tol)
     return Field(g, values)
 
 
@@ -249,7 +245,7 @@ def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     for i, (f, d) in enumerate(zip(u, m.delta)):
         where = f"species {i + 1}, initial regularization"
         with _prefix_solver_errors(where):
-            ut, _ = _solve_regularize(g, f.values, d, cfg.linear_tol, cfg.linear_max_iter)
+            ut, _ = _solve_regularize(g, f.values, d, cfg.linear_tol)
         w_i = d * ut
         # delta > 0, so w is finite only if u_tilde is
         if not np.all(np.isfinite(w_i)):
@@ -273,10 +269,9 @@ def species_step(
     g = m.grid
     where = f"species {i + 1}, step from t = {state.time!r}"
     with _prefix_solver_errors(where):
-        u_new, z, rep_impl = _solve_implicit(
-            g, state.u[i].values, A, dt, cfg.linear_tol, cfg.linear_max_iter, z_start)
-        ut_new, rep_reg = _solve_regularize(
-            g, u_new, m.delta[i], cfg.linear_tol, cfg.linear_max_iter)
+        u_new, z, rep_impl = _solve_implicit(g, state.u[i].values, A, dt, cfg.linear_tol,
+                                             z_start)
+        ut_new, rep_reg = _solve_regularize(g, u_new, m.delta[i], cfg.linear_tol)
     # w = delta * u_tilde plus the running sum of dt * A * u
     delta = m.delta[i]
     w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
@@ -380,8 +375,7 @@ def run(m: ModelSpec, cfg: SchemeConfig, on_step: Callable | None = None,
 
 
 def w_increment_residual(
-    m: ModelSpec, before: SystemState, after: SystemState, tol: float = LINEAR_TOL,
-    max_iter: int = LINEAR_MAX_ITER,
+    m: ModelSpec, before: SystemState, after: SystemState, tol: float = LINEAR_TOL
 ) -> float:
     """Max-norm mismatch between the w increment and its resolvent identity.
 
@@ -394,8 +388,7 @@ def w_increment_residual(
     A_fields, _ = coefficient_fields(m, before.u_tilde, range(after.n_species))
     worst = 0.0
     for i in range(after.n_species):
-        expected, _ = _solve_regularize(
-            g, tau * A_fields[i] * after.u[i].values, m.delta[i], tol, max_iter)
+        expected, _ = _solve_regularize(g, tau * A_fields[i] * after.u[i].values, m.delta[i], tol)
         actual = after.w[i].values - before.w[i].values
         worst = max(worst, float(np.max(np.abs(actual - expected))))
     return worst

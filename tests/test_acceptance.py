@@ -182,7 +182,7 @@ def test_two_path_uniqueness():
     assert model.lipschitz
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.5)
     start = time.perf_counter()
-    report = rd.cross_validate(model, cfg, rd.PicardConfig(), halvings=3)
+    report = rd.cross_validate(model, cfg, halvings=3)
     elapsed = time.perf_counter() - start
     assert not report.degenerate
     for ratio in report.shrink_ratios():

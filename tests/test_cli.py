@@ -148,18 +148,28 @@ def test_zero_mass_tolerance_turns_roundoff_into_violations():
     assert hits > 0
 
 
-def test_simulate_exit_nonzero_on_solver_failure(tmp_path, capsys):
-    # 24^2 cells of random data: wider than the 2D preconditioner's exact
-    # coarse block, so the implicit solves need more than two iterations (a
-    # 1D implicit solve is exact, and does not stall)
-    path, _ = write_cfg(tmp_path, n1=24, extra="\n[picard]\nmax_sweeps = 1\n")
+def stalling_cfg(tmp_path, monkeypatch, mode):
+    """A config whose first implicit solve stalls: 24^2 cells of random data, at
+    most two CG iterations per solve.
+
+    The grid is wider than the 2D preconditioner's exact coarse block, so the
+    implicit solves need more than two iterations (a 1D implicit solve is
+    exact, and does not stall).
+    """
+    path, outdir = write_cfg(tmp_path, n1=24, mode=mode)
     as_2d(path, 24)
-    text = path.read_text().replace("T = 0.1", "T = 0.1\nlinear_max_iter = 2")
-    text = re.sub(r"init = cosine:-?0\.5,1\.0", "init = random:0.5,1.5", text)
-    path.write_text(text)
+    path.write_text(re.sub(r"init = cosine:-?0\.5,1\.0", "init = random:0.5,1.5",
+                           path.read_text()))
+    monkeypatch.setattr(stepper, "LINEAR_MAX_ITER", 2)
+    return path, outdir
+
+
+def test_simulate_exit_nonzero_on_solver_failure(tmp_path, capsys, monkeypatch):
+    path, _ = stalling_cfg(tmp_path, monkeypatch, "simulate")
     assert cli.main(["simulate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "species" in err
+    assert "implicit diffusion solve stalled after 2 iterations" in err.splitlines()[-1]
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -167,6 +177,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     path.write_text(path.read_text().replace("tau = 0.02", "taau = 0.02"))
     assert cli.main(["simulate", "--config", str(path)]) == 2
     assert "taau" in capsys.readouterr().err
+
+
+# linear_tol is the one stopping setting: the solves' iteration cap and the
+# Picard sweeps' stop and cap follow from it or are constants, not keys
+@pytest.mark.parametrize("section, line, reason", [
+    ("[scheme]", "linear_max_iter = 10000", "unknown key 'linear_max_iter' in [scheme]"),
+    ("[picard]", "max_sweeps = 50", "unknown section [picard]"),
+    ("[picard]", "sweep_tol = 1e-9", "unknown section [picard]"),
+], ids=["linear_max_iter", "max_sweeps", "sweep_tol"])
+def test_a_removed_stopping_key_is_a_config_error(tmp_path, capsys, section, line, reason):
+    path, _ = write_cfg(tmp_path, mode="cross-validate")
+    text = path.read_text()
+    if section == "[picard]":
+        text += f"\n[picard]\n{line}\n"
+    else:
+        text = text.replace("[scheme]\n", f"[scheme]\n{line}\n")
+    path.write_text(text)
+    rejected = text.splitlines().index(section if section == "[picard]" else line) + 1
+    assert cli.main(["cross-validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: line {rejected}: {reason}\n"
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -241,8 +271,7 @@ def test_run_config_is_frozen_and_carries_the_model_of_its_seed(tmp_path):
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.species[0].init = "constant:2.0"
     # nor can a field skip the check its constructor made
-    for part, name, value in ((cfg.scheme, "linear_tol", 5.0), (cfg.picard, "max_sweeps", 0),
-                              (cfg.model, "a_max", -1.0)):
+    for part, name, value in ((cfg.scheme, "linear_tol", 5.0), (cfg.model, "a_max", -1.0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(part, name, value)
     reseeded = dataclasses.replace(cfg, seed=cfg.seed + 1)
@@ -307,6 +336,36 @@ def test_cross_validate_cli(tmp_path):
     # at least one sweep per step: 5, 10, 20 and 40 steps
     sweeps = [int(l.split(",")[2]) for l in lines[1:]]
     assert all(n >= 5 * 2**k for k, n in enumerate(sweeps))
+
+
+def test_picard_failure_names_its_step_and_leaves_the_csv_header(tmp_path):
+    # a strong coupling at one long step: the sweeps do not reach
+    # 10 * linear_tol within fixedpoint.MAX_SWEEPS
+    path, outdir = write_cfg(tmp_path, tau=1.0, T=1.0, mode="cross-validate",
+                             extra="halvings = 1\n")
+    path.write_text(path.read_text().replace("d_2 = 1.0", "d_2 = 10.0")
+                    .replace("d_1 = 1.0", "d_1 = 10.0"))
+    proc = run_cli(path, mode="cross-validate")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(
+        r"error: step from t = 0\.0 \(tau = 1\.0\): sweep loop did not converge in 50 "
+        r"sweeps \(last relative change \S+\); a smaller tau may help",
+        proc.stderr.splitlines()[-1]), proc.stderr
+    assert (Path(outdir) / "crossval.csv").read_text() == "tau,discrepancy,sweeps\n"
+
+
+@pytest.mark.parametrize("mode, name, header", [
+    ("converge", "converge.csv", "study,level,step,diff_inf,order_estimate"),
+    ("cross-validate", "crossval.csv", "tau,discrepancy,sweeps"),
+])
+def test_a_failed_study_leaves_its_csv_header(tmp_path, capsys, monkeypatch, mode, name,
+                                              header):
+    # a study's rows are written at the end, its header when the file opens
+    path, outdir = stalling_cfg(tmp_path, monkeypatch, mode)
+    assert cli.main([mode, "--config", str(path)]) == 1
+    assert "solve stalled after 2 iterations" in capsys.readouterr().err.splitlines()[-1]
+    assert (Path(outdir) / name).read_text() == header + "\n"
 
 
 def test_cross_validate_rejects_non_lipschitz(tmp_path, capsys):

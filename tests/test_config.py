@@ -38,7 +38,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.scheme.workers == 1
     assert cfg.mode == "simulate"
     assert cfg.seed == 0
-    assert cfg.picard.max_sweeps == 50
     model = cfg.build_model()
     assert model.n_species == 1
     assert np.all(model.initial_data[0].values == 1.0)
@@ -171,10 +170,6 @@ tau = 0.01
 T = 0.05
 workers = 2
 
-[picard]
-max_sweeps = 20
-sweep_tol = 1e-8
-
 [run]
 mode = cross-validate
 seed = 7
@@ -183,7 +178,6 @@ seed = 7
     assert cfg.grid.cells == (4, 6)
     assert cfg.species[0].coefficients.couplings == (0.0, 1.0)
     assert cfg.species[1].coefficients.couplings == (0.5, 0.0)
-    assert cfg.picard.max_sweeps == 20
     assert cfg.scheme.workers == 2
     model = cfg.build_model()
     assert rd.validate_model(model) == []

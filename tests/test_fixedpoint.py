@@ -4,7 +4,7 @@ import pytest
 import relaxdiff as rd
 from relaxdiff import fixedpoint, stepper
 from relaxdiff.errors import PicardConvergenceError
-from relaxdiff.fixedpoint import picard_step_with_info
+from relaxdiff.fixedpoint import MAX_SWEEPS, picard_step_with_info
 
 from conftest import cosine_profile, lipschitz_cross_model, make_grid_1d, make_grid_2d
 
@@ -99,7 +99,7 @@ def test_picard_constant_data_single_sweep():
     )
     cfg = rd.SchemeConfig(tau=0.1, horizon=0.1)
     state = rd.initial_state(m, cfg)
-    nxt, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)
+    nxt, sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
     assert sweeps == 1
     for i in range(2):
         assert np.array_equal(nxt.u[i].values, state.u[i].values)
@@ -115,7 +115,7 @@ def test_picard_state_independent_coefficients_match_semi_implicit_bitwise():
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
     state = rd.initial_state(m, cfg)
     semi = rd.step_with_info(state, m, cfg, cfg.tau)[0]
-    picard, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)
+    picard, sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
     # the first sweep is the semi-implicit step; the second solves the same
     # system from the same exact start, and changes nothing
     assert sweeps == 2
@@ -129,7 +129,7 @@ def test_picard_preserves_mass_and_positivity():
     m = lipschitz_cross_model(g)
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
     state = rd.initial_state(m, cfg)
-    nxt = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)[0]
+    nxt = picard_step_with_info(state, m, cfg, cfg.tau)[0]
     for i in range(2):
         assert abs(rd.integrate(g, nxt.u[i]) - rd.integrate(g, state.u[i])) \
             <= 1e-12 * rd.integrate(g, state.u[i])
@@ -145,8 +145,8 @@ def test_picard_gap_shrinks_quadratically_per_step():
         cfg = rd.SchemeConfig(tau=tau, horizon=tau, linear_tol=1e-13)
         state = rd.initial_state(m, cfg)
         semi = rd.step_with_info(state, m, cfg, cfg.tau)[0]
-        picard, _ = picard_step_with_info(
-            state, m, cfg, rd.PicardConfig(sweep_tol=1e-13, max_sweeps=200), cfg.tau)
+        # the sweeps stop at 10 * linear_tol = 1e-12
+        picard, _ = picard_step_with_info(state, m, cfg, cfg.tau)
         gaps.append(max(np.max(np.abs(semi.u[i].values - picard.u[i].values))
                         for i in range(2)))
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
@@ -192,7 +192,7 @@ def test_picard_sweeps_count_every_implicit_solve(monkeypatch, model, expected_s
         return solve(A, b, tol, max_iter, x0=x0)
 
     monkeypatch.setattr(stepper, "cg_solve", counting)
-    _, sweeps = picard_step_with_info(state, m, cfg, rd.PicardConfig(), cfg.tau)
+    _, sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
     assert sweeps == expected_sweeps
     assert operators.count(stepper._ImplicitStepOperator) == m.n_species * sweeps
 
@@ -221,8 +221,7 @@ def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
             return x, report
 
         monkeypatch.setattr(stepper, "cg_solve", counting)
-        _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig(),
-                                          cfg.tau)
+        _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
         totals[start] = (sum(iterations), len(iterations), sweeps)
     (cold, cold_solves, cold_sweeps), (warm, warm_solves, warm_sweeps) = (
         totals["cold"], totals["warm"])
@@ -239,21 +238,37 @@ def test_picard_sweeps_run_in_gauss_seidel_order():
     # step (and 36 on the first step of the xval1d benchmark workload)
     m = p2_cross_model()
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
-    _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, rd.PicardConfig(),
-                                      cfg.tau)
+    _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
     assert sweeps == 18
 
 
+@pytest.mark.parametrize("linear_tol", [1e-10, 1e-6])
+def test_picard_sweeps_stop_at_ten_times_linear_tol(monkeypatch, linear_tol):
+    # the stop follows the slack of the solves the sweeps iterate: the last
+    # sweep's relative change is the first below 10 * linear_tol
+    m = p2_cross_model()
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.02, linear_tol=linear_tol)
+    measure = fixedpoint._relative_l2_change
+    changes = []
+    monkeypatch.setattr(fixedpoint, "_relative_l2_change",
+                        lambda new, old: changes.append(measure(new, old)) or changes[-1])
+    _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
+    assert len(changes) == sweeps > 2
+    assert changes[-1] < 10 * linear_tol <= min(changes[:-1])
+
+
 def test_picard_nonconvergence_is_reported():
+    # a strong coupling at a long step: the sweeps contract too slowly to
+    # reach 10 * linear_tol within MAX_SWEEPS
     g = make_grid_1d(16)
-    m = lipschitz_cross_model(g, coupling=3.0)
-    cfg = rd.SchemeConfig(tau=0.1, horizon=0.1)
+    m = lipschitz_cross_model(g, coupling=10.0)
+    cfg = rd.SchemeConfig(tau=1.0, horizon=1.0)
     state = rd.initial_state(m, cfg)
     with pytest.raises(PicardConvergenceError) as err:
-        picard_step_with_info(state, m, cfg, rd.PicardConfig(max_sweeps=1, sweep_tol=1e-14),
-                              cfg.tau)
-    assert err.value.sweeps == 1
-    assert err.value.last_change > 0
+        picard_step_with_info(state, m, cfg, cfg.tau)
+    assert err.value.sweeps == MAX_SWEEPS
+    assert err.value.last_change >= 10 * cfg.linear_tol
+    assert str(err.value).startswith("step from t = 0.0 (tau = 1.0): ")
 
 
 def test_cross_validate_requires_lipschitz():
@@ -265,7 +280,7 @@ def test_cross_validate_requires_lipschitz():
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.1)
     with pytest.raises(ValueError, match="Lipschitz"):
-        rd.cross_validate(m, cfg, rd.PicardConfig())
+        rd.cross_validate(m, cfg)
 
 
 @pytest.mark.parametrize("halvings", [0, -1])
@@ -279,7 +294,7 @@ def test_cross_validate_rejects_fewer_than_one_halving_before_any_run(halvings, 
 
     monkeypatch.setattr(fixedpoint, "initial_state", no_run)
     with pytest.raises(ValueError, match="halvings must be at least 1"):
-        rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=halvings)
+        rd.cross_validate(m, cfg, halvings=halvings)
 
 
 def test_cross_validate_rejects_an_invalid_finest_step_before_any_run(monkeypatch):
@@ -292,7 +307,7 @@ def test_cross_validate_rejects_an_invalid_finest_step_before_any_run(monkeypatc
 
     monkeypatch.setattr(fixedpoint, "march", no_run)
     with pytest.raises(ValueError, match=r"horizon / tau must not exceed 2\*\*53"):
-        rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=60)
+        rd.cross_validate(m, cfg, halvings=60)
 
 
 def test_cross_validate_constant_data_degenerate():
@@ -303,7 +318,7 @@ def test_cross_validate_constant_data_degenerate():
         initial_data=(rd.Field.constant(g, 1.0),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.2)
-    report = rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=2)
+    report = rd.cross_validate(m, cfg, halvings=2)
     assert report.degenerate
     assert report.passed()
     assert all(r.discrepancy <= 10 * cfg.linear_tol for r in report.rows)
@@ -317,7 +332,7 @@ def test_cross_validate_state_independent_coefficients_degenerate():
         initial_data=(rd.Field(g, cosine_profile(g)),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.2)
-    report = rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=2)
+    report = rd.cross_validate(m, cfg, halvings=2)
     assert report.degenerate and report.passed()
 
 
@@ -328,13 +343,13 @@ def test_cross_validate_rows_count_every_sweep_of_their_level(monkeypatch):
     step = fixedpoint.picard_step_with_info
     sweeps_per_tau = {}
 
-    def recording(state, m, cfg_k, p, tau=None):
-        new_state, sweeps = step(state, m, cfg_k, p, tau=tau)
+    def recording(state, m, cfg_k, tau=None):
+        new_state, sweeps = step(state, m, cfg_k, tau=tau)
         sweeps_per_tau[cfg_k.tau] = sweeps_per_tau.get(cfg_k.tau, 0) + sweeps
         return new_state, sweeps
 
     monkeypatch.setattr(fixedpoint, "picard_step_with_info", recording)
-    report = rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=2)
+    report = rd.cross_validate(m, cfg, halvings=2)
     assert [(r.tau, r.sweeps) for r in report.rows] == list(sweeps_per_tau.items())
     # at least one sweep per step: 5, 10 and 20 steps
     assert all(r.sweeps >= 5 * 2**k for k, r in enumerate(report.rows))
@@ -344,7 +359,7 @@ def test_cross_validate_discrepancy_shrinks():
     g = make_grid_1d(32)
     m = lipschitz_cross_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.5)
-    report = rd.cross_validate(m, cfg, rd.PicardConfig(), halvings=3)
+    report = rd.cross_validate(m, cfg, halvings=3)
     assert not report.degenerate
     assert len(report.rows) == 4
     for ratio in report.shrink_ratios():

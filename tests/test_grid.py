@@ -290,7 +290,7 @@ def test_coarse_corrected_solve_is_exact_within_the_coarse_block(g, rng):
     # so the 1D solve starts from its answer, which the stopping rule accepts
     # after 0 iterations, and 2D CG converges in one iteration
     A = 1.0 / (0.01 * d)
-    _, _, report = _solve_implicit(g, rng.uniform(0.5, 1.5, g.n_cells), A, 0.01, 1e-10, 10_000)
+    _, _, report = _solve_implicit(g, rng.uniform(0.5, 1.5, g.n_cells), A, 0.01, 1e-10)
     assert report.converged and report.iterations == (0 if g.ndim == 1 else 1)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
+from relaxdiff import sparse
 from relaxdiff.errors import DimensionMismatchError, LinearSolverError
 
 from conftest import dense_laplacian, make_grid_1d
@@ -189,4 +190,10 @@ def test_every_solve_shares_the_scheme_stopping_defaults(solve):
     scheme = inspect.signature(rd.SchemeConfig).parameters
     params = inspect.signature(solve).parameters
     assert params["tol"].default == scheme["linear_tol"].default
-    assert params["max_iter"].default == scheme["linear_max_iter"].default
+    # the iteration cap is no setting: only cg_solve takes one, and its default
+    # is the cap of every solve the library runs
+    assert "linear_max_iter" not in scheme
+    if solve is rd.cg_solve:
+        assert params["max_iter"].default == sparse.LINEAR_MAX_ITER
+    else:
+        assert "max_iter" not in params

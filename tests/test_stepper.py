@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
+from relaxdiff import stepper
 from relaxdiff.errors import DimensionMismatchError, LinearSolverError
 from relaxdiff.fixedpoint import picard_step_with_info
 from relaxdiff.stepper import _solve_implicit, _solve_regularize, plan_steps
@@ -412,8 +413,7 @@ def test_step_concurrency_bit_identical():
     picard = []
     for workers in (1, 4):
         cfg = rd.SchemeConfig(tau=0.01, horizon=0.1, workers=workers)
-        picard.append(picard_step_with_info(rd.initial_state(m, cfg), m, cfg,
-                                            rd.PicardConfig(), cfg.tau))
+        picard.append(picard_step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau))
     (a, sweeps_a), (b, sweeps_b) = picard
     assert sweeps_a == sweeps_b > 1
     for fa, fb in zip(a.u + a.u_tilde + a.w, b.u + b.u_tilde + b.w):
@@ -431,8 +431,8 @@ def test_solve_iterations_do_not_grow_with_the_mesh(cells, rng):
     A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
     assert np.max(A) / np.min(A) == pytest.approx(3.0, rel=1e-2)
     u = rng.uniform(0.0, 2.0, g.n_cells)
-    u_new, _, implicit = _solve_implicit(g, u, A, 0.01, 1e-10, 10_000)
-    _, regularize = _solve_regularize(g, u_new, 0.01, 1e-10, 10_000)
+    u_new, _, implicit = _solve_implicit(g, u, A, 0.01, 1e-10)
+    _, regularize = _solve_regularize(g, u_new, 0.01, 1e-10)
     assert implicit.converged and implicit.iterations <= 7
     assert regularize.converged and regularize.iterations <= 2
 
@@ -454,7 +454,7 @@ def test_sim2d_step_takes_at_most_two_implicit_iterations():
     assert [info.cg_iters_implicit <= 2 for info in infos] == [True, True]
 
 
-def test_solver_failure_names_species(rng):
+def test_solver_failure_names_species(rng, monkeypatch):
     # 64 cells of random data at linear_tol = 1e-14: the exact starts of the
     # 1D implicit solves meet it, but species 2's regularization (residual
     # about 1e-13) does not within one iteration
@@ -464,7 +464,8 @@ def test_solver_failure_names_species(rng):
                      tuple(rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells)) for _ in range(2)))
     good = rd.SchemeConfig(tau=0.01, horizon=0.1)
     state = rd.initial_state(m, good)
-    crippled = rd.SchemeConfig(tau=0.01, horizon=0.1, linear_max_iter=1, linear_tol=1e-14)
+    crippled = rd.SchemeConfig(tau=0.01, horizon=0.1, linear_tol=1e-14)
+    monkeypatch.setattr(stepper, "LINEAR_MAX_ITER", 1)
     with pytest.raises(LinearSolverError, match="species"):
         rd.step_with_info(state, m, crippled, crippled.tau)
 
