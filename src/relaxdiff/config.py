@@ -32,8 +32,9 @@ configure.
 with at most `sparse.LINEAR_MAX_ITER` iterations, and the Picard sweeps of
 cross-validate stop when a sweep changes the densities by less than
 `10 * linear_tol` relative, after at most `fixedpoint.MAX_SWEEPS` sweeps.
-Neither cap nor the sweeps' stop is a key, and there is no Picard section,
-so a config that sets one is rejected like any other unknown section or key.
+Neither cap, the sweeps' stop nor the depth of their Anderson mix
+(`fixedpoint.DEPTH`) is a key, and there is no Picard section, so a config
+that sets one is rejected like any other unknown section or key.
 
 A `RunConfig` is frozen and carries its validated model: the initial data
 are built from the init recipes and the model is checked once, when the

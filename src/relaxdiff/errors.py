@@ -20,9 +20,8 @@ class LinearSolverError(RelaxdiffError):
 class PicardConvergenceError(RelaxdiffError):
     """The coefficient-freezing sweep loop did not reach its tolerance."""
 
-    def __init__(self, message: str, sweeps: int, last_change: float):
+    def __init__(self, message: str, last_change: float):
         super().__init__(message)
-        self.sweeps = sweeps
         self.last_change = last_change
 
 

@@ -6,7 +6,8 @@ solve, and regularizes the result (a screened-Poisson solve). `species_step`
 is one species' part of such a step for a given coefficient:
 `step_with_info` runs it for every species, frozen at the previous time
 level, and the Picard sweeps of `fixedpoint` run it species by species, each
-frozen at the newest regularized densities. `run` marches the scheme to the
+frozen at the newest regularized densities or, for the species this sweep
+has not yet updated, at the Anderson mix the sweep starts from. `run` marches the scheme to the
 horizon and hands every step's `diagnostics` rows to its callbacks. The two
 diagnostics that need solves of their own live here too:
 `w_increment_residual` re-solves the w identity of one step, and

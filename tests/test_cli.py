@@ -339,17 +339,23 @@ def test_cross_validate_cli(tmp_path):
 
 
 def test_picard_failure_names_its_step_and_leaves_the_csv_header(tmp_path):
-    # a strong coupling at one long step: the sweeps do not reach
-    # 10 * linear_tol within fixedpoint.MAX_SWEEPS
+    # a strong coupling at one long step takes 16 mixed sweeps (plain
+    # Gauss-Seidel sweeps do not converge in 50), so the CLI runs in a process
+    # whose fixedpoint.MAX_SWEEPS is 8
     path, outdir = write_cfg(tmp_path, tau=1.0, T=1.0, mode="cross-validate",
                              extra="halvings = 1\n")
     path.write_text(path.read_text().replace("d_2 = 1.0", "d_2 = 10.0")
                     .replace("d_1 = 1.0", "d_1 = 10.0"))
-    proc = run_cli(path, mode="cross-validate")
+    capped = ("import sys; from relaxdiff import cli, fixedpoint; "
+              "fixedpoint.MAX_SWEEPS = 8; sys.exit(cli.main())")
+    src = str(Path(rd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, "cross-validate", "--config", str(path)],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert re.fullmatch(
-        r"error: step from t = 0\.0 \(tau = 1\.0\): sweep loop did not converge in 50 "
+        r"error: step from t = 0\.0 \(tau = 1\.0\): sweep loop did not converge in 8 "
         r"sweeps \(last relative change \S+\); a smaller tau may help",
         proc.stderr.splitlines()[-1]), proc.stderr
     assert (Path(outdir) / "crossval.csv").read_text() == "tau,discrepancy,sweeps\n"

@@ -4,7 +4,7 @@ import pytest
 import relaxdiff as rd
 from relaxdiff import fixedpoint, stepper
 from relaxdiff.errors import PicardConvergenceError
-from relaxdiff.fixedpoint import MAX_SWEEPS, picard_step_with_info
+from relaxdiff.fixedpoint import picard_step_with_info
 
 from conftest import cosine_profile, lipschitz_cross_model, make_grid_1d, make_grid_2d
 
@@ -176,7 +176,8 @@ def state_independent_model():
     )
 
 
-@pytest.mark.parametrize("model, expected_sweeps", [(p2_cross_model, 18),
+# the p2 model takes 10 mixed sweeps; plain Gauss-Seidel took 18 and Jacobi 32
+@pytest.mark.parametrize("model, expected_sweeps", [(p2_cross_model, 10),
                                                     (state_independent_model, 2)])
 def test_picard_sweeps_count_every_implicit_solve(monkeypatch, model, expected_sweeps):
     # the first sweep starts from the previous time level, so no predictor
@@ -235,11 +236,57 @@ def test_picard_sweeps_run_in_gauss_seidel_order():
     # this sweep's u_tilde_1; with a_1 = a_1(u_tilde_2) and a_2 = a_2(u_tilde_1)
     # that squares the contraction factor of the Jacobi order, in which every
     # species froze at the previous candidate: Jacobi sweeps took 32 on this
-    # step (and 36 on the first step of the xval1d benchmark workload)
+    # step (and 36 on the first step of the xval1d benchmark workload) and
+    # plain Gauss-Seidel sweeps 18; with the Anderson mix of depth 3 it takes 10
     m = p2_cross_model()
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
     _, sweeps = picard_step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
-    assert sweeps == 18
+    assert sweeps == 10
+
+
+def test_picard_mix_reaches_the_plain_sweeps_fixed_point(monkeypatch):
+    # both loops stop within 10 * linear_tol of one fixed point, and each
+    # solve adds about linear_tol: the bound of
+    # test_random_picard_steps_are_guaranteed_fixed_points
+    m = p2_cross_model()
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
+    state = rd.initial_state(m, cfg)
+    mixed, mixed_sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
+    monkeypatch.setattr(fixedpoint, "DEPTH", 0)
+    plain, plain_sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
+    assert mixed_sweeps < plain_sweeps == 18
+    moved = np.linalg.norm(np.concatenate([a.values - b.values
+                                           for a, b in zip(mixed.u, plain.u)]))
+    size = np.linalg.norm(np.concatenate([f.values for f in plain.u]))
+    assert moved <= (10 + 10) * cfg.linear_tol * size
+
+
+@pytest.mark.parametrize("gram_solve", ["raises", "nan", "inf"])
+def test_picard_mix_falls_back_to_the_plain_sweep(monkeypatch, gram_solve):
+    # a Gram solve that fails or gives no finite gamma leaves the next sweep
+    # at the plain sweep's output, so every sweep is a plain Gauss-Seidel one
+    m = p2_cross_model()
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
+    state = rd.initial_state(m, cfg)
+    monkeypatch.setattr(fixedpoint, "DEPTH", 0)
+    plain, plain_sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
+    monkeypatch.setattr(fixedpoint, "DEPTH", 3)
+    calls = []
+
+    def failing(gram, rhs):
+        calls.append(len(rhs))
+        if gram_solve == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(len(rhs), float(gram_solve))
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    fallen_back, sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
+    # the history restarts at each failure, so every solve has one difference
+    assert calls == [1] * (sweeps - 2)
+    assert sweeps == plain_sweeps
+    for a, b in zip(fallen_back.u + fallen_back.u_tilde + fallen_back.w,
+                    plain.u + plain.u_tilde + plain.w):
+        assert np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize("linear_tol", [1e-10, 1e-6])
@@ -257,18 +304,19 @@ def test_picard_sweeps_stop_at_ten_times_linear_tol(monkeypatch, linear_tol):
     assert changes[-1] < 10 * linear_tol <= min(changes[:-1])
 
 
-def test_picard_nonconvergence_is_reported():
-    # a strong coupling at a long step: the sweeps contract too slowly to
-    # reach 10 * linear_tol within MAX_SWEEPS
+def test_picard_nonconvergence_is_reported(monkeypatch):
+    # a strong coupling at a long step takes 16 mixed sweeps (plain
+    # Gauss-Seidel sweeps do not converge in 50), so a cap of 8 is reached
+    monkeypatch.setattr(fixedpoint, "MAX_SWEEPS", 8)
     g = make_grid_1d(16)
     m = lipschitz_cross_model(g, coupling=10.0)
     cfg = rd.SchemeConfig(tau=1.0, horizon=1.0)
     state = rd.initial_state(m, cfg)
     with pytest.raises(PicardConvergenceError) as err:
         picard_step_with_info(state, m, cfg, cfg.tau)
-    assert err.value.sweeps == MAX_SWEEPS
     assert err.value.last_change >= 10 * cfg.linear_tol
     assert str(err.value).startswith("step from t = 0.0 (tau = 1.0): ")
+    assert "did not converge in 8 sweeps" in str(err.value)
 
 
 def test_cross_validate_requires_lipschitz():
