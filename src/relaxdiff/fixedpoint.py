@@ -72,8 +72,8 @@ def solve_frozen_slab(
 
 
 def _relative_l2_change(new: Sequence[Field], old: Sequence[Field]) -> float:
-    num = np.sqrt(sum(float(np.sum((a.values - b.values) ** 2)) for a, b in zip(new, old)))
-    den = np.sqrt(sum(float(np.sum(b.values**2)) for b in old))
+    num = np.sqrt(sum(float(((a.values - b.values) ** 2).sum()) for a, b in zip(new, old)))
+    den = np.sqrt(sum(float((b.values**2).sum()) for b in old))
     return num / max(den, 1e-300)
 
 
@@ -109,7 +109,7 @@ def _anderson_mix(history: list, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         mixed = g.copy()
         for c, d in zip(gamma, dG):
             mixed -= c * d
-    if np.all(np.isfinite(mixed)):
+    if np.isfinite(mixed).all():
         return mixed
     del history[:-1]
     return g

@@ -66,8 +66,9 @@ class Grid:
     def ndim(self) -> int:
         return len(self.cells)
 
-    @property
+    @functools.cached_property
     def n_cells(self) -> int:
+        # kept in the instance __dict__, not a field: equality, hash and repr ignore it
         return math.prod(self.cells)
 
     @property
@@ -135,7 +136,7 @@ class Grid:
 
         def solve(values: np.ndarray) -> np.ndarray:
             arr = self._axes_view(values)
-            if np.all(arr == arr.flat[0]):
+            if (arr == arr.flat[0]).all():
                 return arr.reshape(-1) / c
             return self._in_cosine_basis(arr, t.bases, divide)
 
@@ -159,7 +160,7 @@ class Grid:
         gives the plain shift.
         """
         d = self._axes_view(d)
-        lo, hi = float(np.min(d)), float(np.max(d))
+        lo, hi = float(d.min()), float(d.max())
         c = math.sqrt(lo) * math.sqrt(hi)
         if lo == hi:
             return self.shifted_solver(c, 1.0)
@@ -349,10 +350,10 @@ def _axis_fluxes(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
 
     A zero result is always +0.0, whatever the signs of zeros in `arr`.
     """
-    a = np.swapaxes(arr, 0, axis)
+    a = arr.swapaxes(0, axis)
     d = a[1:] - a[:-1]  # the difference across each interior face
     out = np.empty_like(arr)
-    o = np.swapaxes(out, 0, axis)
+    o = out.swapaxes(0, axis)
     np.add(d, 0.0, out=o[:-1])  # each cell's face above, with -0.0 made +0.0
     o[-1] = 0.0  # the last cell has no face above
     o[1:] -= d  # each cell's face below
@@ -373,7 +374,7 @@ class Field:
             raise DimensionMismatchError(
                 f"{self.values.size} values for a grid of {self.grid.n_cells} cells"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
     @classmethod

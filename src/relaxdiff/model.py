@@ -251,7 +251,7 @@ def coefficient_fields(
     evaluation and counted per species. The optional `a_max` truncation is
     applied last and its activations are added to the same counter.
     """
-    raw = np.stack([f.values for f in u_tilde])
+    raw = np.array([f.values for f in u_tilde])
     R = np.maximum(raw, 0.0)
     fields, counts = [], []
     for i in species:
@@ -264,7 +264,7 @@ def coefficient_fields(
             if hit:
                 count += hit
                 A = np.minimum(A, m.a_max)
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise RelaxdiffError(
                 f"coefficient evaluation produced non-finite values for species {i + 1}"
             )

@@ -1,9 +1,11 @@
 """Deterministic preconditioned conjugate gradients for matrix-free SPD operators.
 
 Repeated solves of the same data with the same BLAS thread count are
-bit-identical. The inner products and norms are numpy's BLAS calls, whose
-OpenBLAS reductions split across threads from 16,384 entries on, so on such
-grids the last bits can change with `OPENBLAS_NUM_THREADS`.
+bit-identical. The inner products are numpy's BLAS `ddot`, and each norm is
+`sqrt(x.dot(x))`, the same `ddot` that `np.linalg.norm` calls for a 1-D
+vector, without its Python wrapper. OpenBLAS splits that reduction across
+threads from 16,384 entries on, so on such grids the last bits can change
+with `OPENBLAS_NUM_THREADS`.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def cg_solve(
     # unscaled problem, but the inner products of tiny or huge data no longer
     # underflow or overflow. The scaled b peaks at `peak`, in [0.5, 1); a
     # start is scaled by the same power of two.
-    peak, exponent = math.frexp(float(np.max(np.abs(b), initial=0.0)))
+    peak, exponent = math.frexp(float(np.abs(b).max(initial=0.0)))
     if not math.isfinite(peak):
         # else the threshold tol * ||b|| is infinite (any x meets it) or NaN
         raise LinearSolverError("conjugate-gradient breakdown at iteration 1 (non-finite values)")
@@ -85,12 +87,12 @@ def cg_solve(
 def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, int, float, bool]:
     # the floor keeps the stopping rule meaningful for b close to (or exactly) zero
-    threshold = tol * (float(np.linalg.norm(b)) + 1e-14 * peak * b.size)
+    threshold = tol * (math.sqrt(float(b.dot(b))) + 1e-14 * peak * b.size)
     if x is None:
         x, r = np.zeros(A.n_cols), b.copy()
     else:
         r = b - A.matvec(x)
-    res = float(np.linalg.norm(r))
+    res = math.sqrt(float(r.dot(r)))
     if res <= threshold:
         return x, 0, res, True
 
@@ -103,11 +105,11 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
         alpha = rz / _positive(float(p @ Ap), iterations, "operator not positive definite?")
         x = x + alpha * p
         r = r - alpha * Ap
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(float(r.dot(r)))
         if res <= threshold:
             # confirm against the true residual before declaring victory
             r = b - A.matvec(x)
-            res = float(np.linalg.norm(r))
+            res = math.sqrt(float(r.dot(r)))
             if res <= threshold:
                 return x, iterations, res, True
             # recurrence drifted: restart the search direction from here

@@ -173,7 +173,7 @@ def _solve_implicit(
     z_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
     """u_new, the solved z = A * u_new, and the report; see `_flux_solve` for the start."""
-    if not np.all(A > 0):
+    if not (A > 0).all():
         raise ValueError("implicit step requires strictly positive coefficients")
     return _flux_solve(_ImplicitStepOperator(g, A, tau), u_n / tau, u_n, tau, tol, z_start)
 
@@ -249,7 +249,7 @@ def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
             ut, _ = _solve_regularize(g, f.values, d, cfg.linear_tol)
         w_i = d * ut
         # delta > 0, so w is finite only if u_tilde is
-        if not np.all(np.isfinite(w_i)):
+        if not np.isfinite(w_i).all():
             raise RelaxdiffError(f"{where}: the regularized state is not finite")
         u_tilde.append(Field(g, ut))
         w.append(Field(g, w_i))
@@ -278,7 +278,7 @@ def species_step(
     w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
              + dt * A * u_new)
     # w sums positive multiples of u_new and ut_new, so it is finite only if they are
-    if not np.all(np.isfinite(w_new)):
+    if not np.isfinite(w_new).all():
         raise RelaxdiffError(f"{where}: the next state is not finite")
     return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg), z
 
@@ -310,8 +310,8 @@ def step_with_info(
             cg_iters_implicit=implicit.iterations,
             cg_iters_regularize=regularize.iterations,
             clamp_count=clamp_counts[i],
-            coefficient_min=float(np.min(A_fields[i])),
-            coefficient_max=float(np.max(A_fields[i])),
+            coefficient_min=float(A_fields[i].min()),
+            coefficient_max=float(A_fields[i].max()),
         )
         for i, (implicit, regularize) in enumerate(reports)
     ]

@@ -116,7 +116,11 @@ def test_grid_validation():
         with pytest.raises(ValueError, match="1 / h\\^2"):
             rd.Grid((4, 4), (1.0, h))
     g = rd.Grid((4, 2), (0.5, 0.25))
+    twin = rd.Grid((4, 2), (0.5, 0.25))
     assert g.n_cells == 8
+    # the count is kept on the instance once read, outside the fields
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert g.refined().n_cells == 32
     assert g.cell_measure == pytest.approx(0.125)
     assert g.lengths == (2.0, 0.5)
 

@@ -1,3 +1,6 @@
+import cProfile
+import os
+import pstats
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import relaxdiff as rd
 from relaxdiff import stepper
 from relaxdiff.errors import DimensionMismatchError, LinearSolverError
 from relaxdiff.fixedpoint import picard_step_with_info
+from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import _solve_implicit, _solve_regularize, plan_steps
 
 from conftest import (
@@ -452,6 +456,30 @@ def test_sim2d_step_takes_at_most_two_implicit_iterations():
     cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
     _, infos = rd.step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
     assert [info.cg_iters_implicit <= 2 for info in infos] == [True, True]
+
+
+# numpy's Python-level wrappers: np.all, np.min, np.swapaxes, np.sum
+# (fromnumeric), np.stack (shape_base) and np.linalg.norm (linalg, _linalg
+# from numpy 2.0 on). On a 128-cell field each costs about as much as the
+# arithmetic it wraps; the ndarray methods compute the same bits for less.
+NUMPY_WRAPPER_FILES = {"fromnumeric.py", "shape_base.py", "linalg.py", "_linalg.py"}
+
+
+def test_a_1d_step_calls_no_numpy_python_wrappers():
+    g = make_grid_1d(128)
+    m = two_species_model(g)
+    cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
+    state = rd.initial_state(m, cfg)
+    (A,), _ = coefficient_fields(m, state.u_tilde, (0,))
+    profile = cProfile.Profile()
+    profile.enable()
+    rd.step_with_info(state, m, cfg, cfg.tau)
+    stepper.species_step(state, m, cfg, 0, A, cfg.tau)
+    profile.disable()
+    entered = sorted({f"{os.path.basename(path)}:{name}"
+                      for path, _, name in pstats.Stats(profile).stats
+                      if os.path.basename(path) in NUMPY_WRAPPER_FILES})
+    assert entered == []
 
 
 def test_solver_failure_names_species(rng, monkeypatch):
