@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import Violation
 from .grid import Field, integrate
-from .sparse import check_step_size
+from .sparse import LINEAR_TOL, check_step_size
 
 if TYPE_CHECKING:
     from .stepper import SystemState
@@ -93,11 +93,11 @@ def step_records(
                 species=info.species,
                 mass_u=integrate(g, u),
                 mass_utilde=integrate(g, ut),
-                min_u=float(np.min(u.values)),
-                max_u=float(np.max(u.values)),
-                min_utilde=float(np.min(ut.values)),
-                max_utilde=float(np.max(ut.values)),
-                w_min_increment=float(np.min(w_inc)),
+                min_u=float(u.values.min()),
+                max_u=float(u.values.max()),
+                min_utilde=float(ut.values.min()),
+                max_utilde=float(ut.values.max()),
+                w_min_increment=float(w_inc.min()),
                 coef_min=info.coefficient_min,
                 coef_max=info.coefficient_max,
                 clamps=info.clamp_count,
@@ -118,12 +118,12 @@ class CheckTolerances:
     """
 
     mass: float = 1e-10
-    positivity: float = 1e-9
-    monotonicity: float = 1e-9
+    positivity: float = 10 * LINEAR_TOL
+    monotonicity: float = 10 * LINEAR_TOL
 
     @classmethod
     def from_linear_tol(cls, linear_tol: float) -> "CheckTolerances":
-        return cls(mass=1e-10, positivity=10 * linear_tol, monotonicity=10 * linear_tol)
+        return cls(positivity=10 * linear_tol, monotonicity=10 * linear_tol)
 
 
 # What a failing row of each check means, for the Violation it becomes.

@@ -130,11 +130,11 @@ def picard_step_with_info(
     `state.u_tilde`, every later one from the Anderson mix (`_anderson_mix`,
     depth DEPTH) of the densities the sweeps so far started from and
     returned; the first mix has no history and is the last sweep's output.
-    In 2D the first sweep starts its implicit solves from zero, every later
-    one from the z that species solved in the sweep before; a 1D implicit
-    solve always starts from its exact answer. The loop stops when the
-    candidate's relative L2 change across a sweep falls below
-    10 * cfg.linear_tol, the slack of the solves it iterates; with
+    The first sweep starts its implicit solves from zero, every later one
+    from the z that species solved in the sweep before, unless `Grid.solver`
+    starts them from its own solve (in 1D, and for a constant coefficient).
+    The loop stops when the candidate's relative L2 change across a sweep
+    falls below 10 * cfg.linear_tol, the slack of the solves it iterates; with
     state-independent coefficients that is the second sweep, and the result
     is bit for bit the semi-implicit step. After MAX_SWEEPS sweeps it raises
     `PicardConvergenceError`. Returns the step and its sweeps, the first

@@ -8,8 +8,8 @@ mass balance of the time stepper exact rather than approximate.
 The same Laplacian is diagonal in the orthonormal cosine (DCT-II) basis of
 each axis (Strang, "The Discrete Cosine Transform", SIAM Review 41(1), 1999),
 so shifted systems (c I - s L) x = r are solved exactly by two basis changes
-and one division. In 1D, diag(d) - L is tridiagonal and is solved exactly by
-elimination.
+and one division. In 1D, diag(d) - s L, the operator of both solves of the
+time stepper (`Grid.solver`), is tridiagonal and solved exactly by elimination.
 """
 
 from __future__ import annotations
@@ -118,63 +118,52 @@ class Grid:
             arr = np.swapaxes(0.5 * (pairs[0::2] + pairs[1::2]), 0, axis)
         return arr.reshape(-1)
 
-    def shifted_solver(self, c: float, s: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The exact solve of (c I - s L) x = values, as a function of values.
+    def solver(self, d, s: float) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+        """A solve of (diag(d) - s L) x = values, and whether CG starts from it.
 
-        Works in the cosine eigenbasis of each axis, from the grid's
-        `_cosine_tables`, built on first use and cached (one dense basis of
-        8 n^2 bytes per distinct axis length). The shifted spectrum c + s mu
-        is built once here, so an operator that applies one shift on every
-        iteration pays for it once. A constant field is in the kernel of L
-        and comes back as values / c, bit for bit.
+        `d` > 0 is a scalar or one value per cell, s > 0. The solves divide
+        cosine coefficients (from the cached `_cosine_tables`) by c + s mu,
+        with c = d for a scalar, else sqrt(min d) sqrt(max d). That shift is
+        the exact inverse of a constant `d`, and gives a constant field back
+        as values / c, bit for bit. A varying 1D `d` is solved exactly by
+        elimination (`_elimination_solver`). A varying 2D `d` solves its
+        lowest `COARSE_MODES_2D` cosine modes per axis with the Galerkin block
+        E = C_l diag(d) C_l^T + s Lambda_l, applied as W^T (W y) with
+        W = L^{-1} for E = L L^T (SPD whatever the rounding in W), and shifts
+        the rest (Nicolaides, SIAM J. Numer. Anal. 24(2), 1987). A pivot of
+        either factorization that is not positive and finite, or is below
+        epsilon times the largest, gives the shift. CG starts from the solve
+        of every 1D `d` and every constant one.
         """
+        d = np.asarray(d, dtype=np.float64)
+        if d.ndim == 0:
+            lo = hi = c = float(d)
+        else:
+            d = self._axes_view(d)
+            lo, hi = float(d.min()), float(d.max())
+            c = math.sqrt(lo) * math.sqrt(hi)
+        if self.ndim == 1 and lo < hi:
+            h = self.spacing[0]
+            eliminate = _elimination_solver(d.tolist(), s / (h * h))
+            if eliminate is not None:
+                return (lambda values: eliminate(self._axes_view(values))), True
         t = _cosine_tables(self.cells, self.spacing)
         spectrum = c + s * t.lam
 
         def divide(spectral: np.ndarray) -> None:
             spectral /= spectrum
 
-        def solve(values: np.ndarray) -> np.ndarray:
+        def shift(values: np.ndarray) -> np.ndarray:
             arr = self._axes_view(values)
             if (arr == arr.flat[0]).all():
                 return arr.reshape(-1) / c
             return self._in_cosine_basis(arr, t.bases, divide)
 
-        return solve
-
-    def coarse_corrected_solver(self, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """An SPD solve of (diag(d) - L) x = values, exact in 1D and on the low modes in 2D.
-
-        A constant `d` gets the shift `shifted_solver(c, 1)`, its exact
-        inverse, with c = sqrt(min d) sqrt(max d). In 1D the operator is a
-        diagonally dominant tridiagonal M-matrix, solved by elimination
-        without pivoting (`_elimination_solver`). In 2D the lowest
-        `COARSE_MODES_2D` cosine modes per axis are solved with the Galerkin
-        block E = C_l diag(d) C_l^T + Lambda_l of the operator, and every
-        other mode is divided by c + mu, as the shift does (Nicolaides, SIAM
-        J. Numer. Anal. 24(2), 1987). A smooth `d` couples only the few lowest
-        modes strongly, so this is close to the exact inverse. E is factored
-        as L L^T once here and applied as W^T (W y) with W = L^{-1}, which is
-        SPD whatever the rounding in W. A pivot of either factorization that
-        is not positive and finite, or is below epsilon times the largest,
-        gives the plain shift.
-        """
-        d = self._axes_view(d)
-        lo, hi = float(d.min()), float(d.max())
-        c = math.sqrt(lo) * math.sqrt(hi)
-        if lo == hi:
-            return self.shifted_solver(c, 1.0)
-        if self.ndim == 1:
-            h = self.spacing[0]
-            eliminate = _elimination_solver(d.tolist(), 1.0 / (h * h))
-            if eliminate is None:
-                return self.shifted_solver(c, 1.0)
-            return lambda values: eliminate(self._axes_view(values))
-        t = _cosine_tables(self.cells, self.spacing)
-        W = _coarse_inverse_factor(d, t)
+        if lo == hi or self.ndim == 1:  # exact, or standing in for a failed elimination
+            return shift, True
+        W = _coarse_inverse_factor(d, t, s)
         if W is None:
-            return self.shifted_solver(c, 1.0)
-        spectrum = c + t.lam
+            return shift, False
 
         def correct(spectral: np.ndarray) -> None:
             exact = W.T @ (W @ spectral[t.block].reshape(-1))
@@ -184,7 +173,7 @@ class Grid:
         def solve(values: np.ndarray) -> np.ndarray:
             return self._in_cosine_basis(self._axes_view(values), t.bases, correct)
 
-        return solve
+        return solve, False
 
     def _in_cosine_basis(self, arr: np.ndarray, bases: tuple[np.ndarray, ...],
                          act: Callable[[np.ndarray], None]) -> np.ndarray:
@@ -201,7 +190,7 @@ class Grid:
 
 
 def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The exact solve of (diag(d) - L) x = r on a 1D grid with w = 1 / h^2, or None.
+    """The exact solve of (diag(d) - s L) x = r on a 1D grid with w = s / h^2, or None.
 
     The operator is tridiagonal: d_i plus w per neighbor on the diagonal, -w
     off it. For d >= 0 it is a diagonally dominant M-matrix, so elimination
@@ -241,7 +230,7 @@ def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.n
     return solve
 
 
-# The coarse block of `Grid.coarse_corrected_solver` on a 2D grid has prod(m)
+# The coarse block of `Grid.solver` on a 2D grid has prod(m)
 # rows, m modes per axis. Per solve, its assembly costs about 2 N m^2
 # multiply-adds for N cells, and its factoring and inversion (prod m)^3 / 3
 # each; each CG iteration applies it for 2 (prod m)^2. At 128^2 (a 144-row
@@ -250,12 +239,12 @@ def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.n
 COARSE_MODES_2D = 12
 
 
-def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables) -> np.ndarray | None:
+def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables, s: float) -> np.ndarray | None:
     """W = L^{-1} for the Cholesky factor L L^T of the 2D coarse Galerkin block, or None.
 
     `d` is the diagonal on the field's layout (grid axis k along array axis
     -1 - k). The block is assembled one axis at a time, by contracting `d`
-    with that axis' basis products, and its diagonal gains the low
+    with that axis' basis products, and its diagonal gains s times the low
     eigenvalues `t.low`. Its rows are the coarse cosine coefficients in the
     order of the field's layout.
     """
@@ -263,8 +252,8 @@ def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables) -> np.ndarray | None
     with np.errstate(over="ignore", invalid="ignore"):
         E = (t.products[1] @ d @ t.products[0].T).reshape(m2, m2, m1, m1)
     E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
-    E.flat[::E.shape[0] + 1] += t.low.reshape(-1)
-    if not np.all(np.isfinite(E)):
+    E.flat[::E.shape[0] + 1] += s * t.low.reshape(-1)
+    if not np.isfinite(E).all():
         return None
     try:
         factor = np.linalg.cholesky(E)
@@ -272,11 +261,11 @@ def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables) -> np.ndarray | None
         return None
     # a pivot below epsilon times the largest one: E is singular to working
     # precision, and no factor of it solves the coarse modes
-    pivots = np.diag(factor) ** 2
-    if not np.min(pivots) > _EPS * np.max(pivots):
+    pivots = factor.diagonal() ** 2
+    if not pivots.min() > _EPS * pivots.max():
         return None
     W = _lower_inverse(factor)
-    return W if np.all(np.isfinite(W)) else None
+    return W if np.isfinite(W).all() else None
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -394,4 +383,4 @@ def integrate(g: Grid, f: Field) -> float:
     """Cell-measure weighted sum, the discrete integral over the domain."""
     if f.grid != g:
         raise DimensionMismatchError("field does not live on this grid")
-    return g.cell_measure * float(np.sum(f.values))
+    return g.cell_measure * float(f.values.sum())

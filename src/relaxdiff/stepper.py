@@ -13,17 +13,16 @@ diagnostics that need solves of their own live here too:
 `w_increment_residual` re-solves the w identity of one step, and
 `fit_linear_bound` runs the growth-in-time study of u_tilde.
 
-Both linear solves are symmetric positive definite and handled by conjugate
-gradients. The regularization operator is a constant-coefficient shift of
-the Laplacian, solved exactly in its cosine eigenbasis, and in 1D the
-implicit operator is a tridiagonal M-matrix, solved exactly by elimination.
-Such a solve starts CG from the exact inverse applied to the right-hand
-side, which the stopping rule accepts after 0 iterations. The 2D implicit
-operator's preconditioner solves its lowest cosine modes exactly with the
-operator's Galerkin block and shifts the rest by the geometric mean of its
-diagonal: the shift alone bounds the iteration count by max A / min A
-whatever the mesh, and with smooth coefficients the block brings it to
-about one.
+Both linear solves are CG solves of one symmetric positive-definite operator,
+diag(d) - s L: the implicit step with (d, s) = (1 / (tau A), 1), and the
+regularization, one backward heat step of length delta, with (1, delta).
+`Grid.solver` preconditions it and says whether CG starts from its solve: it
+solves a constant d exactly in the cosine eigenbasis and a 1D d exactly by
+tridiagonal elimination, and such a start meets the stopping rule after 0
+iterations. A varying 2D d is solved exactly on its lowest cosine modes by
+the operator's Galerkin block and shifted by the geometric mean of d on the
+rest: the shift alone bounds the iteration count by max A / min A whatever
+the mesh, and with smooth coefficients the block brings it to about one.
 
 Two structural choices make the scheme's invariants hold at solver accuracy
 rather than "up to discretization":
@@ -92,48 +91,28 @@ class SchemeConfig:
             raise ValueError("workers must be at least 1")
 
 
-class _ResolventOperator:
-    """Matrix-free I - delta * L; symmetric positive definite."""
-
-    name = "regularization"
-    exact = True  # `precondition` is the operator's inverse
-
-    def __init__(self, grid: Grid, delta: float):
-        self.grid = grid
-        self.delta = float(delta)
-        self.n_rows = self.n_cols = grid.n_cells
-        # the exact inverse
-        self.precondition = grid.shifted_solver(1.0, self.delta)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return x - self.delta * self.grid.laplacian(x)
-
-
 class _ImplicitStepOperator:
-    """Matrix-free diag(1 / (tau A)) - L; symmetric positive definite.
+    """Matrix-free diag(d) - s L, the operator of both solves; SPD for d, s > 0.
 
-    Preconditioned by `Grid.coarse_corrected_solver`, which in 1D is the
-    exact inverse by tridiagonal elimination. In 2D it solves the lowest
-    cosine modes exactly with the operator's own Galerkin block, and every
-    other mode with the shift c I - L, c the geometric mean of the diagonal.
-    That shift alone puts the preconditioned spectrum in [sqrt(min / max),
-    sqrt(max / min)] of the diagonal; the coefficients are evaluated at
-    regularized densities, so 1 / (tau A) is smooth and couples the low modes
-    that the coarse block takes over. A constant A has the shift as its exact
-    inverse.
+    The implicit step uses (d, s) = (1 / (tau A), 1). `Grid.solver(d, s)`
+    preconditions it and says whether CG starts from its solve (`starts`).
     """
 
     name = "implicit diffusion"
 
-    def __init__(self, grid: Grid, A: np.ndarray, tau: float):
-        self.grid = grid
-        self.scale = 1.0 / (tau * A)
+    def __init__(self, grid: Grid, d, s: float):
+        self.grid, self.d, self.s = grid, d, s
         self.n_rows = self.n_cols = grid.n_cells
-        self.precondition = grid.coarse_corrected_solver(self.scale)
-        self.exact = grid.ndim == 1
+        self.precondition, self.starts = grid.solver(d, s)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * x - self.grid.laplacian(x)
+        return self.d * x - self.s * self.grid.laplacian(x)
+
+
+class _ResolventOperator(_ImplicitStepOperator):
+    """I - delta L, the operator with (d, s) = (1, delta), under its own `name`."""
+
+    name = "regularization"
 
 
 def _flux_solve(
@@ -142,15 +121,14 @@ def _flux_solve(
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
     """Solve op z = b by CG; return u + s * L z, z and the report.
 
-    An operator whose preconditioner is its exact inverse (`op.exact`)
-    starts from that inverse applied to b, which the stopping rule accepts
-    after 0 iterations unless rounding leaves it short; any other starts from
-    `z_start`, else from zero. The flux form equals the solved field up to
-    the solver residual, but it carries exactly the total of `u`. A solve
-    that has not converged after LINEAR_MAX_ITER iterations (read at each
-    call) raises.
+    An operator that starts from its preconditioner (`op.starts`) starts
+    from it applied to b, which the stopping rule accepts after 0 iterations
+    unless rounding leaves it short; any other starts from `z_start`, else
+    from zero. The flux form equals the solved field up to the solver
+    residual, but it carries exactly the total of `u`. A solve that has not
+    converged after LINEAR_MAX_ITER iterations (read at each call) raises.
     """
-    if op.exact:
+    if op.starts:
         z_start = op.precondition(b)
     z, report = cg_solve(op, b, tol, LINEAR_MAX_ITER, x0=z_start)
     if not report.converged:
@@ -164,7 +142,7 @@ def _flux_solve(
 def _solve_regularize(
     g: Grid, u: np.ndarray, delta: float, tol: float
 ) -> tuple[np.ndarray, SolverReport]:
-    u_tilde, _, report = _flux_solve(_ResolventOperator(g, delta), u, u, delta, tol)
+    u_tilde, _, report = _flux_solve(_ResolventOperator(g, 1.0, delta), u, u, delta, tol)
     return u_tilde, report
 
 
@@ -175,7 +153,8 @@ def _solve_implicit(
     """u_new, the solved z = A * u_new, and the report; see `_flux_solve` for the start."""
     if not (A > 0).all():
         raise ValueError("implicit step requires strictly positive coefficients")
-    return _flux_solve(_ImplicitStepOperator(g, A, tau), u_n / tau, u_n, tau, tol, z_start)
+    op = _ImplicitStepOperator(g, 1.0 / (tau * A), 1.0)
+    return _flux_solve(op, u_n / tau, u_n, tau, tol, z_start)
 
 
 def regularize(u: Field, delta: float, tol: float = LINEAR_TOL) -> Field:
@@ -262,10 +241,10 @@ def species_step(
 ) -> tuple[Field, Field, Field, tuple[SolverReport, SolverReport], np.ndarray]:
     """Species `i`'s part of a step of size `dt` with its coefficient frozen at `A`.
 
-    The implicit diffusion solve from `state.u[i]` (a 2D one started from
-    `z_start` when given, see `_flux_solve`), then the regularization of the
-    result, then the w update. Returns the next u, u_tilde and w of species
-    `i`, its (implicit, regularize) solve reports and its solved z.
+    The implicit diffusion solve from `state.u[i]` (started from `z_start`
+    when given, see `_flux_solve`), then the regularization of the result,
+    then the w update. Returns the next u, u_tilde and w of species `i`, its
+    (implicit, regularize) solve reports and its solved z.
     """
     g = m.grid
     where = f"species {i + 1}, step from t = {state.time!r}"

@@ -7,6 +7,7 @@ import pytest
 import relaxdiff as rd
 from relaxdiff import stepper
 from relaxdiff.diagnostics import CSV_HEADER, step_records
+from relaxdiff.sparse import LINEAR_TOL
 from relaxdiff.stepper import step_with_info
 
 from conftest import cosine_profile, make_grid_1d, run_with_rows, two_species_model
@@ -97,6 +98,11 @@ def test_check_step_infinite_tolerances_accept_anything():
     )
     loose = rd.CheckTolerances(mass=math.inf, positivity=math.inf, monotonicity=math.inf)
     assert check(before, garbled, infos, loose) == []
+
+
+def test_default_tolerances_are_those_of_the_default_linear_tol():
+    # the positivity and monotonicity slack is 10 * linear_tol, whatever its source
+    assert rd.CheckTolerances() == rd.CheckTolerances.from_linear_tol(LINEAR_TOL)
 
 
 def test_check_step_is_pure():

@@ -185,13 +185,18 @@ SHIFTED_SOLVE_GRIDS = [
 ]
 
 
+def solve_of(g, d, s=1.0):
+    """The solve of `Grid.solver(d, s)`, without its start flag."""
+    return g.solver(d, s)[0]
+
+
 @pytest.mark.parametrize("g", SHIFTED_SOLVE_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
 def test_shifted_solve_matches_dense(g, rng):
     L = dense_laplacian(g)
-    # (1, delta): the regularization; (1 / (tau a), 1): an implicit-step shift
+    # (1, delta): the regularization; (1 / (tau a), 1): an implicit step of constant a
     for c, s in ((1.0, 0.01), (1.0, 1e-4), (100.0, 1.0), (37.0, 1.0)):
         r = rng.standard_normal(g.n_cells)
-        x = g.shifted_solver(c, s)(r)
+        x = solve_of(g, c, s)(r)
         residual = r - (c * x - s * (L @ x))
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r)
 
@@ -199,13 +204,17 @@ def test_shifted_solve_matches_dense(g, rng):
 def test_shifted_solve_constant_field_bitwise():
     for g in (make_grid_1d(1), make_grid_1d(9), make_grid_2d(6, 5, (1.0, 0.3))):
         for c, s in ((1.0, 0.05), (3.0, 10.0)):
-            out = g.shifted_solver(c, s)(np.full(g.n_cells, 2.5))
+            out = solve_of(g, c, s)(np.full(g.n_cells, 2.5))
             assert np.array_equal(out, np.full(g.n_cells, 2.5 / c))
 
 
 def test_shifted_solve_rejects_wrong_length():
+    g = make_grid_2d(3, 4)
     with pytest.raises(DimensionMismatchError):
-        make_grid_2d(3, 4).shifted_solver(1.0, 1.0)(np.ones(11))
+        solve_of(g, 1.0)(np.ones(11))
+    # a diagonal is one value per cell, or a scalar
+    with pytest.raises(DimensionMismatchError):
+        g.solver(np.ones(11), 1.0)
 
 
 def tables_of(g):
@@ -240,8 +249,8 @@ def test_both_solvers_of_a_grid_build_its_tables_once():
     g = make_grid_2d(19, 23, (0.31, 0.29))  # a grid no other test uses
     r = np.cos(np.arange(g.n_cells))
     misses = _cosine_tables.cache_info().misses
-    g.shifted_solver(1.0, 0.5)(r)
-    g.coarse_corrected_solver(smooth_diagonal(g))(r)
+    solve_of(g, 1.0, 0.5)(r)
+    solve_of(g, smooth_diagonal(g))(r)
     assert _cosine_tables.cache_info().misses == misses + 1
 
 
@@ -272,10 +281,10 @@ def test_coarse_corrected_solve_is_spd_beyond_the_coarse_block(g, rng):
     # the 1D solve is elimination, whatever the grid
     assert g.ndim == 1 or min(g.cells) > COARSE_MODES_2D
     for d in (smooth_diagonal(g), rng.uniform(1.0, 1e3, g.n_cells)):
-        P = dense_of(g.coarse_corrected_solver(d), g.n_cells)
+        P = dense_of(solve_of(g, d), g.n_cells)
         assert_spd(P)
         # it is not the plain shift, whose coarse modes ignore d's variation
-        assert not np.allclose(P, dense_of(g.shifted_solver(shift_of(d), 1.0), g.n_cells))
+        assert not np.allclose(P, dense_of(solve_of(g, shift_of(d)), g.n_cells))
 
 
 @pytest.mark.parametrize("g", [rd.Grid((1,), (0.3,)), make_grid_1d(5), make_grid_1d(16),
@@ -288,7 +297,7 @@ def test_coarse_corrected_solve_is_exact_within_the_coarse_block(g, rng):
     # in 1D (elimination) and on a 2D grid whose every mode is coarse, the
     # preconditioner is the inverse of the operator
     d = smooth_diagonal(g)
-    P = dense_of(g.coarse_corrected_solver(d), g.n_cells)
+    P = dense_of(solve_of(g, d), g.n_cells)
     inverse = np.linalg.inv(np.diag(d) - dense_laplacian(g))
     assert np.max(np.abs(P - inverse)) <= 1e-10 * np.max(np.abs(inverse))
     # so the 1D solve starts from its answer, which the stopping rule accepts
@@ -300,8 +309,8 @@ def test_coarse_corrected_solve_is_exact_within_the_coarse_block(g, rng):
 
 def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):
     def spd_or_shift(g, d):
-        P = dense_of(g.coarse_corrected_solver(d), g.n_cells)
-        if not np.array_equal(P, dense_of(g.shifted_solver(shift_of(d), 1.0), g.n_cells)):
+        P = dense_of(solve_of(g, d), g.n_cells)
+        if not np.array_equal(P, dense_of(solve_of(g, shift_of(d)), g.n_cells)):
             assert_spd(P)
 
     # a coefficient spread of 1e12, smooth and cell by cell
@@ -330,8 +339,8 @@ def test_coarse_corrected_solve_falls_back_to_the_shift():
     g = make_grid_1d(24)
     d = np.linspace(1e-300, 3e-300, g.n_cells)
     r = np.cos(np.arange(g.n_cells))
-    shift = g.shifted_solver(shift_of(d), 1.0)
-    assert np.array_equal(g.coarse_corrected_solver(d)(r), shift(r))
+    shift = solve_of(g, shift_of(d))
+    assert np.array_equal(solve_of(g, d)(r), shift(r))
 
 
 @pytest.mark.parametrize("g", [make_grid_1d(40), make_grid_2d(20, 24, (1.0, 0.7))],
@@ -340,5 +349,23 @@ def test_coarse_corrected_solve_of_a_constant_diagonal_is_the_shift(g):
     # the shift is the exact inverse of diag(c) - L, so no coarse block is built
     d = np.full(g.n_cells, 37.5)
     r = np.cos(np.arange(g.n_cells)) + 2.0
-    shift = g.shifted_solver(shift_of(d), 1.0)
-    assert np.array_equal(g.coarse_corrected_solver(d)(r), shift(r))
+    shift = solve_of(g, shift_of(d))
+    assert np.array_equal(solve_of(g, d)(r), shift(r))
+
+
+def test_solver_starts_cg_from_every_1d_and_every_constant_solve():
+    r = np.cos(np.arange(480)) + 2.0
+    g = make_grid_1d(24)
+    tiny = np.linspace(1e-300, 3e-300, g.n_cells)  # the elimination falls back to the shift
+    for d, s in ((smooth_diagonal(g), 1.0), (tiny, 1.0), (np.full(g.n_cells, 37.5), 1.0),
+                 (1.0, 0.01)):
+        assert g.solver(d, s)[1]
+    g = make_grid_2d(20, 24, (1.0, 0.7))
+    assert g.solver(1.0, 0.01)[1] and g.solver(np.full(g.n_cells, 37.5), 1.0)[1]
+    # a varying 2D diagonal only preconditions: with its coarse block, and
+    # with the shift where the block is singular to working precision
+    assert not g.solver(smooth_diagonal(g), 1.0)[1]
+    tiny = np.linspace(1e-300, 3e-300, g.n_cells)
+    solve, starts = g.solver(tiny, 1.0)
+    assert not starts
+    assert np.array_equal(solve(r), solve_of(g, shift_of(tiny))(r))

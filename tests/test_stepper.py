@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff import stepper
+from relaxdiff import diagnostics, stepper
 from relaxdiff.errors import DimensionMismatchError, LinearSolverError
 from relaxdiff.fixedpoint import picard_step_with_info
 from relaxdiff.model import coefficient_fields
@@ -465,21 +465,53 @@ def test_sim2d_step_takes_at_most_two_implicit_iterations():
 NUMPY_WRAPPER_FILES = {"fromnumeric.py", "shape_base.py", "linalg.py", "_linalg.py"}
 
 
-def test_a_1d_step_calls_no_numpy_python_wrappers():
-    g = make_grid_1d(128)
-    m = two_species_model(g)
+def wrappers_entered(call):
+    """The numpy Python wrappers that `call()` enters, as file:function."""
+    profile = cProfile.Profile()
+    profile.enable()
+    call()
+    profile.disable()
+    return {f"{os.path.basename(path)}:{name}" for path, _, name in pstats.Stats(profile).stats
+            if os.path.basename(path) in NUMPY_WRAPPER_FILES}
+
+
+def step_and_check(m):
+    """A step, one species' step again, and the diagnostics rows and checks of the step."""
     cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
     state = rd.initial_state(m, cfg)
     (A,), _ = coefficient_fields(m, state.u_tilde, (0,))
-    profile = cProfile.Profile()
-    profile.enable()
-    rd.step_with_info(state, m, cfg, cfg.tau)
-    stepper.species_step(state, m, cfg, 0, A, cfg.tau)
-    profile.disable()
-    entered = sorted({f"{os.path.basename(path)}:{name}"
-                      for path, _, name in pstats.Stats(profile).stats
-                      if os.path.basename(path) in NUMPY_WRAPPER_FILES})
-    assert entered == []
+    masses = [rd.integrate(m.grid, f) for f in state.u]
+
+    def call():
+        after, infos = rd.step_with_info(state, m, cfg, cfg.tau)
+        stepper.species_step(state, m, cfg, 0, A, cfg.tau)
+        records = diagnostics.step_records(1, state, after, infos)
+        diagnostics.check_step(state, records, rd.CheckTolerances(), masses)
+
+    return call
+
+
+def test_a_1d_step_calls_no_numpy_python_wrappers():
+    assert sorted(wrappers_entered(step_and_check(two_species_model(make_grid_1d(128))))) == []
+
+
+def test_a_2d_step_calls_no_numpy_python_wrappers_but_the_coarse_factorization():
+    # the coarse block is factored by linalg's cholesky, and its leaves
+    # inverted by linalg's inv: those two, and what they enter, may remain
+    square = np.eye(40) + 0.5
+    allowed = wrappers_entered(lambda: (np.linalg.cholesky(square), np.linalg.inv(square)))
+    entered = wrappers_entered(step_and_check(two_species_model(make_grid_2d(24, 20))))
+    assert {"_linalg.py:cholesky", "linalg.py:cholesky"} & entered
+    assert sorted(entered - allowed) == []
+
+
+def test_a_2d_implicit_solve_of_a_constant_coefficient_starts_exactly():
+    # the shift is the exact inverse of a constant diagonal, in 2D too, so the
+    # solve starts from it and takes 0 CG iterations
+    m = heat_model(make_grid_2d(20, 24, (1.0, 0.7)))
+    cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
+    _, (info,) = rd.step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
+    assert (info.cg_iters_implicit, info.cg_iters_regularize) == (0, 0)
 
 
 def test_solver_failure_names_species(rng, monkeypatch):
