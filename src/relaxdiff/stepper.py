@@ -91,14 +91,13 @@ class SchemeConfig:
             raise ValueError("workers must be at least 1")
 
 
-class _ImplicitStepOperator:
+class _StepOperator:
     """Matrix-free diag(d) - s L, the operator of both solves; SPD for d, s > 0.
 
-    The implicit step uses (d, s) = (1 / (tau A), 1). `Grid.solver(d, s)`
-    preconditions it and says whether CG starts from its solve (`starts`).
+    `Grid.solver(d, s)` preconditions it and says whether CG starts from its
+    solve (`starts`). The subclasses only name the solve, for its errors and
+    the benchmark's CG spans.
     """
-
-    name = "implicit diffusion"
 
     def __init__(self, grid: Grid, d, s: float):
         self.grid, self.d, self.s = grid, d, s
@@ -109,10 +108,12 @@ class _ImplicitStepOperator:
         return self.d * x - self.s * self.grid.laplacian(x)
 
 
-class _ResolventOperator(_ImplicitStepOperator):
-    """I - delta L, the operator with (d, s) = (1, delta), under its own `name`."""
+class _ImplicitStepOperator(_StepOperator):
+    name = "implicit diffusion"  # (d, s) = (1 / (tau A), 1)
 
-    name = "regularization"
+
+class _ResolventOperator(_StepOperator):
+    name = "regularization"  # (d, s) = (1, delta)
 
 
 def _flux_solve(

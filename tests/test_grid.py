@@ -280,11 +280,13 @@ def test_coarse_corrected_solve_is_spd_beyond_the_coarse_block(g, rng):
     # the 2D grid has more cells per axis than the coarse block has modes;
     # the 1D solve is elimination, whatever the grid
     assert g.ndim == 1 or min(g.cells) > COARSE_MODES_2D
-    for d in (smooth_diagonal(g), rng.uniform(1.0, 1e3, g.n_cells)):
-        P = dense_of(solve_of(g, d), g.n_cells)
+    # s = 1: an implicit step; s = 0.01: a varying d under a scaled Laplacian
+    for d, s in ((smooth_diagonal(g), 1.0), (rng.uniform(1.0, 1e3, g.n_cells), 1.0),
+                 (smooth_diagonal(g), 0.01)):
+        P = dense_of(solve_of(g, d, s), g.n_cells)
         assert_spd(P)
         # it is not the plain shift, whose coarse modes ignore d's variation
-        assert not np.allclose(P, dense_of(solve_of(g, shift_of(d)), g.n_cells))
+        assert not np.allclose(P, dense_of(solve_of(g, shift_of(d), s), g.n_cells))
 
 
 @pytest.mark.parametrize("g", [rd.Grid((1,), (0.3,)), make_grid_1d(5), make_grid_1d(16),
@@ -297,9 +299,10 @@ def test_coarse_corrected_solve_is_exact_within_the_coarse_block(g, rng):
     # in 1D (elimination) and on a 2D grid whose every mode is coarse, the
     # preconditioner is the inverse of the operator
     d = smooth_diagonal(g)
-    P = dense_of(solve_of(g, d), g.n_cells)
-    inverse = np.linalg.inv(np.diag(d) - dense_laplacian(g))
-    assert np.max(np.abs(P - inverse)) <= 1e-10 * np.max(np.abs(inverse))
+    for s in (1.0, 0.01):
+        P = dense_of(solve_of(g, d, s), g.n_cells)
+        inverse = np.linalg.inv(np.diag(d) - s * dense_laplacian(g))
+        assert np.max(np.abs(P - inverse)) <= 1e-10 * np.max(np.abs(inverse))
     # so the 1D solve starts from its answer, which the stopping rule accepts
     # after 0 iterations, and 2D CG converges in one iteration
     A = 1.0 / (0.01 * d)
