@@ -121,19 +121,20 @@ class Grid:
     def solver(self, d, s: float) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
         """A solve of (diag(d) - s L) x = values, and whether CG starts from it.
 
-        `d` > 0 is a scalar or one value per cell, s > 0. The solves divide
-        cosine coefficients (from the cached `_cosine_tables`) by c + s mu,
-        with c = d for a scalar, else sqrt(min d) sqrt(max d). That shift is
-        the exact inverse of a constant `d`, and gives a constant field back
-        as values / c, bit for bit. A varying 1D `d` is solved exactly by
-        elimination (`_elimination_solver`). A varying 2D `d` solves its
-        lowest `COARSE_MODES_2D` cosine modes per axis with the Galerkin block
-        E = C_l diag(d) C_l^T + s Lambda_l, applied as W^T (W y) with
-        W = L^{-1} for E = L L^T (SPD whatever the rounding in W), and shifts
-        the rest (Nicolaides, SIAM J. Numer. Anal. 24(2), 1987). A pivot of
-        either factorization that is not positive and finite, or is below
-        epsilon times the largest, gives the shift. CG starts from the solve
-        of every 1D `d` and every constant one.
+        `d` > 0 is a scalar or one value per cell, s > 0. A varying 1D `d` is
+        solved exactly by elimination (`_elimination_solver`). Every other
+        solve is one closure: it maps the field to cosine coefficients (from
+        the cached `_cosine_tables`), divides them by the shift c + s mu, with
+        c = d for a scalar, else sqrt(min d) sqrt(max d), and maps them back.
+        The shift is the exact inverse of a constant `d`. For a varying 2D `d`
+        the lowest `COARSE_MODES_2D` modes per axis take instead the solve of
+        the Galerkin block E = C_l diag(d) C_l^T + s Lambda_l, applied as
+        W^T (W y) with W = L^{-1} for E = L L^T (SPD whatever the rounding in
+        W; Nicolaides, SIAM J. Numer. Anal. 24(2), 1987). A pivot of either
+        factorization that is not positive and finite, or is below epsilon
+        times the largest, gives the plain shift. Without a block the solve
+        gives a constant field back as values / c, bit for bit. CG starts
+        from the solve of every 1D `d` and every constant one.
         """
         d = np.asarray(d, dtype=np.float64)
         if d.ndim == 0:
@@ -149,44 +150,24 @@ class Grid:
                 return (lambda values: eliminate(self._axes_view(values))), True
         t = _cosine_tables(self.cells, self.spacing)
         spectrum = c + s * t.lam
-
-        def divide(spectral: np.ndarray) -> None:
-            spectral /= spectrum
-
-        def shift(values: np.ndarray) -> np.ndarray:
-            arr = self._axes_view(values)
-            if (arr == arr.flat[0]).all():
-                return arr.reshape(-1) / c
-            return self._in_cosine_basis(arr, t.bases, divide)
-
-        if lo == hi or self.ndim == 1:  # exact, or standing in for a failed elimination
-            return shift, True
-        W = _coarse_inverse_factor(d, t, s)
-        if W is None:
-            return shift, False
-
-        def correct(spectral: np.ndarray) -> None:
-            exact = W.T @ (W @ spectral[t.block].reshape(-1))
-            spectral /= spectrum
-            spectral[t.block] = exact.reshape(t.low.shape)
+        exact = lo == hi or self.ndim == 1  # exact, or standing in for a failed elimination
+        W = None if exact else _coarse_inverse_factor(d, t, s)
+        C1, C2 = t.bases[0], t.bases[-1]
 
         def solve(values: np.ndarray) -> np.ndarray:
-            return self._in_cosine_basis(self._axes_view(values), t.bases, correct)
+            arr = self._axes_view(values)
+            if W is None and (arr == arr.flat[0]).all():
+                return arr.reshape(-1) / c
+            spectral = C1 @ arr if self.ndim == 1 else C2 @ arr @ C1.T
+            if W is not None:
+                m2, m1 = t.low.shape
+                coarse = W.T @ (W @ spectral[:m2, :m1].reshape(-1))
+            spectral /= spectrum
+            if W is not None:
+                spectral[:m2, :m1] = coarse.reshape(m2, m1)
+            return C1.T @ spectral if self.ndim == 1 else (C2.T @ spectral @ C1).reshape(-1)
 
-        return solve, False
-
-    def _in_cosine_basis(self, arr: np.ndarray, bases: tuple[np.ndarray, ...],
-                         act: Callable[[np.ndarray], None]) -> np.ndarray:
-        """Map a field to cosine coefficients, let `act` change them in place, map back."""
-        if self.ndim == 1:
-            (C,) = bases
-            spectral = C @ arr
-            act(spectral)
-            return C.T @ spectral
-        C1, C2 = bases
-        spectral = C2 @ arr @ C1.T
-        act(spectral)
-        return (C2.T @ spectral @ C1).reshape(-1)
+        return solve, exact
 
 
 def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -291,7 +272,6 @@ class _CosineTables(NamedTuple):
 
     bases: tuple[np.ndarray, ...]
     lam: np.ndarray
-    block: tuple[slice, ...]
     low: np.ndarray | None
     products: tuple[np.ndarray, ...]
 
@@ -309,9 +289,9 @@ def _cosine_tables(cells: tuple[int, ...], spacing: tuple[float, ...]) -> _Cosin
     The rest serves the 2D coarse block; a 1D grid, which solves by
     elimination, has none of it (`low` is None). Row a * m + b of `products`
     is the cellwise product of basis rows a and b, so a contraction with a
-    diagonal d gives the Galerkin entries c_a diag(d) c_b^T. `block` slices
-    the lowest `COARSE_MODES_2D` modes per axis (all of a shorter axis), and
-    `low` is `lam[block]`.
+    diagonal d gives the Galerkin entries c_a diag(d) c_b^T. `low` is the
+    corner of `lam` at the lowest `COARSE_MODES_2D` modes per axis (all of a
+    shorter axis); its shape is the coarse block's slice of a spectrum.
     """
     basis, sin2 = {}, {}  # one of each per distinct axis length
     for n in dict.fromkeys(cells):
@@ -325,13 +305,13 @@ def _cosine_tables(cells: tuple[int, ...], spacing: tuple[float, ...]) -> _Cosin
         a.flags.writeable = False
     bases = tuple(basis[n] for n in cells)
     if len(cells) == 1:
-        return _CosineTables(bases, lam, (), None, ())
+        return _CosineTables(bases, lam, None, ())
     m = COARSE_MODES_2D
     products = {n: (C[:m, None] * C[None, :m]).reshape(-1, n) for n, C in basis.items()}
     for a in products.values():
         a.flags.writeable = False
-    block = (slice(0, m),) * 2  # all modes of a shorter axis
-    return _CosineTables(bases, lam, block, lam[block], tuple(products[n] for n in cells))
+    low = lam[:m, :m]  # all modes of a shorter axis
+    return _CosineTables(bases, lam, low, tuple(products[n] for n in cells))
 
 
 def _axis_fluxes(arr: np.ndarray, axis: int, h: float) -> np.ndarray:

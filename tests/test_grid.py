@@ -310,6 +310,34 @@ def test_coarse_corrected_solve_is_exact_within_the_coarse_block(g, rng):
     assert report.converged and report.iterations == (0 if g.ndim == 1 else 1)
 
 
+def test_coarse_corrected_solve_matches_its_dense_formula():
+    # B = kron(C2, C1) maps a flat field to its cosine coefficients; the
+    # preconditioner is B^T M B, where M inverts the Galerkin block
+    # E = B_l diag(d) B_l^T + s Lambda_l on the lowest COARSE_MODES_2D modes
+    # per axis and divides every other mode by c + s mu
+    g = make_grid_2d(20, 24, (1.0, 0.7))
+    t = tables_of(g)
+    B = np.kron(t.bases[1], t.bases[0])
+    low = np.zeros(t.lam.shape, dtype=bool)
+    low[:COARSE_MODES_2D, :COARSE_MODES_2D] = True
+    low = low.reshape(-1)
+    assert low.sum() == COARSE_MODES_2D**2
+    d = smooth_diagonal(g)
+    for s in (1.0, 0.01):
+        M = np.diag(1.0 / (shift_of(d) + s * t.lam.reshape(-1)))
+        E = B[low] @ np.diag(d) @ B[low].T + s * np.diag(t.lam.reshape(-1)[low])
+        M[np.ix_(low, low)] = np.linalg.inv(E)
+        reference = B.T @ M @ B
+        solve = solve_of(g, d, s)
+        P = dense_of(solve, g.n_cells)
+        assert np.max(np.abs(P - reference)) <= 1e-10 * np.max(np.abs(reference))
+        # a constant right-hand side takes the block too, not values / c
+        r = np.full(g.n_cells, 2.5)
+        x = solve(r)
+        assert np.max(np.abs(x - reference @ r)) <= 1e-10 * np.max(np.abs(reference @ r))
+        assert not np.allclose(x, r / shift_of(d))
+
+
 def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):
     def spd_or_shift(g, d):
         P = dense_of(solve_of(g, d), g.n_cells)

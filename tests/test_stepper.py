@@ -1,7 +1,9 @@
 import cProfile
 import os
 import pstats
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +458,27 @@ def test_sim2d_step_takes_at_most_two_implicit_iterations():
     cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
     _, infos = rd.step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
     assert [info.cg_iters_implicit <= 2 for info in infos] == [True, True]
+
+
+def test_2d_steps_of_the_readme_data_take_at_most_13_implicit_iterations():
+    # the README config's rough data (species 1 a bump, species 2 a step;
+    # coefficients from 0.05 to 1.06) on 24^2 cells at tau = 0.01: the coarse
+    # block holds each implicit solve of the first 10 steps to 9-13 CG
+    # iterations, which take 18-36 with the shift alone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (text,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    h = repr(1.0 / 24)
+    text = (text.replace("dims = 1\n", "dims = 2\n").replace("n1 = 128\n", "n1 = 24\n")
+            .replace("h1 = 0.0078125\n", f"h1 = {h}\nn2 = 24\nh2 = {h}\n"))
+    run = rd.parse_config(text)
+    m, cfg = run.model, run.scheme
+    assert run.grid.cells == (24, 24) and cfg.tau == 0.01
+    assert [sp.init for sp in run.species] == ["bump:0.3,0.2,1.0", "step:0.0,1.0"]
+    state, iterations = rd.initial_state(m, cfg), []
+    for _ in range(10):
+        state, infos = rd.step_with_info(state, m, cfg, cfg.tau)
+        iterations += [info.cg_iters_implicit for info in infos]
+    assert len(iterations) == 20 and max(iterations) <= 13
 
 
 # numpy's Python-level wrappers: np.all, np.min, np.swapaxes, np.sum
