@@ -58,10 +58,12 @@ def run_simulate(cfg: RunConfig) -> int:
             for row in records:
                 diag.write(row.to_csv_row() + "\n")
             diag.flush()
-            violations = check_step(before, records, tolerances, initial_masses)
-            if violations:
+            failed = check_step(before, records, tolerances, initial_masses)
+            if failed:
+                entries = (f"species {sp}: {check} {value!r} > {threshold!r}"
+                           for sp, check, value, threshold in failed)
                 raise RelaxdiffError(f"invariant violation: step {k} (t = {after.time!r}): "
-                                     + "; ".join(str(v) for v in violations))
+                                     + "; ".join(entries))
 
         def on_snapshot(k, state):
             write_snapshot(outdir / f"snap_{k}.fld", list(state.u), state.time)

@@ -6,9 +6,8 @@ balance. Everything here is a pure function of states the stepper has already
 produced; nothing here runs a solve or mutates a state (the audits that do,
 `w_increment_residual` and the growth study `fit_linear_bound`, live in
 `stepper` next to the solves they run). The invariant table is read off a
-step's diagnostics rows, so each total and minimum is reduced once.
-Violations come back as data so callers decide whether to abort, log, or
-ignore.
+step's diagnostics rows, so each total and minimum is reduced once. Failing
+rows come back as data so callers decide whether to abort, log, or ignore.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import Violation
 from .grid import Field, integrate
 from .sparse import LINEAR_TOL, check_step_size
 
@@ -126,17 +124,6 @@ class CheckTolerances:
         return cls(positivity=10 * linear_tol, monotonicity=10 * linear_tol)
 
 
-# What a failing row of each check means, for the Violation it becomes.
-_CONDITIONS = {
-    "mass_drift_rel": "mass drifted from the initial total",
-    "mass_step_rel": "mass drift above tolerance within the step",
-    "utilde_mass_gap_rel": "regularized mass differs from density mass",
-    "neg_u": "negative u beyond tolerance",
-    "neg_utilde": "negative u_tilde beyond tolerance",
-    "neg_w_increment": "w increment negative beyond tolerance",
-}
-
-
 def invariant_rows(
     before: SystemState,
     records: Sequence[StepRecord],
@@ -148,7 +135,8 @@ def invariant_rows(
     A row passes when value <= threshold. Per record, in this order: the
     drift of `mass_u` from the species' initial total and from its total in
     `before`, and the gap between `mass_utilde` and `mass_u` (all relative);
-    then how far `min_u`, `min_utilde` and `w_min_increment` dip below zero.
+    then how far `min_u`, `min_utilde` and `w_min_increment` dip below zero
+    (NaN when the minimum is NaN, so the row fails).
     """
     g = before.grid
     rows = []
@@ -163,9 +151,10 @@ def invariant_rows(
              abs(r.mass_u - mass_before) / max(abs(mass_before), 1e-300), tolerances.mass),
             (sp, "utilde_mass_gap_rel", abs(r.mass_utilde - r.mass_u) / mass_scale,
              tolerances.mass),
-            (sp, "neg_u", max(0.0, -r.min_u), tolerances.positivity),
-            (sp, "neg_utilde", max(0.0, -r.min_utilde), tolerances.positivity),
-            (sp, "neg_w_increment", max(0.0, -r.w_min_increment), tolerances.monotonicity),
+            (sp, "neg_u", 0.0 - min(r.min_u, 0.0), tolerances.positivity),
+            (sp, "neg_utilde", 0.0 - min(r.min_utilde, 0.0), tolerances.positivity),
+            (sp, "neg_w_increment", 0.0 - min(r.w_min_increment, 0.0),
+             tolerances.monotonicity),
         ]
     return rows
 
@@ -175,14 +164,10 @@ def check_step(
     records: Sequence[StepRecord],
     tolerances: CheckTolerances,
     initial_masses: Sequence[float],
-) -> list[Violation]:
+) -> list[tuple[int, str, float, float]]:
     """The failing rows of `invariant_rows`; an empty list means the step is clean."""
-    return [
-        Violation(_CONDITIONS[check], species=sp, detail=f"{check} {value!r} > {threshold!r}")
-        for sp, check, value, threshold in invariant_rows(before, records, tolerances,
-                                                          initial_masses)
-        if not value <= threshold
-    ]
+    rows = invariant_rows(before, records, tolerances, initial_masses)
+    return [row for row in rows if not row[2] <= row[3]]
 
 
 def energy_identity_residual(

@@ -1,4 +1,4 @@
-"""Exception types and the violation record shared by validators."""
+"""Exception types and `Violation`, model validation's record of a broken rule."""
 
 from __future__ import annotations
 

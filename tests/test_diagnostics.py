@@ -6,7 +6,7 @@ import pytest
 
 import relaxdiff as rd
 from relaxdiff import stepper
-from relaxdiff.diagnostics import CSV_HEADER, step_records
+from relaxdiff.diagnostics import CSV_HEADER, invariant_rows, step_records
 from relaxdiff.sparse import LINEAR_TOL
 from relaxdiff.stepper import step_with_info
 
@@ -59,9 +59,9 @@ def test_check_step_flags_injected_mass_drift():
         u_tilde=after.u_tilde,
         w=after.w,
     )
-    violations = check(before, broken, infos, rd.CheckTolerances())
-    mass_violations = [v for v in violations if "mass" in v.condition]
-    assert mass_violations and all(v.species == 2 for v in mass_violations)
+    failed = check(before, broken, infos, rd.CheckTolerances())
+    mass_rows = [row for row in failed if "mass" in row[1]]
+    assert mass_rows and all(sp == 2 for sp, *_ in mass_rows)
 
 
 def test_check_step_flags_negativity_and_monotonicity():
@@ -80,9 +80,9 @@ def test_check_step_flags_negativity_and_monotonicity():
         u_tilde=after.u_tilde,
         w=(rd.Field(g, bad_w), after.w[1]),
     )
-    conditions = {v.condition for v in check(before, broken, infos, rd.CheckTolerances())}
-    assert any("negative u" in c for c in conditions)
-    assert any("w increment" in c for c in conditions)
+    checks = {row[1] for row in check(before, broken, infos, rd.CheckTolerances())}
+    assert "neg_u" in checks
+    assert "neg_w_increment" in checks
 
 
 def test_check_step_infinite_tolerances_accept_anything():
@@ -126,11 +126,28 @@ def test_check_step_follows_the_records():
     records[1] = dataclasses.replace(records[1], w_min_increment=-1e-3)
     masses = [rd.integrate(g, f) for f in before.u]
     tolerances = rd.CheckTolerances.from_linear_tol(cfg.linear_tol)
-    violations = rd.check_step(before, records, tolerances, masses)
-    assert [(v.species, v.condition) for v in violations] == [
-        (2, "w increment negative beyond tolerance")]
+    failed = rd.check_step(before, records, tolerances, masses)
+    assert [(sp, check) for sp, check, *_ in failed] == [(2, "neg_w_increment")]
+    assert failed == [row for row in invariant_rows(before, records, tolerances, masses)
+                      if not row[2] <= row[3]]
     assert rd.check_step(before, step_records(1, before, after, infos), tolerances,
                          masses) == []
+
+
+@pytest.mark.parametrize("column, check", [("min_u", "neg_u"), ("min_utilde", "neg_utilde"),
+                                           ("w_min_increment", "neg_w_increment")])
+def test_check_step_fails_a_nan_minimum(column, check):
+    # a NaN minimum must fail its sign row, as a NaN mass fails the mass rows
+    g = make_grid_1d(6)
+    m = two_species_model(g)
+    cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
+    before, after, infos = run_one_step(m, cfg)
+    records = step_records(1, before, after, infos)
+    records[0] = dataclasses.replace(records[0], **{column: math.nan})
+    masses = [rd.integrate(g, f) for f in before.u]
+    tolerances = rd.CheckTolerances.from_linear_tol(cfg.linear_tol)
+    [(sp, name, value, _)] = rd.check_step(before, records, tolerances, masses)
+    assert (sp, name) == (1, check) and math.isnan(value)
 
 
 def test_step_records_shape_and_header():
