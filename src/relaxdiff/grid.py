@@ -102,11 +102,12 @@ class Grid:
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Apply the zero-flux Laplacian to a flat cell array: one 1D stencil per axis."""
-        arr = self._axes_view(values)
-        out = _axis_fluxes(arr, -1, self.spacing[0])
-        for k in range(1, self.ndim):
-            out += _axis_fluxes(arr, -1 - k, self.spacing[k])
-        return out.reshape(-1)
+        x = self._axes_view(values).reshape(-1)
+        n1 = self.cells[0]
+        out = _axis_fluxes(x, 1, n1, self.spacing[0])
+        if self.ndim == 2:
+            out += _axis_fluxes(x, n1, self.cells[1], self.spacing[1])
+        return out
 
     def coarsen(self, values: np.ndarray) -> np.ndarray:
         """Average cell pairs along each axis: a field of this grid on the grid it refines."""
@@ -211,12 +212,13 @@ def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.n
     return solve
 
 
-# The coarse block of `Grid.solver` on a 2D grid has prod(m)
-# rows, m modes per axis. Per solve, its assembly costs about 2 N m^2
-# multiply-adds for N cells, and its factoring and inversion (prod m)^3 / 3
-# each; each CG iteration applies it for 2 (prod m)^2. At 128^2 (a 144-row
-# block) that is 7 M once per solve (about 1 ms) and 41 k per iteration,
-# against the 8 M of the four basis products of every iteration.
+# The coarse block of `Grid.solver` on a 2D grid has prod(m) rows, m modes
+# per axis. Per solve, its assembly costs about 2 m N + 2 m^5 multiply-adds
+# for N cells (`_coarse_inverse_factor`), and its factoring and inversion
+# (prod m)^3 / 3 each; each CG iteration applies it for 2 (prod m)^2. At 128^2
+# (a 144-row block) that is 1 M for the assembly and 2 M for the rest, once
+# per solve, and 41 k per iteration, against the 8 M of the four basis
+# products of every iteration.
 COARSE_MODES_2D = 12
 
 
@@ -224,14 +226,17 @@ def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables, s: float) -> np.ndar
     """W = L^{-1} for the Cholesky factor L L^T of the 2D coarse Galerkin block, or None.
 
     `d` is the diagonal on the field's layout (grid axis k along array axis
-    -1 - k). The block is assembled one axis at a time, by contracting `d`
-    with that axis' basis products, and its diagonal gains s times the low
-    eigenvalues `t.low`. Its rows are the coarse cosine coefficients in the
-    order of the field's layout.
+    -1 - k). The block is assembled from the 2m - 1 lowest cosine
+    coefficients of `d` per axis, G = K2 d K1^T, which the pair weights of
+    each axis spread over its basis products: E = T2^T G T1 (see
+    `_cosine_tables`). Its diagonal gains s times the low eigenvalues
+    `t.low`. Its rows are the coarse cosine coefficients in the order of the
+    field's layout.
     """
     m2, m1 = t.low.shape
+    (K1, K2), (T1, T2) = t.cosines, t.pair_weights
     with np.errstate(over="ignore", invalid="ignore"):
-        E = (t.products[1] @ d @ t.products[0].T).reshape(m2, m2, m1, m1)
+        E = (T2.T @ (K2 @ d @ K1.T) @ T1).reshape(m2, m2, m1, m1)
     E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
     E.flat[::E.shape[0] + 1] += s * t.low.reshape(-1)
     if not np.isfinite(E).all():
@@ -273,25 +278,30 @@ class _CosineTables(NamedTuple):
     bases: tuple[np.ndarray, ...]
     lam: np.ndarray
     low: np.ndarray | None
-    products: tuple[np.ndarray, ...]
+    cosines: tuple[np.ndarray, ...]
+    pair_weights: tuple[np.ndarray, ...]
 
 
 @functools.lru_cache(maxsize=8)
 def _cosine_tables(cells: tuple[int, ...], spacing: tuple[float, ...]) -> _CosineTables:
     """The cosine tables of a grid, built once and shared by all of its solvers.
 
-    `bases` and `products` hold one read-only array per grid axis, the same
-    one for axes of one length. Row k of a basis is the k-th eigenvector of
-    the 1D zero-flux Laplacian, cos(pi k (j + 1/2) / n) scaled to unit length,
-    with eigenvalue mu_k = 4 sin^2(pi k / 2n) / h^2 of -L. `lam` holds the
-    eigenvalues of -L on the field's layout, mu2[j] + mu1[i] at (j, i) in 2D.
+    `bases`, `cosines` and `pair_weights` hold one read-only array per grid
+    axis, the same one for axes of one length. Row k of a basis is the k-th
+    eigenvector of the 1D zero-flux Laplacian, c_k = s_k cos(pi k (j + 1/2) / n)
+    with s_0 = sqrt(1 / n) and s_k = sqrt(2 / n) otherwise, with eigenvalue
+    mu_k = 4 sin^2(pi k / 2n) / h^2 of -L. `lam` holds the eigenvalues of -L
+    on the field's layout, mu2[j] + mu1[i] at (j, i) in 2D.
 
     The rest serves the 2D coarse block; a 1D grid, which solves by
-    elimination, has none of it (`low` is None). Row a * m + b of `products`
-    is the cellwise product of basis rows a and b, so a contraction with a
-    diagonal d gives the Galerkin entries c_a diag(d) c_b^T. `low` is the
-    corner of `lam` at the lowest `COARSE_MODES_2D` modes per axis (all of a
-    shorter axis); its shape is the coarse block's slice of a spectrum.
+    elimination, has none of it (`low` is None). `low` is the corner of
+    `lam` at the lowest m = `COARSE_MODES_2D` modes per axis (all of a
+    shorter axis); its shape is the coarse block's slice of a spectrum. The
+    cellwise product of two of those basis rows is c_a c_b =
+    (s_a s_b / 2)(K_|a-b| + K_a+b), K_k = cos(pi k (j + 1/2) / n) (Strang,
+    SIAM Review 41(1), 1999). So `cosines` holds the rows K_0 .. K_2m-2, and
+    column a * m + b of `pair_weights` holds the weights of c_a c_b on them:
+    `pair_weights.T @ cosines` is every product of two kept basis rows.
     """
     basis, sin2 = {}, {}  # one of each per distinct axis length
     for n in dict.fromkeys(cells):
@@ -305,27 +315,43 @@ def _cosine_tables(cells: tuple[int, ...], spacing: tuple[float, ...]) -> _Cosin
         a.flags.writeable = False
     bases = tuple(basis[n] for n in cells)
     if len(cells) == 1:
-        return _CosineTables(bases, lam, None, ())
-    m = COARSE_MODES_2D
-    products = {n: (C[:m, None] * C[None, :m]).reshape(-1, n) for n, C in basis.items()}
-    for a in products.values():
+        return _CosineTables(bases, lam, None, (), ())
+    cosines, pair_weights = {}, {}
+    for n in basis:
+        m = min(n, COARSE_MODES_2D)
+        cosines[n] = np.cos(np.pi / n * np.outer(np.arange(2 * m - 1), np.arange(n) + 0.5))
+        scale = np.full(m, math.sqrt(2.0 / n))
+        scale[0] = math.sqrt(1.0 / n)
+        pair = np.arange(m * m)
+        a, b = np.divmod(pair, m)
+        T = np.zeros((2 * m - 1, m * m))
+        T[np.abs(a - b), pair] += scale[a] * scale[b] / 2
+        T[a + b, pair] += scale[a] * scale[b] / 2  # a second time for a = b = 0
+        pair_weights[n] = T
+    for a in (*cosines.values(), *pair_weights.values()):
         a.flags.writeable = False
-    low = lam[:m, :m]  # all modes of a shorter axis
-    return _CosineTables(bases, lam, low, tuple(products[n] for n in cells))
+    low = lam[:COARSE_MODES_2D, :COARSE_MODES_2D]  # all modes of a shorter axis
+    return _CosineTables(bases, lam, low, tuple(cosines[n] for n in cells),
+                         tuple(pair_weights[n] for n in cells))
 
 
-def _axis_fluxes(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """The 1D zero-flux stencil along one array axis: sum of (neighbor - cell) / h^2.
+def _axis_fluxes(x: np.ndarray, stride: int, n: int, h: float) -> np.ndarray:
+    """The 1D zero-flux stencil along one grid axis: sum of (neighbor - cell) / h^2.
 
-    A zero result is always +0.0, whatever the signs of zeros in `arr`.
+    `x` is a flat field, whose neighbors along the axis lie `stride` cells
+    apart, and the axis has `n` cells. Every step runs over the whole field
+    at once: in 2D the fast axis differences each row's last cell with the
+    next row's first too, and those differences, which cross no face, are
+    set to zero. A zero result is always +0.0, whatever the signs of zeros
+    in `x`.
     """
-    a = arr.swapaxes(0, axis)
-    d = a[1:] - a[:-1]  # the difference across each interior face
-    out = np.empty_like(arr)
-    o = out.swapaxes(0, axis)
-    np.add(d, 0.0, out=o[:-1])  # each cell's face above, with -0.0 made +0.0
-    o[-1] = 0.0  # the last cell has no face above
-    o[1:] -= d  # each cell's face below
+    d = x[stride:] - x[:-stride]  # the difference across each interior face
+    if stride == 1 and n < x.size:
+        d[n - 1::n] = 0.0  # from a row's last cell to the next row's first
+    out = np.empty_like(x)
+    np.add(d, 0.0, out=out[:-stride])  # each cell's face above, with -0.0 made +0.0
+    out[-stride:] = 0.0  # the last cells have no face above
+    out[stride:] -= d  # each cell's face below
     out /= h * h
     return out
 

@@ -73,15 +73,24 @@ def cg_solve(
 
     # Scaling b by a power of two is exact, so the iterates are those of the
     # unscaled problem, but the inner products of tiny or huge data no longer
-    # underflow or overflow. The scaled b peaks at `peak`, in [0.5, 1); a
-    # start is scaled by the same power of two.
-    peak, exponent = math.frexp(float(np.abs(b).max(initial=0.0)))
-    if not math.isfinite(peak):
+    # underflow or overflow. A b that peaks in [2^-64, 2^64) is far from
+    # either and runs as given; any other is scaled to peak in [0.5, 1), and
+    # a start by the same power of two. CG works on its own copy of a start,
+    # so an unscaled iterate comes back as the very array that A was last
+    # applied to, if CG ended on a residual check.
+    top = float(np.abs(b).max(initial=0.0))
+    if not math.isfinite(top):
         # else the threshold tol * ||b|| is infinite (any x meets it) or NaN
         raise LinearSolverError("conjugate-gradient breakdown at iteration 1 (non-finite values)")
-    x = None if x0 is None or peak == 0.0 else np.ldexp(x0, -exponent)
-    x, iterations, res, converged = _pcg(A, np.ldexp(b, -exponent), x, peak, tol, max_iter)
-    return np.ldexp(x, exponent), SolverReport(iterations, math.ldexp(res, exponent), converged)
+    exponent = math.frexp(top)[1]
+    if -64 < exponent <= 64:
+        exponent = 0
+    x = None if x0 is None or top == 0.0 else np.ldexp(x0, -exponent)
+    b = np.ldexp(b, -exponent) if exponent else b
+    x, iterations, res, converged = _pcg(A, b, x, math.ldexp(top, -exponent), tol, max_iter)
+    if exponent:
+        x, res = np.ldexp(x, exponent), math.ldexp(res, exponent)
+    return x, SolverReport(iterations, res, converged)
 
 
 def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
@@ -97,14 +106,17 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
         return x, 0, res, True
 
     iterations = 0
-    p = A.precondition(r)
+    # x and r are updated in place: x is CG's own array from here on, and the
+    # direction p never shares r's memory. The operator sees x again only in
+    # the true-residual check, after its last update.
+    p = _direction(A, r)
     rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
     while iterations < max_iter:
         iterations += 1
         Ap = A.matvec(p)
         alpha = rz / _positive(float(p @ Ap), iterations, "operator not positive definite?")
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += alpha * p
+        r -= alpha * Ap
         res = math.sqrt(float(r.dot(r)))
         if res <= threshold:
             # confirm against the true residual before declaring victory
@@ -113,7 +125,7 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
             if res <= threshold:
                 return x, iterations, res, True
             # recurrence drifted: restart the search direction from here
-            p = A.precondition(r)
+            p = _direction(A, r)
             rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
             continue
         z = A.precondition(r)
@@ -122,6 +134,15 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
         rz = rz_new
 
     return x, iterations, res, False
+
+
+def _direction(A, r: np.ndarray) -> np.ndarray:
+    """The preconditioned residual as a search direction that does not share r's memory.
+
+    A preconditioner may hand back `r` itself (the identity) or a view of it.
+    """
+    p = A.precondition(r)
+    return p.copy() if np.may_share_memory(p, r) else p
 
 
 def _positive(product: float, iterations: int, not_positive: str) -> float:

@@ -101,11 +101,36 @@ class _StepOperator:
 
     def __init__(self, grid: Grid, d, s: float):
         self.grid, self.d, self.s = grid, d, s
+        self.unit_d = isinstance(d, float) and d == 1.0  # the regularization's d
         self.n_rows = self.n_cols = grid.n_cells
         self.precondition, self.starts = grid.solver(d, s)
+        self._applied = None  # the last matvec's argument and its Laplacian
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.d * x - self.s * self.grid.laplacian(x)
+        self._applied = None  # freed before the next Laplacian is made
+        Lx = self.grid.laplacian(x)
+        self._applied = x, Lx
+        # d * x - s * L x, bit for bit, without multiplying by a factor of exactly 1
+        sLx = Lx if self.s == 1.0 else self.s * Lx
+        if self.unit_d:
+            return np.subtract(x, sLx, out=None if sLx is Lx else sLx)
+        out = self.d * x
+        out -= sLx
+        return out
+
+    def laplacian(self, z: np.ndarray) -> np.ndarray:
+        """L z as an array of its own, and drop what `matvec` kept.
+
+        Where z is the very array of the last matvec, as the iterate that
+        `cg_solve` returns after its final residual check is unless it scaled
+        the data, that matvec's Laplacian is returned instead of applying L
+        again. CG changes no iterate between its last apply and its return,
+        so that Laplacian is the one of z, bit for bit.
+        """
+        applied, self._applied = self._applied, None
+        if applied is not None and applied[0] is z:
+            return applied[1]
+        return self.grid.laplacian(z)
 
 
 class _ImplicitStepOperator(_StepOperator):
@@ -126,8 +151,10 @@ def _flux_solve(
     from it applied to b, which the stopping rule accepts after 0 iterations
     unless rounding leaves it short; any other starts from `z_start`, else
     from zero. The flux form equals the solved field up to the solver
-    residual, but it carries exactly the total of `u`. A solve that has not
-    converged after LINEAR_MAX_ITER iterations (read at each call) raises.
+    residual, but it carries exactly the total of `u`. Its L z is the one
+    CG's last residual check computed (`op.laplacian`), so a converged solve
+    applies L once per iteration plus once. A solve that has not converged
+    after LINEAR_MAX_ITER iterations (read at each call) raises.
     """
     if op.starts:
         z_start = op.precondition(b)
@@ -137,7 +164,10 @@ def _flux_solve(
             f"{op.name} solve stalled after {report.iterations} iterations "
             f"(residual {report.residual_norm:.3e})"
         )
-    return u + s * op.grid.laplacian(z), z, report
+    flux = op.laplacian(z)
+    flux *= s
+    flux += u
+    return flux, z, report
 
 
 def _solve_regularize(
@@ -255,8 +285,9 @@ def species_step(
         ut_new, rep_reg = _solve_regularize(g, u_new, m.delta[i], cfg.linear_tol)
     # w = delta * u_tilde plus the running sum of dt * A * u
     delta = m.delta[i]
-    w_new = (delta * ut_new + (state.w[i].values - delta * state.u_tilde[i].values)
-             + dt * A * u_new)
+    w_new = delta * ut_new
+    w_new += state.w[i].values - delta * state.u_tilde[i].values
+    w_new += dt * A * u_new
     # w sums positive multiples of u_new and ut_new, so it is finite only if they are
     if not np.isfinite(w_new).all():
         raise RelaxdiffError(f"{where}: the next state is not finite")

@@ -223,14 +223,15 @@ def tables_of(g):
 
 def test_a_square_grid_holds_one_basis():
     t = tables_of(make_grid_2d(20, 20, (1.0, 0.7)))
-    assert t.bases[0] is t.bases[1] and t.products[0] is t.products[1]
+    assert t.bases[0] is t.bases[1] and t.cosines[0] is t.cosines[1]
+    assert t.pair_weights[0] is t.pair_weights[1]
     # the spacings differ, so the axes' eigenvalues do
     assert not np.array_equal(t.lam[0], t.lam[:, 0])
 
 
 def test_cosine_tables_are_read_only():
     t = tables_of(make_grid_2d(20, 24))
-    for a in (*t.bases, *t.products, t.lam, t.low):
+    for a in (*t.bases, *t.cosines, *t.pair_weights, t.lam, t.low):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
 
@@ -242,7 +243,13 @@ def test_coarse_block_keeps_the_lowest_modes_per_axis(g):
     kept = [min(n, COARSE_MODES_2D) for n in g.cells]
     assert t.low.shape == tuple(kept[::-1])
     assert np.array_equal(t.low, t.lam[tuple(slice(0, k) for k in kept[::-1])])
-    assert [p.shape for p in t.products] == [(k * k, n) for k, n in zip(kept, g.cells)]
+    assert [K.shape for K in t.cosines] == [(2 * k - 1, n) for k, n in zip(kept, g.cells)]
+    assert [T.shape for T in t.pair_weights] == [(2 * k - 1, k * k) for k in kept]
+    # column a * k + b of the weights spreads the product of kept basis rows
+    # a and b over the cosine rows
+    for C, K, T, k in zip(t.bases, t.cosines, t.pair_weights, kept):
+        products = (C[:k, None] * C[None, :k]).reshape(k * k, -1)
+        assert np.max(np.abs(T.T @ K - products)) <= 1e-15
 
 
 def test_both_solvers_of_a_grid_build_its_tables_once():
@@ -314,28 +321,31 @@ def test_coarse_corrected_solve_matches_its_dense_formula():
     # B = kron(C2, C1) maps a flat field to its cosine coefficients; the
     # preconditioner is B^T M B, where M inverts the Galerkin block
     # E = B_l diag(d) B_l^T + s Lambda_l on the lowest COARSE_MODES_2D modes
-    # per axis and divides every other mode by c + s mu
-    g = make_grid_2d(20, 24, (1.0, 0.7))
-    t = tables_of(g)
-    B = np.kron(t.bases[1], t.bases[0])
-    low = np.zeros(t.lam.shape, dtype=bool)
-    low[:COARSE_MODES_2D, :COARSE_MODES_2D] = True
-    low = low.reshape(-1)
-    assert low.sum() == COARSE_MODES_2D**2
-    d = smooth_diagonal(g)
-    for s in (1.0, 0.01):
-        M = np.diag(1.0 / (shift_of(d) + s * t.lam.reshape(-1)))
-        E = B[low] @ np.diag(d) @ B[low].T + s * np.diag(t.lam.reshape(-1)[low])
-        M[np.ix_(low, low)] = np.linalg.inv(E)
-        reference = B.T @ M @ B
-        solve = solve_of(g, d, s)
-        P = dense_of(solve, g.n_cells)
-        assert np.max(np.abs(P - reference)) <= 1e-10 * np.max(np.abs(reference))
-        # a constant right-hand side takes the block too, not values / c
-        r = np.full(g.n_cells, 2.5)
-        x = solve(r)
-        assert np.max(np.abs(x - reference @ r)) <= 1e-10 * np.max(np.abs(reference @ r))
-        assert not np.allclose(x, r / shift_of(d))
+    # per axis and divides every other mode by c + s mu. On 7 x 20 cells the
+    # block takes all 7 modes of the short axis, which has fewer cells than
+    # the 2 * 7 - 1 cosine rows the block is built from.
+    for g in (make_grid_2d(20, 24, (1.0, 0.7)), make_grid_2d(7, 20)):
+        t = tables_of(g)
+        B = np.kron(t.bases[1], t.bases[0])
+        kept = [min(n, COARSE_MODES_2D) for n in g.cells]
+        low = np.zeros(t.lam.shape, dtype=bool)
+        low[:kept[1], :kept[0]] = True
+        low = low.reshape(-1)
+        assert low.sum() == math.prod(kept) < g.n_cells
+        d = smooth_diagonal(g)
+        for s in (1.0, 0.01):
+            M = np.diag(1.0 / (shift_of(d) + s * t.lam.reshape(-1)))
+            E = B[low] @ np.diag(d) @ B[low].T + s * np.diag(t.lam.reshape(-1)[low])
+            M[np.ix_(low, low)] = np.linalg.inv(E)
+            reference = B.T @ M @ B
+            solve = solve_of(g, d, s)
+            P = dense_of(solve, g.n_cells)
+            assert np.max(np.abs(P - reference)) <= 1e-10 * np.max(np.abs(reference))
+            # a constant right-hand side takes the block too, not values / c
+            r = np.full(g.n_cells, 2.5)
+            x = solve(r)
+            assert np.max(np.abs(x - reference @ r)) <= 1e-10 * np.max(np.abs(reference @ r))
+            assert not np.allclose(x, r / shift_of(d))
 
 
 def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):

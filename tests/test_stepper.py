@@ -443,6 +443,61 @@ def test_solve_iterations_do_not_grow_with_the_mesh(cells, rng):
     assert regularize.converged and regularize.iterations <= 2
 
 
+def counted_laplacian(monkeypatch):
+    """Record every `Grid.laplacian` call from here on; returns the calls and the original."""
+    apply, calls = rd.Grid.laplacian, []
+
+    def counting(grid, values):
+        calls.append(values)
+        return apply(grid, values)
+
+    monkeypatch.setattr(rd.Grid, "laplacian", counting)
+    return calls, apply
+
+
+@pytest.mark.parametrize("g", [make_grid_1d(40), make_grid_2d(20, 24, (1.0, 0.7))],
+                         ids=lambda g: "x".join(map(str, g.cells)))
+@pytest.mark.parametrize("kind", ["implicit", "regularize", "zero"])
+def test_a_converged_solve_applies_the_laplacian_once_per_iteration_plus_once(
+        g, kind, rng, monkeypatch):
+    # CG's last residual check applies L to the iterate it returns, and the
+    # flux form u + s L z reuses that Laplacian; a zero right-hand side runs
+    # no check, so its flux form applies L itself
+    tau = delta = 0.01
+    u = rng.uniform(0.5, 1.5, g.n_cells)
+    if kind == "implicit":
+        A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
+        op, b, s = stepper._ImplicitStepOperator(g, 1.0 / (tau * A), 1.0), u / tau, tau
+    else:
+        op, b, s = stepper._ResolventOperator(g, 1.0, delta), u, delta
+        if kind == "zero":
+            u = b = np.zeros(g.n_cells)
+    calls, apply = counted_laplacian(monkeypatch)
+    flux, z, report = stepper._flux_solve(op, b, u, s, 1e-10)
+    assert report.converged and len(calls) == 1 + report.iterations
+    # a 2D implicit solve iterates; every other one starts from its answer
+    assert (report.iterations > 0) == (kind == "implicit" and g.ndim == 2)
+    assert flux.tobytes() == (u + s * apply(g, z)).tobytes()
+    assert op._applied is None  # no field outlives the solve
+
+
+@pytest.mark.parametrize("g", [make_grid_1d(40), make_grid_2d(20, 24, (1.0, 0.7))],
+                         ids=lambda g: "x".join(map(str, g.cells)))
+@pytest.mark.parametrize("exponent", [-1040, -1020, -60, 60, 1000])
+def test_the_flux_form_of_tiny_and_huge_data_is_bit_exact(g, exponent, rng):
+    # CG scales the right-hand side of tiny or huge data by a power of two, so
+    # its last Laplacian is of the scaled iterate, which near the subnormal
+    # range does not scale back exactly: the flux form applies L to z itself
+    tau = 0.01
+    u = np.ldexp(rng.uniform(0.5, 1.5, g.n_cells), exponent)
+    A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
+    for op, b, s in ((stepper._ImplicitStepOperator(g, 1.0 / (tau * A), 1.0), u / tau, tau),
+                     (stepper._ResolventOperator(g, 1.0, 0.01), u, 0.01)):
+        flux, z, report = stepper._flux_solve(op, b, u, s, 1e-10)
+        assert report.converged
+        assert flux.tobytes() == (u + s * g.laplacian(z)).tobytes()
+
+
 def test_sim2d_step_takes_at_most_two_implicit_iterations():
     # the sim2d benchmark setup without its perturbation: 128^2 cells, smooth
     # two-species data, p = 1, delta = tau = 0.01; the coefficients are smooth,
