@@ -140,6 +140,7 @@ def picard_step_with_info(
     `PicardConvergenceError`. Returns the step and its sweeps, the first
     included: the implicit solves per species.
     """
+    check_step_size(tau)
     candidate = state
     x = np.concatenate([f.values for f in state.u_tilde])  # where the sweep starts
     history = []

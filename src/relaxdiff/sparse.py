@@ -33,6 +33,16 @@ def check_step_size(tau: float) -> None:
         raise ValueError(f"tau {tau!r} is too small: 1 / tau is not a finite float")
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a CG tolerance outside [2**-52, 1), NaN included."""
+    # no residual can fall below float64 rounding relative to ||b||
+    if not (tol >= 2**-52):
+        raise ValueError("linear tolerance must be at least 2**-52, the float64 epsilon")
+    # at tol >= 1 the stopping rule accepts x = 0 for every right-hand side
+    if not (tol < 1):
+        raise ValueError("linear tolerance must be below 1")
+
+
 @dataclass(frozen=True)
 class SolverReport:
     """Outcome of one iterative solve."""
@@ -58,8 +68,7 @@ def cg_solve(
     non-convergence is reported, not raised, so the caller decides. A
     breakdown, a non-finite `b` included, raises `LinearSolverError`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     b = np.asarray(b, dtype=np.float64)
     if A.n_rows != A.n_cols:
         raise DimensionMismatchError("cg_solve requires a square operator")
@@ -75,8 +84,9 @@ def cg_solve(
     # unscaled problem, but the inner products of tiny or huge data no longer
     # underflow or overflow. A b that peaks in [2^-64, 2^64) is far from
     # either and runs as given; any other is scaled to peak in [0.5, 1), and
-    # a start by the same power of two. CG works on its own copy of a start,
-    # so an unscaled iterate comes back as the very array that A was last
+    # a start by the same power of two. CG updates only its own copy of a
+    # start and makes each residual anew, so `b` and `x0` stay as given, and
+    # an unscaled iterate comes back as the very array that A was last
     # applied to, if CG ended on a residual check.
     top = float(np.abs(b).max(initial=0.0))
     if not math.isfinite(top):
@@ -98,7 +108,7 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
     # the floor keeps the stopping rule meaningful for b close to (or exactly) zero
     threshold = tol * (math.sqrt(float(b.dot(b))) + 1e-14 * peak * b.size)
     if x is None:
-        x, r = np.zeros(A.n_cols), b.copy()
+        x, r = np.zeros(A.n_cols), b
     else:
         r = b - A.matvec(x)
     res = math.sqrt(float(r.dot(r)))
@@ -106,17 +116,14 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
         return x, 0, res, True
 
     iterations = 0
-    # x and r are updated in place: x is CG's own array from here on, and the
-    # direction p never shares r's memory. The operator sees x again only in
-    # the true-residual check, after its last update.
-    p = _direction(A, r)
+    p = A.precondition(r)
     rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
     while iterations < max_iter:
         iterations += 1
         Ap = A.matvec(p)
         alpha = rz / _positive(float(p @ Ap), iterations, "operator not positive definite?")
         x += alpha * p
-        r -= alpha * Ap
+        r = r - alpha * Ap
         res = math.sqrt(float(r.dot(r)))
         if res <= threshold:
             # confirm against the true residual before declaring victory
@@ -125,7 +132,7 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
             if res <= threshold:
                 return x, iterations, res, True
             # recurrence drifted: restart the search direction from here
-            p = _direction(A, r)
+            p = A.precondition(r)
             rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
             continue
         z = A.precondition(r)
@@ -134,15 +141,6 @@ def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
         rz = rz_new
 
     return x, iterations, res, False
-
-
-def _direction(A, r: np.ndarray) -> np.ndarray:
-    """The preconditioned residual as a search direction that does not share r's memory.
-
-    A preconditioner may hand back `r` itself (the identity) or a view of it.
-    """
-    p = A.precondition(r)
-    return p.copy() if np.may_share_memory(p, r) else p
 
 
 def _positive(product: float, iterations: int, not_positive: str) -> float:

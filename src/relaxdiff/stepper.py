@@ -57,7 +57,9 @@ from .diagnostics import SpeciesStepInfo
 from .errors import LinearSolverError, RelaxdiffError
 from .grid import Field, Grid
 from .model import ModelSpec, coefficient_fields
-from .sparse import LINEAR_MAX_ITER, LINEAR_TOL, SolverReport, cg_solve, check_step_size
+from .sparse import (
+    LINEAR_MAX_ITER, LINEAR_TOL, SolverReport, cg_solve, check_step_size, check_tolerance,
+)
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,7 @@ class SchemeConfig:
         # beyond 2**53 steps the pinned times k * tau stop being distinct
         if self.horizon / self.tau > 2**53:
             raise ValueError("horizon / tau must not exceed 2**53")
-        # no residual can fall below float64 rounding relative to ||b||
-        if not (self.linear_tol >= 2**-52):
-            raise ValueError("linear tolerance must be at least 2**-52, the float64 epsilon")
-        # at tol >= 1 the stopping rule accepts x = 0 for every right-hand side
-        if not (self.linear_tol < 1):
-            raise ValueError("linear tolerance must be below 1")
+        check_tolerance(self.linear_tol)
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
         if self.workers < 1:
@@ -94,6 +91,8 @@ class SchemeConfig:
 class _StepOperator:
     """Matrix-free diag(d) - s L, the operator of both solves; SPD for d, s > 0.
 
+    `matvec` computes d * x - s * L x for both solves; a factor of 1 (the
+    implicit step's s, the regularization's d) multiplies bit for bit.
     `Grid.solver(d, s)` preconditions it and says whether CG starts from its
     solve (`starts`). The subclasses only name the solve, for its errors and
     the benchmark's CG spans.
@@ -101,7 +100,6 @@ class _StepOperator:
 
     def __init__(self, grid: Grid, d, s: float):
         self.grid, self.d, self.s = grid, d, s
-        self.unit_d = isinstance(d, float) and d == 1.0  # the regularization's d
         self.n_rows = self.n_cols = grid.n_cells
         self.precondition, self.starts = grid.solver(d, s)
         self._applied = None  # the last matvec's argument and its Laplacian
@@ -110,12 +108,8 @@ class _StepOperator:
         self._applied = None  # freed before the next Laplacian is made
         Lx = self.grid.laplacian(x)
         self._applied = x, Lx
-        # d * x - s * L x, bit for bit, without multiplying by a factor of exactly 1
-        sLx = Lx if self.s == 1.0 else self.s * Lx
-        if self.unit_d:
-            return np.subtract(x, sLx, out=None if sLx is Lx else sLx)
         out = self.d * x
-        out -= sLx
+        out -= self.s * Lx
         return out
 
     def laplacian(self, z: np.ndarray) -> np.ndarray:
@@ -302,6 +296,7 @@ def step_with_info(
     Every species freezes its coefficient at `state.u_tilde` and runs
     `species_step` without a warm start, under the `workers` pool.
     """
+    check_step_size(tau)
     A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, range(state.n_species))
 
     def advance(i: int):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff import sparse
+from relaxdiff import sparse, stepper
 from relaxdiff.errors import DimensionMismatchError, LinearSolverError
 
 from conftest import dense_laplacian, make_grid_1d
@@ -213,3 +213,46 @@ def test_every_solve_shares_the_scheme_stopping_defaults(solve):
         assert params["max_iter"].default == sparse.LINEAR_MAX_ITER
     else:
         assert "max_iter" not in params
+
+
+def implicit_operator(grid):
+    d = np.random.default_rng(7).uniform(0.5, 2.0, grid.n_cells)
+    return stepper._ImplicitStepOperator(grid, d, 1.0)
+
+
+@pytest.mark.parametrize("operator", [
+    lambda: DenseOperator(random_spd(np.random.default_rng(3), 24)),  # returns r as z
+    lambda: implicit_operator(make_grid_1d(24)),
+    lambda: implicit_operator(rd.Grid((16, 12), (1 / 16, 1 / 12))),
+], ids=["dense", "implicit-1d", "implicit-2d"])
+@pytest.mark.parametrize("case", ["cold", "converged", "zero-iterations", "zero-b", "capped",
+                                  "scaled"])
+def test_cg_leaves_its_inputs_untouched(operator, case):
+    # CG makes each residual anew and updates only its own iterate, so a
+    # preconditioner may hand back r itself and the caller's arrays stay as given
+    A = operator()
+    rng = np.random.default_rng(11)
+    b = rng.uniform(0.5, 2.0, A.n_cols)
+    x0 = rng.uniform(0.5, 2.0, A.n_cols)
+    max_iter = sparse.LINEAR_MAX_ITER
+    if case == "cold":  # the first residual is b itself
+        x0 = None
+    elif case == "zero-iterations":
+        x0, _ = rd.cg_solve(A, b)
+    elif case == "zero-b":
+        b = np.zeros(A.n_cols)
+    elif case == "capped":
+        max_iter = 1
+    elif case == "scaled":
+        b, x0 = np.ldexp(b, 80), np.ldexp(x0, 80)
+    inputs = [a for a in (b, x0) if a is not None]
+    before = [a.tobytes() for a in inputs]
+    x, report = rd.cg_solve(A, b, x0=x0, max_iter=max_iter)
+    assert [a.tobytes() for a in inputs] == before
+    assert not any(np.shares_memory(x, a) for a in inputs)
+    if case in ("zero-iterations", "zero-b"):
+        assert report.converged and report.iterations == 0
+    elif case == "capped":
+        assert report.iterations == 1
+    else:
+        assert report.converged and report.iterations > 0

@@ -109,18 +109,57 @@ def one_node_slab_energy(u, tau):
     return rd.energy_identity_residual([u, u], [np.ones(u.grid.n_cells)], tau)
 
 
+def heat_step(step, u, tau):
+    m = heat_model(u.grid)
+    cfg = rd.SchemeConfig(tau=0.1, horizon=1.0)
+    return step(rd.initial_state(m, cfg), m, cfg, tau)
+
+
+def semi_implicit_step(u, tau):
+    return heat_step(rd.step_with_info, u, tau)
+
+
+def picard_step(u, tau):
+    return heat_step(picard_step_with_info, u, tau)
+
+
+def regularize_to_tol(u, tol):
+    return rd.regularize(u, 0.1, tol=tol)
+
+
+def implicit_step_to_tol(u, tol):
+    return rd.implicit_diffusion_step(u, np.ones(u.grid.n_cells), 0.1, tol=tol)
+
+
+def slab_node_to_tol(u, tol):
+    return rd.solve_frozen_slab([np.ones(u.grid.n_cells)], u, 0.1, tol=tol)
+
+
+def cg_to_tol(u, tol):
+    op = stepper._ImplicitStepOperator(u.grid, np.ones(u.grid.n_cells), 1.0)
+    return rd.cg_solve(op, u.values, tol=tol)
+
+
 # the rule SchemeConfig applies to tau: positive, finite and a finite 1 / tau
 BAD_TAU = [(-0.1, "tau must be positive and finite"), (0.0, "tau must be positive and finite"),
            (np.nan, "tau must be positive and finite"), (np.inf, "tau must be positive and finite"),
            (5e-324, "1 / tau is not a finite float")]
+# the rule SchemeConfig applies to linear_tol: in [2**-52, 1)
+AT_LEAST, BELOW = "linear tolerance must be at least", "linear tolerance must be below 1"
+BAD_TOL = [(np.nan, AT_LEAST), (0.0, AT_LEAST), (np.nextafter(2**-52, 0), AT_LEAST),
+           (np.inf, BELOW), (1.0, BELOW)]
 
 
 @pytest.mark.parametrize("call, value, match", [
     *((call, tau, match) for call in (one_implicit_step, one_slab_node, empty_slab,
-                                      empty_slab_energy, one_node_slab_energy)
+                                      empty_slab_energy, one_node_slab_energy,
+                                      semi_implicit_step, picard_step)
       for tau, match in BAD_TAU),
     *((rd.regularize, delta, "delta must be positive and finite")
       for delta in (-0.1, 0.0, np.nan, np.inf)),
+    *((call, tol, match) for call in (regularize_to_tol, implicit_step_to_tol, slab_node_to_tol,
+                                      cg_to_tol)
+      for tol, match in BAD_TOL),
 ])
 def test_single_operations_reject_bad_scalars_before_solving(call, value, match):
     u = rd.Field(make_grid_1d(8), np.linspace(0.5, 1.5, 8))
