@@ -14,7 +14,7 @@ class DimensionMismatchError(RelaxdiffError):
 
 
 class LinearSolverError(RelaxdiffError):
-    """An iterative linear solve failed (non-convergence or breakdown)."""
+    """A linear solve failed (non-convergence, breakdown or a singular operator)."""
 
 
 class PicardConvergenceError(RelaxdiffError):

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import PicardConvergenceError
 from .grid import Field
 from .model import ModelSpec, coefficient_fields
-from .sparse import LINEAR_TOL, check_step_size
+from .sparse import LINEAR_TOL, check_step_size, check_tolerance
 from .stepper import (
     SchemeConfig,
     SystemState,
@@ -65,6 +65,7 @@ def solve_frozen_slab(
     diffusion solve per node; N = len(A_nodes).
     """
     check_step_size(tau)
+    check_tolerance(tol)
     trajectory = [w0.copy()]
     for A in A_nodes:
         trajectory.append(implicit_diffusion_step(trajectory[-1], A, tau, tol))

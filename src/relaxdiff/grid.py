@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, LinearSolverError
 
 
 # A grid's cosine tables hold a dense n x n basis per distinct axis length
@@ -123,19 +123,20 @@ class Grid:
         """A solve of (diag(d) - s L) x = values, and whether CG starts from it.
 
         `d` > 0 is a scalar or one value per cell, s > 0. A varying 1D `d` is
-        solved exactly by elimination (`_elimination_solver`). Every other
-        solve is one closure: it maps the field to cosine coefficients (from
-        the cached `_cosine_tables`), divides them by the shift c + s mu, with
-        c = d for a scalar, else sqrt(min d) sqrt(max d), and maps them back.
-        The shift is the exact inverse of a constant `d`. For a varying 2D `d`
-        the lowest `COARSE_MODES_2D` modes per axis take instead the solve of
-        the Galerkin block E = C_l diag(d) C_l^T + s Lambda_l, applied as
-        W^T (W y) with W = L^{-1} for E = L L^T (SPD whatever the rounding in
-        W; Nicolaides, SIAM J. Numer. Anal. 24(2), 1987). A pivot of either
-        factorization that is not positive and finite, or is below epsilon
-        times the largest, gives the plain shift. Without a block the solve
-        gives a constant field back as values / c, bit for bit. CG starts
-        from the solve of every 1D `d` and every constant one.
+        solved exactly by elimination (`_elimination_solver`), which raises
+        `LinearSolverError` if the operator is singular to working precision.
+        Every other solve is one closure: it maps the field to cosine
+        coefficients (from the cached `_cosine_tables`), divides them by the
+        shift c + s mu, with c = d for a scalar, else sqrt(min d) sqrt(max d),
+        and maps them back. The shift is the exact inverse of a constant `d`.
+        For a varying 2D `d` the lowest `COARSE_MODES_2D` modes per axis take
+        instead the solve of the Galerkin block E = C_l diag(d) C_l^T +
+        s Lambda_l, applied as W^T (W y) with W = L^{-1} for E = L L^T (SPD
+        whatever the rounding in W; Nicolaides, SIAM J. Numer. Anal. 24(2),
+        1987). A pivot of its factorization that is not positive and finite,
+        or is below epsilon times the largest, gives the plain shift. Without
+        a block the solve gives a constant field back as values / c, bit for
+        bit. CG starts from the solve of every 1D `d` and every constant one.
         """
         d = np.asarray(d, dtype=np.float64)
         if d.ndim == 0:
@@ -147,11 +148,10 @@ class Grid:
         if self.ndim == 1 and lo < hi:
             h = self.spacing[0]
             eliminate = _elimination_solver(d.tolist(), s / (h * h))
-            if eliminate is not None:
-                return (lambda values: eliminate(self._axes_view(values))), True
+            return (lambda values: eliminate(self._axes_view(values))), True
         t = _cosine_tables(self.cells, self.spacing)
         spectrum = c + s * t.lam
-        exact = lo == hi or self.ndim == 1  # exact, or standing in for a failed elimination
+        exact = lo == hi
         W = None if exact else _coarse_inverse_factor(d, t, s)
         C1, C2 = t.bases[0], t.bases[-1]
 
@@ -171,8 +171,8 @@ class Grid:
         return solve, exact
 
 
-def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The exact solve of (diag(d) - s L) x = r on a 1D grid with w = s / h^2, or None.
+def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact solve of (diag(d) - s L) x = r on a 1D grid with w = s / h^2.
 
     The operator is tridiagonal: d_i plus w per neighbor on the diagonal, -w
     off it. For d >= 0 it is a diagonally dominant M-matrix, so elimination
@@ -183,8 +183,9 @@ def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.n
     has the pivot e_i + w (e_i in the last row). Every step of the solve
     adds and multiplies nonnegative numbers, so a nonnegative r gives a
     nonnegative x exactly. Pure-Python loops: no BLAS call, so the bits do
-    not depend on the thread count. A pivot that is not positive and finite,
-    or is below epsilon times the largest, gives None.
+    not depend on the thread count. An SPD matrix's pivots lie between its
+    extreme eigenvalues, so one below epsilon times the largest proves it
+    singular to working precision: that, or one not finite, raises.
     """
     pivots, t = [], 0.0
     for di in d[:-1]:
@@ -193,9 +194,9 @@ def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.n
         pivots.append(pivot)
         t = w * (e / pivot)
     pivots.append(d[-1] + t)
-    # a NaN or infinite pivot makes the sum non-finite
-    if not (math.isfinite(sum(pivots)) and min(pivots) > _EPS * max(pivots)):
-        return None
+    if not (all(map(math.isfinite, pivots)) and min(pivots) > _EPS * max(pivots)):
+        raise LinearSolverError("operator singular to working precision (an elimination "
+                                "pivot is not finite or below epsilon times the largest)")
     gains = [w / p for p in pivots]
 
     def solve(r: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ def check_step_size(tau: float) -> None:
     """Reject a step size that is not positive and finite or whose 1 / tau is not."""
     if not (0 < tau < np.inf):
         raise ValueError("tau must be positive and finite")
-    # the implicit operator divides by tau
+    # 1 / tau overflows only for a subnormal tau, one of fewer than 53 significant bits
     if not math.isfinite(1.0 / float(tau)):
         raise ValueError(f"tau {tau!r} is too small: 1 / tau is not a finite float")
 

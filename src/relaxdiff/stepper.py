@@ -13,16 +13,17 @@ diagnostics that need solves of their own live here too:
 `w_increment_residual` re-solves the w identity of one step, and
 `fit_linear_bound` runs the growth-in-time study of u_tilde.
 
-Both linear solves are CG solves of one symmetric positive-definite operator,
-diag(d) - s L: the implicit step with (d, s) = (1 / (tau A), 1), and the
-regularization, one backward heat step of length delta, with (1, delta).
-`Grid.solver` preconditions it and says whether CG starts from its solve: it
-solves a constant d exactly in the cosine eigenbasis and a 1D d exactly by
-tridiagonal elimination, and such a start meets the stopping rule after 0
-iterations. A varying 2D d is solved exactly on its lowest cosine modes by
-the operator's Galerkin block and shifted by the geometric mean of d on the
-rest: the shift alone bounds the iteration count by max A / min A whatever
-the mesh, and with smooth coefficients the block brings it to about one.
+Both linear solves are CG solves of one symmetric positive-definite system,
+(diag(d) - s L) z = u: the implicit step with (d, s) = (1 / A, tau), and the
+regularization, one backward heat step of length delta, with (1, delta), so
+the implicit step with A = 1 and tau = delta, bit for bit. `Grid.solver`
+preconditions it and says whether CG starts from its solve: it solves a
+constant d exactly in the cosine eigenbasis and a 1D d exactly by tridiagonal
+elimination (or rejects it as singular), and such a start meets the stopping
+rule after 0 iterations. A varying 2D d is solved exactly on its lowest cosine
+modes by the operator's Galerkin block and shifted by the geometric mean of d
+on the rest: the shift alone bounds the iteration count by max A / min A
+whatever the mesh, and with smooth coefficients the block brings it to about one.
 
 Two structural choices make the scheme's invariants hold at solver accuracy
 rather than "up to discretization":
@@ -91,11 +92,10 @@ class SchemeConfig:
 class _StepOperator:
     """Matrix-free diag(d) - s L, the operator of both solves; SPD for d, s > 0.
 
-    `matvec` computes d * x - s * L x for both solves; a factor of 1 (the
-    implicit step's s, the regularization's d) multiplies bit for bit.
-    `Grid.solver(d, s)` preconditions it and says whether CG starts from its
-    solve (`starts`). The subclasses only name the solve, for its errors and
-    the benchmark's CG spans.
+    `matvec` computes d * x - s * L x; the regularization's d of 1 multiplies
+    bit for bit. `Grid.solver(d, s)` preconditions it and says whether CG
+    starts from its solve (`starts`). The subclasses only name the solve, for
+    its errors and the benchmark's CG spans.
     """
 
     def __init__(self, grid: Grid, d, s: float):
@@ -128,7 +128,7 @@ class _StepOperator:
 
 
 class _ImplicitStepOperator(_StepOperator):
-    name = "implicit diffusion"  # (d, s) = (1 / (tau A), 1)
+    name = "implicit diffusion"  # (d, s) = (1 / A, tau)
 
 
 class _ResolventOperator(_StepOperator):
@@ -136,30 +136,29 @@ class _ResolventOperator(_StepOperator):
 
 
 def _flux_solve(
-    op, b: np.ndarray, u: np.ndarray, s: float, tol: float,
-    z_start: np.ndarray | None = None,
+    op, u: np.ndarray, tol: float, z_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
-    """Solve op z = b by CG; return u + s * L z, z and the report.
+    """Solve op z = u by CG; return u + op.s * L z, z and the report.
 
     An operator that starts from its preconditioner (`op.starts`) starts
-    from it applied to b, which the stopping rule accepts after 0 iterations
+    from it applied to u, which the stopping rule accepts after 0 iterations
     unless rounding leaves it short; any other starts from `z_start`, else
-    from zero. The flux form equals the solved field up to the solver
-    residual, but it carries exactly the total of `u`. Its L z is the one
-    CG's last residual check computed (`op.laplacian`), so a converged solve
-    applies L once per iteration plus once. A solve that has not converged
-    after LINEAR_MAX_ITER iterations (read at each call) raises.
+    from zero. The flux form equals op.d * z up to the solver residual, but
+    it carries exactly the total of `u`. Its L z is the one CG's last
+    residual check computed (`op.laplacian`), so a converged solve applies L
+    once per iteration plus once. A solve that has not converged after
+    LINEAR_MAX_ITER iterations (read at each call) raises.
     """
     if op.starts:
-        z_start = op.precondition(b)
-    z, report = cg_solve(op, b, tol, LINEAR_MAX_ITER, x0=z_start)
+        z_start = op.precondition(u)
+    z, report = cg_solve(op, u, tol, LINEAR_MAX_ITER, x0=z_start)
     if not report.converged:
         raise LinearSolverError(
             f"{op.name} solve stalled after {report.iterations} iterations "
             f"(residual {report.residual_norm:.3e})"
         )
     flux = op.laplacian(z)
-    flux *= s
+    flux *= op.s
     flux += u
     return flux, z, report
 
@@ -167,7 +166,7 @@ def _flux_solve(
 def _solve_regularize(
     g: Grid, u: np.ndarray, delta: float, tol: float
 ) -> tuple[np.ndarray, SolverReport]:
-    u_tilde, _, report = _flux_solve(_ResolventOperator(g, 1.0, delta), u, u, delta, tol)
+    u_tilde, _, report = _flux_solve(_ResolventOperator(g, 1.0, delta), u, tol)
     return u_tilde, report
 
 
@@ -178,8 +177,7 @@ def _solve_implicit(
     """u_new, the solved z = A * u_new, and the report; see `_flux_solve` for the start."""
     if not (A > 0).all():
         raise ValueError("implicit step requires strictly positive coefficients")
-    op = _ImplicitStepOperator(g, 1.0 / (tau * A), 1.0)
-    return _flux_solve(op, u_n / tau, u_n, tau, tol, z_start)
+    return _flux_solve(_ImplicitStepOperator(g, 1.0 / A, tau), u_n, tol, z_start)
 
 
 def regularize(u: Field, delta: float, tol: float = LINEAR_TOL) -> Field:
@@ -198,10 +196,10 @@ def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
                             tol: float = LINEAR_TOL) -> Field:
     """One backward step of u_t = L(A * u) with the per-cell coefficients A frozen.
 
-    Solves (I / tau - L diag(A)) u_new = u_n / tau on the grid of `u_n`
-    through the symmetric substitution z = A * u_new. The column sums of the
-    step matrix all equal 1 / tau, so the cell total of u is conserved; the
-    M-matrix structure keeps nonnegative data nonnegative.
+    Solves (I - tau L diag(A)) u_new = u_n on the grid of `u_n` through the
+    symmetric substitution z = A * u_new. The column sums of the step matrix
+    all equal 1, so the cell total of u is conserved; the M-matrix structure
+    keeps nonnegative data nonnegative.
     """
     check_step_size(tau)
     g = u_n.grid

@@ -296,6 +296,22 @@ def test_converge_heat_reduction_first_order(tmp_path):
     assert 0.8 <= order <= 1.3
 
 
+def test_a_tiny_coefficient_and_step_take_no_implicit_iteration(tmp_path):
+    # one species with A = 1e-300 (1 + u_tilde) and tau = 2e-8: the implicit
+    # operator's diagonal 1 / A is near 5e299 (2.5e307 tau), and its
+    # elimination is still exact, so no implicit solve iterates
+    path, _ = write_cfg(tmp_path, tau=2e-8, T=4e-8)
+    single = path.read_text().replace("d = 0.05\nd_1 = 0.0\nd_2 = 1.0", "d = 1e-300\nd_1 = 1e-300")
+    head, _, tail = single.partition("[species.2]")
+    _, _, rest = tail.partition("[scheme]")
+    path.write_text(head + "[scheme]" + rest)
+    proc = run_cli(path)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    column = rows[0].split(",").index("cg_iters_implicit")
+    assert len(rows) == 3 and all(row.split(",")[column] == "0" for row in rows[1:])
+
+
 @pytest.mark.parametrize("study, label", [("tau", "temporal"), ("h", "spatial")])
 def test_study_with_one_difference_at_the_floor_is_degenerate(study, label, capsys):
     # one zero difference fits no order: its log would be -inf
@@ -416,7 +432,7 @@ REJECTED_EDITS = {
     "seed_negative": ([RANDOM_INIT, ("mode = simulate", "mode = simulate\nseed = -1")], []),
     "seed_override_negative": ([RANDOM_INIT], ["--seed", "-5"]),
     "steps_beyond_2_53": ([("tau = 0.02", "tau = 1e-300")], []),
-    # one step, but 1 / tau is not a finite float: the implicit solve overflowed
+    # one step, but 1 / tau is not a finite float: tau is subnormal
     "tau_reciprocal_overflows": ([("tau = 0.02", "tau = 1e-310"), ("T = 0.1", "T = 1e-310")],
                                  []),
     "output_dir_is_a_file": ([], ["--output-dir", "{text_file}"]),
@@ -503,11 +519,11 @@ OVERFLOWS = {
               "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 1 "
               "(non-finite values)"),
     # a coefficient of 1e300 leaves the implicit operator singular to working
-    # precision, so its elimination falls back to the shift and CG overflows;
-    # its r.z once underflowed to zero, a ZeroDivisionError
+    # precision, which its elimination rejects before any CG iteration; CG on
+    # it once overflowed, and its r.z once underflowed to zero
     "direction": ({}, [("d_2 = 1.0", "d_2 = 1e300")],
-                  "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 4 "
-                  "(non-finite values)"),
+                  "species 1, step from t = 0.0: operator singular to working precision "
+                  "(an elimination pivot is not finite or below epsilon times the largest)"),
     # A * u = 1e300 is finite, but the w update adds tau * A * u = 1e310
     "w_update": ({"tau": 1e10, "T": 1e10},
                  [("init = cosine:0.5,1.0", "init = constant:1e150"),

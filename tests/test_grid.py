@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import relaxdiff as rd
-from relaxdiff.errors import DimensionMismatchError
+from relaxdiff import stepper
+from relaxdiff.errors import DimensionMismatchError, LinearSolverError
 from relaxdiff.grid import COARSE_MODES_2D, MAX_AXIS_CELLS, _cosine_tables
 from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import _solve_implicit
@@ -267,7 +268,7 @@ def dense_of(solve, n):
 
 
 def smooth_diagonal(g, scale=100.0):
-    """1 / (tau A) for a smooth A of spread 3, as the implicit operator sees it."""
+    """1 / (tau A) for a smooth A of spread 3: the implicit operator divided by tau."""
     return scale / (2.0 + np.prod([np.cos(3 * np.pi * x / length)
                                    for x, length in zip(g.cell_centers(), g.lengths)], axis=0))
 
@@ -376,12 +377,24 @@ def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):
 
 def test_coarse_corrected_solve_falls_back_to_the_shift():
     # a diagonal of 1e-300 leaves the last pivot of the elimination below
-    # epsilon times the others: the operator is singular to working precision
+    # epsilon times the others: the operator is singular to working precision,
+    # and a 1D solve has no shift to fall back to, only the 2D coarse block has
     g = make_grid_1d(24)
     d = np.linspace(1e-300, 3e-300, g.n_cells)
-    r = np.cos(np.arange(g.n_cells))
-    shift = solve_of(g, shift_of(d))
-    assert np.array_equal(solve_of(g, d)(r), shift(r))
+    with pytest.raises(LinearSolverError, match="^operator singular to working precision"):
+        g.solver(d, 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 1024, 4096])
+@pytest.mark.parametrize("k", [305, 306, 307, 308])
+def test_elimination_of_a_diagonal_near_the_float64_maximum_is_exact(n, k, rng):
+    # up to 4096 such pivots sum past the float64 maximum, but each one is finite
+    g = make_grid_1d(n)
+    d = 10.0**k * rng.uniform(1.0, 1.5, n)
+    assert g.solver(d, 1.0)[1]
+    u = rng.uniform(0.5, 1.5, n)
+    _, _, report = stepper._flux_solve(stepper._ImplicitStepOperator(g, d, 1.0), u, 1e-10)
+    assert report.converged and report.iterations == 0
 
 
 @pytest.mark.parametrize("g", [make_grid_1d(40), make_grid_2d(20, 24, (1.0, 0.7))],
@@ -397,10 +410,12 @@ def test_coarse_corrected_solve_of_a_constant_diagonal_is_the_shift(g):
 def test_solver_starts_cg_from_every_1d_and_every_constant_solve():
     r = np.cos(np.arange(480)) + 2.0
     g = make_grid_1d(24)
-    tiny = np.linspace(1e-300, 3e-300, g.n_cells)  # the elimination falls back to the shift
-    for d, s in ((smooth_diagonal(g), 1.0), (tiny, 1.0), (np.full(g.n_cells, 37.5), 1.0),
-                 (1.0, 0.01)):
+    for d, s in ((smooth_diagonal(g), 1.0), (np.full(g.n_cells, 37.5), 1.0), (1.0, 0.01)):
         assert g.solver(d, s)[1]
+    # an operator singular to working precision has no solve to start from
+    tiny = np.linspace(1e-300, 3e-300, g.n_cells)
+    with pytest.raises(LinearSolverError, match="^operator singular to working precision"):
+        g.solver(tiny, 1.0)
     g = make_grid_2d(20, 24, (1.0, 0.7))
     assert g.solver(1.0, 0.01)[1] and g.solver(np.full(g.n_cells, 37.5), 1.0)[1]
     # a varying 2D diagonal only preconditions: with its coarse block, and

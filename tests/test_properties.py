@@ -158,7 +158,6 @@ def tridiagonal_systems(draw):
 def test_elimination_solves_accurately_and_keeps_the_sign(system):
     grid, d, r = system
     solve = _elimination_solver(d.tolist(), 1.0 / grid.spacing[0] ** 2)
-    assert solve is not None  # no pivot is small in a diagonally dominant system
     # the residual on the assembled matrix, against the stopping rule's 1e-10
     x = solve(r)
     M = np.diag(d) - dense_laplacian(grid)

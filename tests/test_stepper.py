@@ -135,6 +135,10 @@ def slab_node_to_tol(u, tol):
     return rd.solve_frozen_slab([np.ones(u.grid.n_cells)], u, 0.1, tol=tol)
 
 
+def empty_slab_to_tol(u, tol):
+    return rd.solve_frozen_slab([], u, 0.1, tol=tol)
+
+
 def cg_to_tol(u, tol):
     op = stepper._ImplicitStepOperator(u.grid, np.ones(u.grid.n_cells), 1.0)
     return rd.cg_solve(op, u.values, tol=tol)
@@ -158,13 +162,24 @@ BAD_TOL = [(np.nan, AT_LEAST), (0.0, AT_LEAST), (np.nextafter(2**-52, 0), AT_LEA
     *((rd.regularize, delta, "delta must be positive and finite")
       for delta in (-0.1, 0.0, np.nan, np.inf)),
     *((call, tol, match) for call in (regularize_to_tol, implicit_step_to_tol, slab_node_to_tol,
-                                      cg_to_tol)
+                                      empty_slab_to_tol, cg_to_tol)
       for tol, match in BAD_TOL),
 ])
 def test_single_operations_reject_bad_scalars_before_solving(call, value, match):
     u = rd.Field(make_grid_1d(8), np.linspace(0.5, 1.5, 8))
     with pytest.raises(ValueError, match=match):
         call(u, value)
+
+
+@pytest.mark.parametrize("g", [make_grid_1d(40), make_grid_1d(128), make_grid_2d(20, 24),
+                               make_grid_2d(64, 64)],
+                         ids=lambda g: "x".join(map(str, g.cells)))
+@pytest.mark.parametrize("delta", [0.01, 0.37])
+def test_regularization_is_the_implicit_step_with_unit_coefficient_bit_for_bit(g, delta, rng):
+    # both solve (diag(d) - s L) z = u with (d, s) = (1 / A, tau) and (1, delta)
+    u = rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells))
+    step = rd.implicit_diffusion_step(u, np.ones(g.n_cells), delta)
+    assert rd.regularize(u, delta).values.tobytes() == step.values.tobytes()
 
 
 def test_implicit_step_conserves_mass_exactly(rng):
@@ -506,13 +521,14 @@ def test_a_converged_solve_applies_the_laplacian_once_per_iteration_plus_once(
     u = rng.uniform(0.5, 1.5, g.n_cells)
     if kind == "implicit":
         A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
-        op, b, s = stepper._ImplicitStepOperator(g, 1.0 / (tau * A), 1.0), u / tau, tau
+        op = stepper._ImplicitStepOperator(g, 1.0 / A, tau)
     else:
-        op, b, s = stepper._ResolventOperator(g, 1.0, delta), u, delta
+        op = stepper._ResolventOperator(g, 1.0, delta)
         if kind == "zero":
-            u = b = np.zeros(g.n_cells)
+            u = np.zeros(g.n_cells)
+    s = op.s
     calls, apply = counted_laplacian(monkeypatch)
-    flux, z, report = stepper._flux_solve(op, b, u, s, 1e-10)
+    flux, z, report = stepper._flux_solve(op, u, 1e-10)
     assert report.converged and len(calls) == 1 + report.iterations
     # a 2D implicit solve iterates; every other one starts from its answer
     assert (report.iterations > 0) == (kind == "implicit" and g.ndim == 2)
@@ -530,11 +546,11 @@ def test_the_flux_form_of_tiny_and_huge_data_is_bit_exact(g, exponent, rng):
     tau = 0.01
     u = np.ldexp(rng.uniform(0.5, 1.5, g.n_cells), exponent)
     A = 2.0 + np.prod([np.cos(3 * np.pi * x) for x in g.cell_centers()], axis=0)
-    for op, b, s in ((stepper._ImplicitStepOperator(g, 1.0 / (tau * A), 1.0), u / tau, tau),
-                     (stepper._ResolventOperator(g, 1.0, 0.01), u, 0.01)):
-        flux, z, report = stepper._flux_solve(op, b, u, s, 1e-10)
+    for op in (stepper._ImplicitStepOperator(g, 1.0 / A, tau),
+               stepper._ResolventOperator(g, 1.0, 0.01)):
+        flux, z, report = stepper._flux_solve(op, u, 1e-10)
         assert report.converged
-        assert flux.tobytes() == (u + s * g.laplacian(z)).tobytes()
+        assert flux.tobytes() == (u + op.s * g.laplacian(z)).tobytes()
 
 
 def test_sim2d_step_takes_at_most_two_implicit_iterations():
