@@ -195,10 +195,10 @@ def energy_identity_residual(
         A = np.asarray(A_nodes[n], dtype=np.float64)
         w_next = trajectory[n + 1].values
         z = A * w_next
-        lhs_bulk += tau * float(z @ w_next) * meas
-        rhs += tau * float(w0v @ z) * meas
+        lhs_bulk += tau * float(np.einsum("i,i->", z, w_next)) * meas
+        rhs += tau * float(np.einsum("i,i->", w0v, z)) * meas
         S = S + tau * z
-    grad_term = 0.5 * float((-g.laplacian(S)) @ S) * meas
+    grad_term = 0.5 * float(np.einsum("i,i->", -g.laplacian(S), S)) * meas
     lhs = lhs_bulk + grad_term
     denom = abs(rhs) + 1e-14 * abs(lhs) + 1e-300
     return abs(lhs - rhs) / denom

@@ -131,11 +131,11 @@ class Grid:
         and maps them back. The shift is the exact inverse of a constant `d`.
         For a varying 2D `d` the lowest `COARSE_MODES_2D` modes per axis take
         instead the solve of the Galerkin block E = C_l diag(d) C_l^T +
-        s Lambda_l, applied as W^T (W y) with W = L^{-1} for E = L L^T (SPD
-        whatever the rounding in W; Nicolaides, SIAM J. Numer. Anal. 24(2),
-        1987). A pivot of its factorization that is not positive and finite,
-        or is below epsilon times the largest, gives the plain shift. Without
-        a block the solve gives a constant field back as values / c, bit for
+        s Lambda_l, applied as W^T (W y) with W = L^{-1} for E = L L^T from
+        `_inverse_factor` (SPD whatever the rounding in W; Nicolaides, SIAM J.
+        Numer. Anal. 24(2), 1987). A pivot that is not positive and finite, or
+        below epsilon times the largest, gives the plain shift. Without a
+        block the solve gives a constant field back as values / c, bit for
         bit. CG starts from the solve of every 1D `d` and every constant one.
         """
         d = np.asarray(d, dtype=np.float64)
@@ -215,8 +215,8 @@ def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.n
 
 # The coarse block of `Grid.solver` on a 2D grid has prod(m) rows, m modes
 # per axis. Per solve, its assembly costs about 2 m N + 2 m^5 multiply-adds
-# for N cells (`_coarse_inverse_factor`), and its factoring and inversion
-# (prod m)^3 / 3 each; each CG iteration applies it for 2 (prod m)^2. At 128^2
+# for N cells (`_coarse_inverse_factor`), and its inverse factor about
+# 2 (prod m)^3 / 3; each CG iteration applies it for 2 (prod m)^2. At 128^2
 # (a 144-row block) that is 1 M for the assembly and 2 M for the rest, once
 # per solve, and 41 k per iteration, against the 8 M of the four basis
 # products of every iteration.
@@ -238,38 +238,39 @@ def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables, s: float) -> np.ndar
     (K1, K2), (T1, T2) = t.cosines, t.pair_weights
     with np.errstate(over="ignore", invalid="ignore"):
         E = (T2.T @ (K2 @ d @ K1.T) @ T1).reshape(m2, m2, m1, m1)
-    E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
-    E.flat[::E.shape[0] + 1] += s * t.low.reshape(-1)
-    if not np.isfinite(E).all():
-        return None
-    try:
-        factor = np.linalg.cholesky(E)
-    except np.linalg.LinAlgError:
-        return None
-    # a pivot below epsilon times the largest one: E is singular to working
-    # precision, and no factor of it solves the coarse modes
-    pivots = factor.diagonal() ** 2
-    if not pivots.min() > _EPS * pivots.max():
-        return None
-    W = _lower_inverse(factor)
-    return W if np.isfinite(W).all() else None
+        E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
+        E.flat[::E.shape[0] + 1] += s * t.low.reshape(-1)
+        if not np.isfinite(E).all():
+            return None
+        try:
+            W = _inverse_factor(E)
+        except np.linalg.LinAlgError:
+            return None
+    # pivots = diag(L)^2: one below epsilon times the largest makes E singular
+    # to working precision, and no factor of it solves the coarse modes
+    pivots = W.diagonal() ** -2.0
+    return W if pivots.min() > _EPS * pivots.max() and np.isfinite(W).all() else None
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """The inverse of a lower-triangular matrix, by 2 x 2 blocks.
+def _inverse_factor(E: np.ndarray) -> np.ndarray:
+    """W = L^{-1} for E = L L^T, SPD, by 2 x 2 blocks (Higham, 2002, chapter 10).
 
-    inv([[A, 0], [B, C]]) = [[inv A, 0], [-inv C B inv A, inv C]]: n^3 / 3
-    flops, mostly in matrix products, where `np.linalg.inv` solves a full LU
-    system for 8 n^3 / 3 (0.35 ms against 1.2 ms at n = 144, one thread).
+    W = [[A, 0], [-C L21 A, C]], with A from E11, L21 = E21 A^T and C from
+    the Schur complement E22 - L21 L21^T. Leaves of at most 36 rows take
+    linalg's `cholesky` and `inv`, which LAPACK runs unthreaded at that size,
+    so no bit of W depends on the BLAS thread count. A leaf that is not
+    positive definite raises `LinAlgError`.
     """
-    n = L.shape[0]
+    n = E.shape[0]
     if n <= 36:  # leaves of 18 and 36 rows timed alike at n = 144, 72 slower
-        return np.linalg.inv(L)
+        return np.linalg.inv(np.linalg.cholesky(E))
     k = n // 2
-    A, C = _lower_inverse(L[:k, :k]), _lower_inverse(L[k:, k:])
-    W = np.zeros_like(L)
+    A = _inverse_factor(E[:k, :k])
+    L21 = E[k:, :k] @ A.T
+    C = _inverse_factor(E[k:, k:] - L21 @ L21.T)
+    W = np.zeros_like(E)
     W[:k, :k], W[k:, k:] = A, C
-    W[k:, :k] = -C @ (L[k:, :k] @ A)
+    W[k:, :k] = -C @ (L21 @ A)
     return W
 
 

@@ -1,11 +1,9 @@
 """Deterministic preconditioned conjugate gradients for matrix-free SPD operators.
 
-Repeated solves of the same data with the same BLAS thread count are
-bit-identical. The inner products are numpy's BLAS `ddot`, and each norm is
-`sqrt(x.dot(x))`, the same `ddot` that `np.linalg.norm` calls for a 1-D
-vector, without its Python wrapper. OpenBLAS splits that reduction across
-threads from 16,384 entries on, so on such grids the last bits can change
-with `OPENBLAS_NUM_THREADS`.
+Repeated solves of the same data are bit-identical. Every inner product,
+each norm's included, is `np.einsum("i,i->", x, y)`, which sums in one
+fixed order on one thread, so the bits do not depend on the BLAS thread
+count (BLAS `ddot` splits its sum across threads on long vectors).
 """
 
 from __future__ import annotations
@@ -106,49 +104,50 @@ def cg_solve(
 def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, int, float, bool]:
     # the floor keeps the stopping rule meaningful for b close to (or exactly) zero
-    threshold = tol * (math.sqrt(float(b.dot(b))) + 1e-14 * peak * b.size)
+    threshold = tol * (math.sqrt(float(np.einsum("i,i->", b, b))) + 1e-14 * peak * b.size)
     if x is None:
         x, r = np.zeros(A.n_cols), b
     else:
         r = b - A.matvec(x)
-    res = math.sqrt(float(r.dot(r)))
+    res = math.sqrt(float(np.einsum("i,i->", r, r)))
     if res <= threshold:
         return x, 0, res, True
 
     iterations = 0
     p = A.precondition(r)
-    rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
+    rz = _positive(r, p, iterations + 1, "r.z not positive")
     while iterations < max_iter:
         iterations += 1
         Ap = A.matvec(p)
-        alpha = rz / _positive(float(p @ Ap), iterations, "operator not positive definite?")
+        alpha = rz / _positive(p, Ap, iterations, "operator not positive definite?")
         x += alpha * p
         r = r - alpha * Ap
-        res = math.sqrt(float(r.dot(r)))
+        res = math.sqrt(float(np.einsum("i,i->", r, r)))
         if res <= threshold:
             # confirm against the true residual before declaring victory
             r = b - A.matvec(x)
-            res = math.sqrt(float(r.dot(r)))
+            res = math.sqrt(float(np.einsum("i,i->", r, r)))
             if res <= threshold:
                 return x, iterations, res, True
             # recurrence drifted: restart the search direction from here
             p = A.precondition(r)
-            rz = _positive(float(r @ p), iterations + 1, "r.z not positive")
+            rz = _positive(r, p, iterations + 1, "r.z not positive")
             continue
         z = A.precondition(r)
-        rz_new = _positive(float(r @ z), iterations + 1, "r.z not positive")
+        rz_new = _positive(r, z, iterations + 1, "r.z not positive")
         p = z + (rz_new / rz) * p
         rz = rz_new
 
     return x, iterations, res, False
 
 
-def _positive(product: float, iterations: int, not_positive: str) -> float:
+def _positive(x: np.ndarray, y: np.ndarray, iterations: int, not_positive: str) -> float:
     """p.Ap or r.z, which CG divides by: not positive and finite is a breakdown.
 
     r.z can underflow to zero; its breakdown is charged to the iteration that
     would have used the direction it scales.
     """
+    product = float(np.einsum("i,i->", x, y))
     if not 0.0 < product < np.inf:
         raise LinearSolverError(
             f"conjugate-gradient breakdown at iteration {iterations} "

@@ -1,5 +1,8 @@
 """Shared builders: small models, the assembled Laplacian and the dense replay oracle."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,16 @@ def run_with_rows(model, cfg):
     rows = []
     state = rd.run(model, cfg, on_step=lambda k, before, after, records: rows.extend(records))
     return state, rows
+
+
+def readme_config_2d():
+    """The README's example config on 24 x 24 cells at T = 0.1, the 2D copy that CI runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (text,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    h = repr(1.0 / 24)
+    return (text.replace("dims = 1\n", "dims = 2\n").replace("n1 = 128\n", "n1 = 24\n")
+            .replace("h1 = 0.0078125\n", f"h1 = {h}\nn2 = 24\nh2 = {h}\n")
+            .replace("T = 1.0\n", "T = 0.1\n"))
 
 
 def dense_laplacian(grid):

@@ -11,7 +11,7 @@ import pytest
 import relaxdiff as rd
 from relaxdiff import cli, config, diagnostics, fixedpoint, stepper
 
-from conftest import dense_replay
+from conftest import dense_replay, readme_config_2d
 
 BASE = """
 [grid]
@@ -449,11 +449,11 @@ REJECTED_EDITS = {
 }
 
 
-def run_cli(path, *args, mode="simulate"):
+def run_cli(path, *args, mode="simulate", **env):
     src = str(Path(rd.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "relaxdiff.cli", mode, "--config", str(path), *args],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+        capture_output=True, text=True, env={"PYTHONPATH": src, **env}, timeout=120)
 
 
 # the spatial study refines twice: n1 = 2049 becomes 8196 cells, and h1 = 1e-154
@@ -745,3 +745,38 @@ def test_invariants_rows_follow_from_the_diagnostics_rows(tmp_path):
                if ",w_identity_residual," not in r]
     assert len(expected) == 5 * 2 * 6
     assert audited == expected
+
+
+def readme_2d_copy(tmp_path):
+    path = tmp_path / "readme-2d.cfg"
+    path.write_text(readme_config_2d())
+    return path
+
+
+def random_128_squared(tmp_path):
+    """Two steps on 128 x 128 cells of cosine and random data with p = 2 coefficients."""
+    path, _ = write_cfg(tmp_path, n1=128, tau=0.01, T=0.02)
+    as_2d(path, 128)
+    text = path.read_text().replace("init = cosine:0.5,1.0", "p = 2\ninit = cosine:0.5,1.0")
+    path.write_text(text.replace("init = cosine:-0.5,1.0", "p = 2\ninit = random:0.5,1.5"))
+    return path
+
+
+@pytest.mark.parametrize("config, mode", [(readme_2d_copy, "simulate"),
+                                          (readme_2d_copy, "cross-validate"),
+                                          (random_128_squared, "simulate")],
+                         ids=["readme_2d-simulate", "readme_2d-cross-validate",
+                              "random_128-simulate"])
+def test_2d_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config, mode):
+    # the 24^2 copy's 144-row coarse block is factored in leaves of at most 36
+    # rows, which LAPACK runs unthreaded, and the 128^2 fields are long enough
+    # (16,384 cells) for BLAS ddot to split its sum across threads, where the
+    # solver's fixed-order einsum does not
+    path = config(tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        proc = run_cli(path, "--output-dir", str(out), mode=mode, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]

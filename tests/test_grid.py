@@ -6,7 +6,7 @@ import pytest
 import relaxdiff as rd
 from relaxdiff import stepper
 from relaxdiff.errors import DimensionMismatchError, LinearSolverError
-from relaxdiff.grid import COARSE_MODES_2D, MAX_AXIS_CELLS, _cosine_tables
+from relaxdiff.grid import COARSE_MODES_2D, MAX_AXIS_CELLS, _cosine_tables, _inverse_factor
 from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import _solve_implicit
 
@@ -316,6 +316,22 @@ def test_coarse_corrected_solve_is_exact_within_the_coarse_block(g, rng):
     A = 1.0 / (0.01 * d)
     _, _, report = _solve_implicit(g, rng.uniform(0.5, 1.5, g.n_cells), A, 0.01, 1e-10)
     assert report.converged and report.iterations == (0 if g.ndim == 1 else 1)
+
+
+@pytest.mark.parametrize("n", [1, 36, 37, 100, 144])
+def test_inverse_factor_inverts_the_cholesky_factor_from_leaves_of_at_most_36_rows(
+        n, rng, monkeypatch):
+    # LAPACK factors leaves this small on one thread, so no bit of the factor
+    # depends on the BLAS thread count; 144 rows is the 2D coarse block
+    M = rng.standard_normal((n, n))
+    E = M @ M.T + n * np.eye(n)
+    cholesky, leaves = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: leaves.append(len(a)) or cholesky(a))
+    W = _inverse_factor(E)
+    assert max(leaves) <= 36 and sum(leaves) == n
+    reference = np.linalg.inv(cholesky(E))
+    assert np.max(np.abs(W - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.max(np.abs(W @ E @ W.T - np.eye(n))) <= 1e-12
 
 
 def test_coarse_corrected_solve_matches_its_dense_formula():

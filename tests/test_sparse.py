@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -103,20 +104,21 @@ def test_cg_report_invariant(rng):
     assert report.residual_norm <= 1e-10 * (np.linalg.norm(b) + floor)
 
 
-def test_cg_residual_norm_is_numpys_norm_bit_for_bit(rng):
-    # the reported norm is sqrt(r.dot(r)), the BLAS ddot that np.linalg.norm
-    # computes for a 1-D float64 vector; no b peaks in [0.5, 1), so this also
-    # goes through the power-of-two scaling of the data and back. The loose
-    # tolerance keeps every bit of the residual's entries significant: at 1e-10
-    # they cancel down to a few bits, whose squares sum exactly in any order,
-    # while here another summation order (einsum's, say) moves the last bit
+def test_cg_residual_norm_is_the_fixed_order_einsum_norm_bit_for_bit(rng):
+    # the reported norm is sqrt of the fixed-order einsum sum of r * r over the
+    # true residual, at any BLAS thread count; no b peaks in [0.5, 1), so this
+    # also goes through the power-of-two scaling of the data and back. The
+    # loose tolerance keeps every bit of the residual's entries significant:
+    # at 1e-10 they cancel down to a few bits, whose squares sum exactly in any
+    # order, while here another summation order (BLAS ddot's, say) moves the last bit
     n = 200
     A = DenseOperator(random_spd(rng, n))
     for b in 3.0 * rng.standard_normal((4, n)):
         for x0 in (None, 0.9 * np.linalg.solve(A.A, b)):
             x, report = rd.cg_solve(A, b, tol=0.5, x0=x0)
             assert report.converged
-            assert report.residual_norm == float(np.linalg.norm(b - A.A @ x))
+            r = b - A.A @ x
+            assert report.residual_norm == math.sqrt(float(np.einsum("i,i->", r, r)))
 
 
 def test_cg_dimension_mismatch():

@@ -1,9 +1,7 @@
 import cProfile
 import os
 import pstats
-import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from conftest import (
     lipschitz_cross_model,
     make_grid_1d,
     make_grid_2d,
+    readme_config_2d,
     run_with_rows,
     two_species_model,
 )
@@ -575,12 +574,7 @@ def test_2d_steps_of_the_readme_data_take_at_most_13_implicit_iterations():
     # coefficients from 0.05 to 1.06) on 24^2 cells at tau = 0.01: the coarse
     # block holds each implicit solve of the first 10 steps to 9-13 CG
     # iterations, which take 18-36 with the shift alone
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (text,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
-    h = repr(1.0 / 24)
-    text = (text.replace("dims = 1\n", "dims = 2\n").replace("n1 = 128\n", "n1 = 24\n")
-            .replace("h1 = 0.0078125\n", f"h1 = {h}\nn2 = 24\nh2 = {h}\n"))
-    run = rd.parse_config(text)
+    run = rd.parse_config(readme_config_2d())
     m, cfg = run.model, run.scheme
     assert run.grid.cells == (24, 24) and cfg.tau == 0.01
     assert [sp.init for sp in run.species] == ["bump:0.3,0.2,1.0", "step:0.0,1.0"]
@@ -629,8 +623,8 @@ def test_a_1d_step_calls_no_numpy_python_wrappers():
 
 
 def test_a_2d_step_calls_no_numpy_python_wrappers_but_the_coarse_factorization():
-    # the coarse block is factored by linalg's cholesky, and its leaves
-    # inverted by linalg's inv: those two, and what they enter, may remain
+    # the coarse block's leaves, of at most 36 rows, are factored by linalg's
+    # cholesky and inverted by linalg's inv: those two, and what they enter, may remain
     square = np.eye(40) + 0.5
     allowed = wrappers_entered(lambda: (np.linalg.cholesky(square), np.linalg.inv(square)))
     entered = wrappers_entered(step_and_check(two_species_model(make_grid_2d(24, 20))))
