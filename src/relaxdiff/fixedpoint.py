@@ -11,13 +11,19 @@ species with a_1 = a_1(u_tilde_2) and a_2 = a_2(u_tilde_1) the sweep's
 linearization is 2-cyclic, and this order squares the contraction factor of
 the Jacobi order, in which every species froze at the previous candidate
 (Varga, Matrix Iterative Analysis, ch. 4): it reaches the same fixed point in
-about half the sweeps. A sweep is a map G from the regularized densities it
-starts from to those it returns, and the next sweep starts from the Anderson
-mix of the last DEPTH + 1 sweeps rather than from G's last output (Anderson,
-J. ACM 12(4), 1965; Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011), which
-takes about 30% fewer sweeps again on the p = 2 benchmark model. Only the
-frozen densities are mixed: every candidate is still the output of a frozen
-step, so mass, positivity and the monotone w hold whatever the mix is.
+about half the sweeps. In that order a sweep reads the density u_tilde_k it
+starts from only if some species j <= k has a coefficient that depends on
+it (`_sweep_reads`; for the benchmark model only u_tilde_2): the rest it
+overwrites before any species reads them. A sweep is a map G from the read
+densities it starts from to those it returns, and the next sweep starts from
+the Anderson mix of the last DEPTH + 1 sweeps rather than from G's last
+output (Anderson, J. ACM 12(4), 1965; Walker & Ni, SIAM J. Numer. Anal.
+49(4), 2011). The loop stops on G's relative residual, the quantity the mix
+minimises, once the coefficients at the step's own regularized densities
+also match those it froze; with no density read, G is constant and one
+sweep is the fixed point. Only the frozen densities are mixed: every
+candidate is still the output of a frozen step, so mass, positivity and the
+monotone w hold whatever the mix is.
 Because the two paths approximate the same (unique, for locally Lipschitz
 coefficients) solution, their end-of-horizon discrepancy must shrink as tau
 does; that is what `cross_validate` measures.
@@ -72,36 +78,45 @@ def solve_frozen_slab(
     return trajectory
 
 
-def _relative_l2_change(new: Sequence[Field], old: Sequence[Field]) -> float:
-    num = np.sqrt(sum(float(((a.values - b.values) ** 2).sum()) for a, b in zip(new, old)))
-    den = np.sqrt(sum(float((b.values**2).sum()) for b in old))
-    return num / max(den, 1e-300)
+def _sweep_reads(m: ModelSpec) -> list[int]:
+    """The species (0-based) whose regularized density a sweep reads where it starts.
+
+    Species j freezes at u_tilde_k of this sweep for k < j and at the start's
+    for k >= j, so the start's u_tilde_k is read when some species j <= k has
+    a coefficient that depends on it.
+    """
+    return [k for k in range(m.n_species)
+            if any(m.coefficients[j].depends_on(k) for j in range(k + 1))]
 
 
-def _anderson_mix(history: list, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _relative_norm(d: np.ndarray, ref: np.ndarray) -> float:
+    """||d||_2 / ||ref||_2 over all entries, each a fixed-order `einsum` sum."""
+    d, ref = d.ravel(), ref.ravel()
+    size = math.sqrt(np.einsum("i,i->", ref, ref))
+    return math.sqrt(np.einsum("i,i->", d, d)) / max(size, 1e-300)
+
+
+def _anderson_mix(history: list, g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Where the next sweep starts: the Anderson mix of the sweeps so far.
 
-    `x` holds the densities a sweep froze at and `g` those it returned, each
-    stacked over the species. `history` holds the (g, f = g - x) pairs of the
-    last sweeps, oldest first; this sweep's pair is appended and at most
-    DEPTH + 1 are kept. Returns g - dG gamma, where dG and dF are the
-    differences of consecutive g and f and gamma minimises ||f - dF gamma||_2
-    through its Gram system, each entry one fixed-order `einsum` reduction.
-    With no earlier sweep this is g. When the Gram solve fails or the mix is
-    not finite it is g too, and the history restarts from this sweep.
+    `g` holds the read densities a sweep returned and `f` its residual, g
+    minus those it started from, each stacked over the read species.
+    `history` holds the (g, f) pairs of the last sweeps, oldest first; this
+    sweep's pair is appended and at most DEPTH + 1 are kept. Returns
+    g - dG gamma, where dG and dF are the differences of consecutive g and f
+    and gamma minimises ||f - dF gamma||_2 through its Gram system, whose
+    matrix and right-hand side are one fixed-order `einsum` each. With no
+    earlier sweep this is g. When the Gram solve fails or the mix is not
+    finite it is g too, and the history restarts from this sweep.
     """
-    f = g - x
     history.append((g, f))
     del history[:-(DEPTH + 1)]
     if len(history) == 1:
         return g
-    dG = [b[0] - a[0] for a, b in zip(history, history[1:])]
-    dF = [b[1] - a[1] for a, b in zip(history, history[1:])]
-    gram = np.empty((len(dF), len(dF)))
-    for j, a in enumerate(dF):
-        for k in range(j, len(dF)):
-            gram[j, k] = gram[k, j] = np.einsum("i,i->", a, dF[k])
-    rhs = np.array([np.einsum("i,i->", a, f) for a in dF])
+    dG = np.diff([pair[0] for pair in history], axis=0)
+    dF = np.diff([pair[1] for pair in history], axis=0)
+    gram = np.einsum("ji,ki->jk", dF, dF)
+    rhs = np.einsum("ji,i->j", dF, f)
     with np.errstate(all="ignore"):
         try:
             gamma = np.linalg.solve(gram, rhs)
@@ -127,38 +142,52 @@ def picard_step_with_info(
     Each sweep redoes the frozen-coefficient step from `state` species by
     species, in Gauss-Seidel order: species i freezes its coefficient at the
     newest regularized densities, u_tilde_1..u_tilde_{i-1} from this sweep and
-    the rest from where the sweep starts. The first sweep starts from
-    `state.u_tilde`, every later one from the Anderson mix (`_anderson_mix`,
-    depth DEPTH) of the densities the sweeps so far started from and
-    returned; the first mix has no history and is the last sweep's output.
-    The first sweep starts its implicit solves from zero, every later one
-    from the z that species solved in the sweep before, unless `Grid.solver`
-    starts them from its own solve (in 1D, and for a constant coefficient).
-    The loop stops when the candidate's relative L2 change across a sweep
-    falls below 10 * cfg.linear_tol, the slack of the solves it iterates; with
-    state-independent coefficients that is the second sweep, and the result
-    is bit for bit the semi-implicit step. After MAX_SWEEPS sweeps it raises
+    the rest from where the sweep starts. Of the start, a sweep reads only
+    the densities `_sweep_reads` names, worked out once per step. The first
+    sweep starts from `state.u_tilde`, every later one from the Anderson mix
+    (`_anderson_mix`, depth DEPTH) of the read densities the sweeps so far
+    started from and returned; the first mix has no history and is the last
+    sweep's output. The first sweep starts its implicit solves from zero,
+    every later one from the z that species solved in the sweep before,
+    unless `Grid.solver` starts them from its own solve (in 1D, and for a
+    constant coefficient). The loop stops when a sweep changes the densities
+    it read by less than 10 * cfg.linear_tol relative to them in the L2 norm,
+    the slack of the solves it iterates (the residual G(x) - x the mix
+    minimises), and each species' coefficient at the sweep's own u_tilde,
+    evaluated only once the residual is that small, lies as close to the one
+    it froze: a(u_tilde) ~ u_tilde^p moves about p times as much as u_tilde,
+    and u with it, so a small residual alone can leave u further from the
+    fixed point. With no density read (state-independent coefficients, or
+    a_2(u_tilde_1) with a constant a_1) the first sweep is the fixed point
+    and the loop stops there; for state-independent coefficients it is bit
+    for bit the semi-implicit step. After MAX_SWEEPS sweeps it raises
     `PicardConvergenceError`. Returns the step and its sweeps, the first
     included: the implicit solves per species.
     """
     check_step_size(tau)
-    candidate = state
-    x = np.concatenate([f.values for f in state.u_tilde])  # where the sweep starts
+    read = _sweep_reads(m)
+    x = np.array([v.values for v in state.u_tilde])[read]  # where the sweep starts
     history = []
-    z = [None] * state.n_species
+    z, frozen = [None] * state.n_species, [None] * state.n_species
     for sweeps in range(1, MAX_SWEEPS + 1):
-        u, w = list(candidate.u), list(candidate.w)
-        u_tilde = [Field(m.grid, v) for v in x.reshape(state.n_species, -1)]
+        u, u_tilde, w = list(state.u), list(state.u_tilde), list(state.w)
+        for k, row in zip(read, x):
+            u_tilde[k] = Field(m.grid, row)
         for i in range(state.n_species):
-            A = coefficient_fields(m, u_tilde, (i,))[0][0]
+            A = frozen[i] = coefficient_fields(m, u_tilde, (i,))[0][0]
             # from the previous sweep's z (zero in the first sweep): only A has changed
             u[i], u_tilde[i], w[i], _, z[i] = species_step(state, m, cfg, i, A, tau, z[i])
-        refreshed = SystemState(state.time + tau, u, u_tilde, w)
-        change = _relative_l2_change(refreshed.u, candidate.u)
-        candidate = refreshed
+        g = np.array([v.values for v in u_tilde])[read]
+        f = g - x
+        change = _relative_norm(f, x)
         if change < 10 * cfg.linear_tol:
-            return candidate, sweeps
-        x = _anderson_mix(history, x, np.concatenate([f.values for f in u_tilde]))
+            # a(u_tilde) ~ u_tilde^p moves about p times as much as u_tilde: the
+            # coefficients at the step's own u_tilde must match those it froze too
+            again = coefficient_fields(m, u_tilde, range(state.n_species))[0]
+            change = max(change, *(_relative_norm(a - b, b) for a, b in zip(again, frozen)))
+            if change < 10 * cfg.linear_tol:
+                return SystemState(state.time + tau, u, u_tilde, w), sweeps
+        x = _anderson_mix(history, g.ravel(), f.ravel()).reshape(x.shape)
     raise PicardConvergenceError(
         f"step from t = {state.time!r} (tau = {tau!r}): sweep loop did not converge "
         f"in {MAX_SWEEPS} sweeps (last relative change {change:.3e}); a smaller tau may help",

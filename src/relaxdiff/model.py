@@ -37,6 +37,10 @@ class SktCoefficients:
         # r^p is locally Lipschitz on [0, inf) exactly when p >= 1
         return self.power >= 1.0 or all(c == 0.0 for c in self.couplings)
 
+    def depends_on(self, k: int) -> bool:
+        """Whether the coefficient reads the regularized density of species `k` (0-based)."""
+        return self.couplings[k] != 0.0
+
     def evaluate_many(self, R: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; R has shape (n_species, n_cells)."""
         powered = np.power(R, self.power) if self.power != 1.0 else R
@@ -54,6 +58,10 @@ class TabulatedCoefficients:
     func: Callable[[np.ndarray], float]
     lower_bound: float
     lipschitz: bool = False
+
+    def depends_on(self, k: int) -> bool:
+        """Whether the coefficient reads species `k`: `func` is opaque, so always."""
+        return True
 
     def evaluate_many(self, R: np.ndarray) -> np.ndarray:
         """One call of `func` per column of R, which has shape (n_species, n_points)."""

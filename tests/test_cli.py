@@ -355,7 +355,7 @@ def test_cross_validate_cli(tmp_path):
 
 
 def test_picard_failure_names_its_step_and_leaves_the_csv_header(tmp_path):
-    # a strong coupling at one long step takes 16 mixed sweeps (plain
+    # a strong coupling at one long step takes 9 mixed sweeps (plain
     # Gauss-Seidel sweeps do not converge in 50), so the CLI runs in a process
     # whose fixedpoint.MAX_SWEEPS is 8
     path, outdir = write_cfg(tmp_path, tau=1.0, T=1.0, mode="cross-validate",
