@@ -5,26 +5,24 @@ The Laplacian is applied in flux-difference form, summing
 constant fields exactly in floating point, which is what makes the discrete
 mass balance of the time stepper exact rather than approximate.
 
-The same Laplacian is diagonal in the orthonormal cosine (DCT-II) basis of
-each axis (Strang, "The Discrete Cosine Transform", SIAM Review 41(1), 1999),
-so shifted systems (c I - s L) x = r are solved exactly by two basis changes
-and one division. In 1D, diag(d) - s L, the operator of both solves of the
-time stepper (`Grid.solver`), is tridiagonal and solved exactly by elimination.
+Both solves of the time stepper have the operator diag(d) - s L (`Grid.solver`): in 1D
+exact elimination, in 2D the cosine (DCT-II) basis of each axis (Strang, SIAM Review, 1999).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LinearSolverError
 
 
-# A grid's cosine tables hold a dense n x n basis per distinct axis length
+# A 2D grid's cosine tables hold a dense n x n basis per distinct axis length
 # (8 n^2 bytes): 512 MiB at this cap, which still admits a 1024-cell axis refined twice.
 MAX_AXIS_CELLS = 2**13
 
@@ -122,21 +120,18 @@ class Grid:
     def solver(self, d, s: float) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
         """A solve of (diag(d) - s L) x = values, and whether CG starts from it.
 
-        `d` > 0 is a scalar or one value per cell, s > 0. A varying 1D `d` is
-        solved exactly by elimination (`_elimination_solver`), which raises
-        `LinearSolverError` if the operator is singular to working precision.
-        Every other solve is one closure: it maps the field to cosine
-        coefficients (from the cached `_cosine_tables`), divides them by the
-        shift c + s mu, with c = d for a scalar, else sqrt(min d) sqrt(max d),
-        and maps them back. The shift is the exact inverse of a constant `d`.
-        For a varying 2D `d` the lowest `COARSE_MODES_2D` modes per axis take
-        instead the solve of the Galerkin block E = C_l diag(d) C_l^T +
-        s Lambda_l, applied as W^T (W y) with W = L^{-1} for E = L L^T from
-        `_inverse_factor` (SPD whatever the rounding in W; Nicolaides, SIAM J.
-        Numer. Anal. 24(2), 1987). A pivot that is not positive and finite, or
-        below epsilon times the largest, gives the plain shift. Without a
-        block the solve gives a constant field back as values / c, bit for
-        bit. CG starts from the solve of every 1D `d` and every constant one.
+        `d` > 0 is a scalar or one value per cell, s > 0. In 1D it is exact
+        elimination, which raises `LinearSolverError` for an operator singular
+        to working precision. In 2D it maps the field to cosine coefficients
+        (`_cosine_tables`), divides them by c + s mu, c = d for a scalar, else
+        sqrt(min d) sqrt(max d), and maps them back: the inverse of a constant
+        `d`. For a varying one the lowest `COARSE_MODES_2D` modes per axis take
+        the solve of the Galerkin block E = C_l diag(d) C_l^T + s Lambda_l as
+        W^T (W y), W = L^{-1} for E = L L^T from `_inverse_factor` (SPD whatever
+        the rounding in W; Nicolaides, SIAM J. Numer. Anal. 24(2), 1987), unless
+        a pivot is not positive and finite, or below epsilon times the largest.
+        For a constant `d`, or in 2D without a block, a constant field gives
+        values / c, bit for bit. CG starts from every 1D and every constant solve.
         """
         d = np.asarray(d, dtype=np.float64)
         if d.ndim == 0:
@@ -145,28 +140,27 @@ class Grid:
             d = self._axes_view(d)
             lo, hi = float(d.min()), float(d.max())
             c = math.sqrt(lo) * math.sqrt(hi)
-        if self.ndim == 1 and lo < hi:
-            h = self.spacing[0]
-            eliminate = _elimination_solver(d.tolist(), s / (h * h))
+        exact = lo == hi
+        if self.ndim == 1:
+            w = s / (self.spacing[0] * self.spacing[0])
+            eliminate = (_constant_elimination(self.n_cells, c, w) if exact
+                         else _elimination_solver(d.tolist(), w))
             return (lambda values: eliminate(self._axes_view(values))), True
         t = _cosine_tables(self.cells, self.spacing)
         spectrum = c + s * t.lam
-        exact = lo == hi
         W = None if exact else _coarse_inverse_factor(d, t, s)
-        C1, C2 = t.bases[0], t.bases[-1]
+        (C1, C2), (m2, m1) = t.bases, t.low.shape
 
         def solve(values: np.ndarray) -> np.ndarray:
             arr = self._axes_view(values)
             if W is None and (arr == arr.flat[0]).all():
                 return arr.reshape(-1) / c
-            spectral = C1 @ arr if self.ndim == 1 else C2 @ arr @ C1.T
-            if W is not None:
-                m2, m1 = t.low.shape
-                coarse = W.T @ (W @ spectral[:m2, :m1].reshape(-1))
+            spectral = C2 @ arr @ C1.T
+            coarse = None if W is None else W.T @ (W @ spectral[:m2, :m1].reshape(-1))
             spectral /= spectrum
             if W is not None:
                 spectral[:m2, :m1] = coarse.reshape(m2, m1)
-            return C1.T @ spectral if self.ndim == 1 else (C2.T @ spectral @ C1).reshape(-1)
+            return (C2.T @ spectral @ C1).reshape(-1)
 
         return solve, exact
 
@@ -174,18 +168,14 @@ class Grid:
 def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.ndarray]:
     """The exact solve of (diag(d) - s L) x = r on a 1D grid with w = s / h^2.
 
-    The operator is tridiagonal: d_i plus w per neighbor on the diagonal, -w
-    off it. For d >= 0 it is a diagonally dominant M-matrix, so elimination
+    The operator is a tridiagonal, diagonally dominant M-matrix: elimination
     without pivoting is stable (Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2002, section 9.5). The pivots are formed without a
-    subtraction: row i keeps e_i = d_i + t_{i-1} of its diagonal after
-    elimination, passes t_i = w (e_i / (e_i + w)) on to the next row, and
-    has the pivot e_i + w (e_i in the last row). Every step of the solve
-    adds and multiplies nonnegative numbers, so a nonnegative r gives a
-    nonnegative x exactly. Pure-Python loops: no BLAS call, so the bits do
-    not depend on the thread count. An SPD matrix's pivots lie between its
-    extreme eigenvalues, so one below epsilon times the largest proves it
-    singular to working precision: that, or one not finite, raises.
+    Algorithms", 2002, section 9.5). Row i keeps e_i = d_i + t_{i-1}, passes
+    t_i = w (e_i / (e_i + w)) on and has the pivot p_i = e_i + w (e_i in the
+    last row), with no subtraction. Pivots lie between the extreme eigenvalues:
+    one not finite or below epsilon times the largest raises. With g_i = w / p_i
+    the sweeps v_i = r_i / p_i + g_i v_{i-1} and x_i = v_i + g_i x_{i+1} make no
+    BLAS call (`_recurrence`), and a nonnegative r gives a nonnegative x.
     """
     pivots, t = [], 0.0
     for di in d[:-1]:
@@ -194,23 +184,55 @@ def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.n
         pivots.append(pivot)
         t = w * (e / pivot)
     pivots.append(d[-1] + t)
-    if not (all(map(math.isfinite, pivots)) and min(pivots) > _EPS * max(pivots)):
+    p = np.array(pivots, dtype=np.float64)
+    if not (p.max() < np.inf and p.min() > _EPS * p.max()):
         raise LinearSolverError("operator singular to working precision (an elimination "
                                 "pivot is not finite or below epsilon times the largest)")
-    gains = [w / p for p in pivots]
+    forward, back = _recurrence(w / p[1:], p), _recurrence((w / p[:-1])[::-1], 1.0)
+    # the back sweep runs on the reversed cells, into a reversed view of x
+    return lambda r: back(forward(r, np.empty(r.size))[::-1], np.empty(r.size)[::-1])[::-1]
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        v, forward = 0.0, []
-        for ri, p in zip(r.tolist(), pivots):
-            v = (ri + w * v) / p
-            forward.append(v)
-        x, back = 0.0, []
-        for vi, g in zip(reversed(forward), reversed(gains)):
-            x = vi + g * x
-            back.append(x)
-        return np.array(back[::-1])
+
+def _recurrence(gains: np.ndarray, p) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A solve of y_k = c_k / p_k + gains[k - 1] y_{k-1} into y, by prefix sums.
+
+    On a segment from cell a, y = G cumsum(c / (p G)), G_k = gains[k - 1] G_{k-1},
+    its first term carrying gains[a - 1] y_{a-1} / G_a (Blelloch, "Prefix sums and
+    their applications", CMU-CS-90-190, 1990). A segment ends where G would fall
+    below 2^-40 times its first (one vectorized search per segment), and is
+    scaled to least 1: no term or sum exceeds c / p or y, and one rounded below
+    the smallest normal float grows by at most 2^40 (1 / epsilon at a last gain
+    above 1).
+    """
+    n, floor = gains.size + 1, 2.0**-40
+    G, segments, a = np.empty(n), [], 0
+    while a < n:
+        products = G[a:]
+        products[0] = 1.0
+        gains[a:].cumprod(out=products[1:])
+        if products.min() < floor:
+            products = products[:(products < floor).argmax()]
+        products /= products.min()
+        segments.append((a, a + products.size, float(gains[a - 1] / G[a]) if a else 0.0))
+        a += products.size
+    weights = 1.0 / (p * G)
+
+    def solve(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        terms = c * weights
+        for a, b, carry in segments:
+            if a:
+                terms[a] += carry * y[a - 1]
+            np.multiply(terms[a:b].cumsum(), G[a:b], out=y[a:b])
+        return y
 
     return solve
+
+
+@functools.lru_cache(maxsize=8)
+def _constant_elimination(n: int, c: float, w: float) -> Callable[[np.ndarray], np.ndarray]:
+    """`_elimination_solver` of d = c, once per operator; a constant field gives r / c."""
+    eliminate = _elimination_solver([c] * n, w)
+    return lambda r: r / c if (r == r[0]).all() else eliminate(r)
 
 
 # The coarse block of `Grid.solver` on a 2D grid has prod(m) rows, m modes
@@ -274,67 +296,46 @@ def _inverse_factor(E: np.ndarray) -> np.ndarray:
     return W
 
 
-class _CosineTables(NamedTuple):
-    """The read-only data of one grid's cosine solves (see `_cosine_tables`)."""
-
-    bases: tuple[np.ndarray, ...]
-    lam: np.ndarray
-    low: np.ndarray | None
-    cosines: tuple[np.ndarray, ...]
-    pair_weights: tuple[np.ndarray, ...]
+# The read-only data of one 2D grid's cosine solves (see `_cosine_tables`)
+_CosineTables = namedtuple("_CosineTables", "bases lam low cosines pair_weights")
 
 
 @functools.lru_cache(maxsize=8)
 def _cosine_tables(cells: tuple[int, ...], spacing: tuple[float, ...]) -> _CosineTables:
-    """The cosine tables of a grid, built once and shared by all of its solvers.
+    """The cosine tables of a 2D grid, built once and shared by all of its solvers.
 
-    `bases`, `cosines` and `pair_weights` hold one read-only array per grid
-    axis, the same one for axes of one length. Row k of a basis is the k-th
-    eigenvector of the 1D zero-flux Laplacian, c_k = s_k cos(pi k (j + 1/2) / n)
-    with s_0 = sqrt(1 / n) and s_k = sqrt(2 / n) otherwise, with eigenvalue
-    mu_k = 4 sin^2(pi k / 2n) / h^2 of -L. `lam` holds the eigenvalues of -L
-    on the field's layout, mu2[j] + mu1[i] at (j, i) in 2D.
-
-    The rest serves the 2D coarse block; a 1D grid, which solves by
-    elimination, has none of it (`low` is None). `low` is the corner of
-    `lam` at the lowest m = `COARSE_MODES_2D` modes per axis (all of a
-    shorter axis); its shape is the coarse block's slice of a spectrum. The
-    cellwise product of two of those basis rows is c_a c_b =
-    (s_a s_b / 2)(K_|a-b| + K_a+b), K_k = cos(pi k (j + 1/2) / n) (Strang,
-    SIAM Review 41(1), 1999). So `cosines` holds the rows K_0 .. K_2m-2, and
-    column a * m + b of `pair_weights` holds the weights of c_a c_b on them:
-    `pair_weights.T @ cosines` is every product of two kept basis rows.
+    `bases`, `cosines` and `pair_weights` hold one read-only array per axis,
+    one for axes of one length. Basis row k is the k-th eigenvector of the 1D
+    zero-flux Laplacian, c_k = s_k cos(pi k (j + 1/2) / n), s_0 = sqrt(1 / n)
+    and s_k = sqrt(2 / n) else, of eigenvalue mu_k = 4 sin^2(pi k / 2n) / h^2
+    of -L. `lam` is mu2[j] + mu1[i] at (j, i), and `low` its corner of the
+    lowest m = `COARSE_MODES_2D` modes per axis, the coarse block's. As
+    c_a c_b = (s_a s_b / 2)(K_|a-b| + K_a+b), K_k = cos(pi k (j + 1/2) / n)
+    (Strang, SIAM Review 41(1), 1999), `cosines` holds K_0 .. K_2m-2 and column
+    a * m + b of `pair_weights` the weights of c_a c_b on them.
     """
-    basis, sin2 = {}, {}  # one of each per distinct axis length
+    axes = {}  # per distinct axis length: basis, sin^2(pi k / 2n), cosine rows, pair weights
     for n in dict.fromkeys(cells):
         k = np.arange(n)
         C = np.cos(np.pi / n * np.outer(k, k + 0.5)) * math.sqrt(2.0 / n)
         C[0] = math.sqrt(1.0 / n)
-        basis[n], sin2[n] = C, np.sin(np.pi / (2 * n) * k) ** 2
-    mu = [4.0 * sin2[n] / (h * h) for n, h in zip(cells, spacing)]
-    lam = functools.reduce(np.add.outer, mu[::-1])  # grid axis k along array axis -1 - k
-    for a in (*basis.values(), lam):
-        a.flags.writeable = False
-    bases = tuple(basis[n] for n in cells)
-    if len(cells) == 1:
-        return _CosineTables(bases, lam, None, (), ())
-    cosines, pair_weights = {}, {}
-    for n in basis:
         m = min(n, COARSE_MODES_2D)
-        cosines[n] = np.cos(np.pi / n * np.outer(np.arange(2 * m - 1), np.arange(n) + 0.5))
-        scale = np.full(m, math.sqrt(2.0 / n))
-        scale[0] = math.sqrt(1.0 / n)
+        K = np.cos(np.pi / n * np.outer(np.arange(2 * m - 1), k + 0.5))
+        scale = np.where(np.arange(m) == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
         pair = np.arange(m * m)
         a, b = np.divmod(pair, m)
         T = np.zeros((2 * m - 1, m * m))
         T[np.abs(a - b), pair] += scale[a] * scale[b] / 2
         T[a + b, pair] += scale[a] * scale[b] / 2  # a second time for a = b = 0
-        pair_weights[n] = T
-    for a in (*cosines.values(), *pair_weights.values()):
-        a.flags.writeable = False
-    low = lam[:COARSE_MODES_2D, :COARSE_MODES_2D]  # all modes of a shorter axis
-    return _CosineTables(bases, lam, low, tuple(cosines[n] for n in cells),
-                         tuple(pair_weights[n] for n in cells))
+        for table in (C, K, T):
+            table.flags.writeable = False
+        axes[n] = C, np.sin(np.pi / (2 * n) * k) ** 2, K, T
+    (C1, sin1, K1, T1), (C2, sin2, K2, T2) = (axes[n] for n in cells)
+    h1, h2 = spacing
+    lam = np.add.outer(4.0 * sin2 / (h2 * h2), 4.0 * sin1 / (h1 * h1))  # axis k along -1 - k
+    lam.flags.writeable = False  # its low corner holds all modes of a shorter axis
+    return _CosineTables((C1, C2), lam, lam[:COARSE_MODES_2D, :COARSE_MODES_2D],
+                         (K1, K2), (T1, T2))
 
 
 def _axis_fluxes(x: np.ndarray, stride: int, n: int, h: float) -> np.ndarray:

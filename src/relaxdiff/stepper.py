@@ -17,13 +17,12 @@ Both linear solves are CG solves of one symmetric positive-definite system,
 (diag(d) - s L) z = u: the implicit step with (d, s) = (1 / A, tau), and the
 regularization, one backward heat step of length delta, with (1, delta), so
 the implicit step with A = 1 and tau = delta, bit for bit. `Grid.solver`
-preconditions it and says whether CG starts from its solve: it solves a
-constant d exactly in the cosine eigenbasis and a 1D d exactly by tridiagonal
-elimination (or rejects it as singular), and such a start meets the stopping
-rule after 0 iterations. A varying 2D d is solved exactly on its lowest cosine
-modes by the operator's Galerkin block and shifted by the geometric mean of d
-on the rest: the shift alone bounds the iteration count by max A / min A
-whatever the mesh, and with smooth coefficients the block brings it to about one.
+preconditions it and says whether CG starts from its solve, which is exact for
+every 1D d (or rejects it as singular) and every constant one, so that the
+start meets the stopping rule after 0 iterations. A varying 2D d is solved
+exactly on its lowest cosine modes and shifted by the geometric mean of d on
+the rest: the shift alone bounds the iteration count by max A / min A whatever
+the mesh, and with smooth coefficients the block brings it to about one.
 
 Two structural choices make the scheme's invariants hold at solver accuracy
 rather than "up to discretization":

@@ -5,8 +5,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import relaxdiff as rd
+
+# Tier-1 runs draw the same examples on every run, so that a run fails or
+# passes for the code alone; `pytest --hypothesis-profile=deep` draws at random,
+# 20 times as many in the tests that ask for `examples(n)`.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("deep", max_examples=20 * settings.default.max_examples)
+settings.load_profile("tier1")
+
+
+def examples(n):
+    """`n` examples under the tier-1 profile, as many times more as the loaded profile draws."""
+    return n * settings.default.max_examples // settings.get_profile("tier1").max_examples
+
 
 
 def make_grid_1d(n=16, length=1.0):

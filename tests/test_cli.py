@@ -355,13 +355,15 @@ def test_cross_validate_cli(tmp_path):
 
 
 def test_picard_failure_names_its_step_and_leaves_the_csv_header(tmp_path):
-    # a strong coupling at one long step takes 9 mixed sweeps (plain
-    # Gauss-Seidel sweeps do not converge in 50), so the CLI runs in a process
-    # whose fixedpoint.MAX_SWEEPS is 8
+    # the step of tests/test_fixedpoint.py::test_picard_nonconvergence_is_reported,
+    # whose sweep map does not contract, so no cap is reached by convergence;
+    # the CLI runs in a process whose fixedpoint.MAX_SWEEPS is 8, to be short
     path, outdir = write_cfg(tmp_path, tau=1.0, T=1.0, mode="cross-validate",
                              extra="halvings = 1\n")
-    path.write_text(path.read_text().replace("d_2 = 1.0", "d_2 = 10.0")
-                    .replace("d_1 = 1.0", "d_1 = 10.0"))
+    path.write_text(path.read_text().replace("d_2 = 1.0", "d_2 = 100.0")
+                    .replace("d_1 = 1.0", "d_1 = 100.0").replace("delta = 0.01", "delta = 0.001")
+                    .replace("cosine:0.5,1.0", "cosine:0.99,1.0")
+                    .replace("cosine:-0.5,1.0", "cosine:-0.99,1.0"))
     capped = ("import sys; from relaxdiff import cli, fixedpoint; "
               "fixedpoint.MAX_SWEEPS = 8; sys.exit(cli.main())")
     src = str(Path(rd.__file__).resolve().parents[1])
@@ -513,22 +515,41 @@ OVERFLOWS = {
     "coefficients": ({"n1": 128}, [("init = cosine:0.5,1.0", "p = 400\ninit = constant:10"),
                                    ("init = cosine:-0.5,1.0", "p = 400\ninit = constant:10")],
                      ": coefficient evaluation produced non-finite values for species 1"),
-    # A * u = 1e400 overflows the implicit solve, so the regularization sees inf - inf
+    # A = 1e200 leaves the implicit operator diag(1 / A) - tau L singular to
+    # working precision, which its elimination rejects before A * u = 1e400
+    # can overflow the solve
     "solve": ({}, [("init = cosine:0.5,1.0", "init = constant:1e200"),
                    ("init = cosine:-0.5,1.0", "init = constant:1e200")],
-              "species 1, step from t = 0.0: conjugate-gradient breakdown at iteration 1 "
-              "(non-finite values)"),
+              "species 1, step from t = 0.0: operator singular to working precision "
+              "(an elimination pivot is not finite or below epsilon times the largest)"),
+    # A of about 11 keeps the implicit operator regular, but z = A * u = 1.1e309
+    # overflows its exact start, from which CG breaks down
+    "solve_start": ({}, [("init = cosine:0.5,1.0", "init = constant:1e308"),
+                         ("d = 0.05", "d = 10.0")],
+                    "species 1, step from t = 0.0: conjugate-gradient breakdown at "
+                    "iteration 1 (non-finite values)"),
     # a coefficient of 1e300 leaves the implicit operator singular to working
     # precision, which its elimination rejects before any CG iteration; CG on
     # it once overflowed, and its r.z once underflowed to zero
     "direction": ({}, [("d_2 = 1.0", "d_2 = 1e300")],
                   "species 1, step from t = 0.0: operator singular to working precision "
                   "(an elimination pivot is not finite or below epsilon times the largest)"),
-    # A * u = 1e300 is finite, but the w update adds tau * A * u = 1e310
+    # A * u = 1e300 would be finite, but at tau = 1e10 the implicit operator
+    # diag(1 / (tau A)) - tau L is singular to working precision, and its
+    # elimination rejects it before the w update could add tau * A * u = 1e310
     "w_update": ({"tau": 1e10, "T": 1e10},
                  [("init = cosine:0.5,1.0", "init = constant:1e150"),
                   ("init = cosine:-0.5,1.0", "init = constant:1e150")],
-                 "species 1, step from t = 0.0: the next state is not finite"),
+                 "species 1, step from t = 0.0: operator singular to working precision "
+                 "(an elimination pivot is not finite or below epsilon times the largest)"),
+    # A = 1 keeps both operators regular at tau = 1e7, and every solve is exact,
+    # but the w update adds tau * A * u = 1e309
+    "w_update_regular": ({"tau": 1e7, "T": 1e7},
+                         [("init = cosine:0.5,1.0", "init = constant:1e302"),
+                          ("init = cosine:-0.5,1.0", "init = constant:1e302"),
+                          ("d_1 = 1.0", "d_1 = 0.0"), ("d_2 = 1.0", "d_2 = 0.0"),
+                          ("d = 0.05", "d = 1.0")],
+                         "species 1, step from t = 0.0: the next state is not finite"),
 }
 
 
@@ -552,8 +573,11 @@ def test_overflowing_coefficients_exit_1_without_traceback(tmp_path, case):
 
 # case: (edits to the config text, start of the failure in the last stderr line)
 INITIAL_FAILURES = {
+    # delta / h^2 = 2.6e302 against d = 1: the regularization's operator is
+    # singular to working precision
     "delta_huge": ([("delta = 0.01", "delta = 1e300")],
-                   "regularization solve stalled after 10000 iterations"),
+                   "operator singular to working precision (an elimination pivot is not "
+                   "finite or below epsilon times the largest)"),
 }
 
 
@@ -665,11 +689,12 @@ def test_unreachable_linear_tol_is_a_numerical_failure(tmp_path, tol, code):
 
 
 def test_simulate_and_invariants_share_one_table(tmp_path, monkeypatch, capsys):
-    # with zero tolerances round-off fails some row; both modes must agree on the first
+    # with zero tolerances round-off fails some row (on 64 cells from step 1, in
+    # the mass of species 2); both modes must agree on the first
     zero = rd.CheckTolerances(mass=0.0, positivity=0.0, monotonicity=0.0)
     monkeypatch.setattr(rd.CheckTolerances, "from_linear_tol",
                         classmethod(lambda cls, linear_tol: zero))
-    path, _ = write_cfg(tmp_path, n1=48, tau=0.01, T=0.2)
+    path, _ = write_cfg(tmp_path, n1=64, tau=0.01, T=0.2)
     assert cli.main(["invariants", "--config", str(path),
                      "--output-dir", str(tmp_path / "inv")]) == 1
     rows = (tmp_path / "inv" / "invariants.csv").read_text().splitlines()[1:]

@@ -203,6 +203,8 @@ def test_shifted_solve_matches_dense(g, rng):
 
 
 def test_shifted_solve_constant_field_bitwise():
+    # a constant field is in the kernel of L: values / c is the exact answer of
+    # the 1D elimination and of the 2D cosine shift, and both return it
     for g in (make_grid_1d(1), make_grid_1d(9), make_grid_2d(6, 5, (1.0, 0.3))):
         for c, s in ((1.0, 0.05), (3.0, 10.0)):
             out = solve_of(g, c, s)(np.full(g.n_cells, 2.5))
@@ -260,6 +262,18 @@ def test_both_solvers_of_a_grid_build_its_tables_once():
     solve_of(g, 1.0, 0.5)(r)
     solve_of(g, smooth_diagonal(g))(r)
     assert _cosine_tables.cache_info().misses == misses + 1
+
+
+def test_a_1d_solve_builds_no_cosine_basis():
+    # every 1D solve is elimination: a scalar, a constant and a varying d, the
+    # last one so large that its scan runs in one segment per cell
+    g = rd.Grid((37,), (0.29,))  # a grid no other test uses
+    r = np.cos(np.arange(g.n_cells))
+    misses = _cosine_tables.cache_info().misses
+    for d, s in ((1.0, 0.5), (np.full(g.n_cells, 37.5), 1.0), (smooth_diagonal(g), 1.0),
+                 (np.geomspace(1e290, 1e300, g.n_cells), 1.0)):
+        solve_of(g, d, s)(r)
+    assert _cosine_tables.cache_info().misses == misses
 
 
 def dense_of(solve, n):
@@ -371,10 +385,14 @@ def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):
         if not np.array_equal(P, dense_of(solve_of(g, shift_of(d)), g.n_cells)):
             assert_spd(P)
 
-    # a coefficient spread of 1e12, smooth and cell by cell
+    # a coefficient spread of 1e12, smooth and cell by cell; a 1D solve is
+    # elimination, with no shift to fall back to, so it is the exact inverse
     for g in (make_grid_1d(40), make_grid_2d(20, 24)):
-        spd_or_shift(g, np.geomspace(1.0, 1e12, g.n_cells))
-        spd_or_shift(g, 10.0 ** rng.uniform(0.0, 12.0, g.n_cells))
+        for d in (np.geomspace(1.0, 1e12, g.n_cells), 10.0 ** rng.uniform(0.0, 12.0, g.n_cells)):
+            if g.ndim == 1:
+                assert_spd(dense_of(solve_of(g, d), g.n_cells))
+            else:
+                spd_or_shift(g, d)
     # the first implicit operator of the p = 300 case of tests/test_cli.py's
     # BASE config: its coefficient reaches 4.8e48
     g = make_grid_1d(16)
@@ -388,7 +406,11 @@ def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.1)
     (A,), _ = coefficient_fields(m, rd.initial_state(m, cfg).u_tilde, [0])
     assert np.max(A) / np.min(A) > 1e48
-    spd_or_shift(g, 1.0 / (cfg.tau * A))
+    assert_spd(dense_of(solve_of(g, 1.0 / (cfg.tau * A)), g.n_cells))
+    # the constant operator at the geometric mean of that diagonal, the 2D
+    # shift, is singular to working precision in 1D
+    with pytest.raises(LinearSolverError, match="^operator singular to working precision"):
+        g.solver(shift_of(1.0 / (cfg.tau * A)), 1.0)
 
 
 def test_coarse_corrected_solve_falls_back_to_the_shift():

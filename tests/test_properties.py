@@ -11,11 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 import relaxdiff as rd
 from relaxdiff.fixedpoint import picard_step_with_info
-from relaxdiff.grid import _elimination_solver
 from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import species_step
 
-from conftest import dense_laplacian, run_with_rows
+from conftest import dense_laplacian, examples, run_with_rows
 
 LINEAR_TOL = 1e-10
 
@@ -50,7 +49,7 @@ def models(draw, species=st.integers(1, 3), powers=st.floats(0.5, 3.0)):
 TINY_GRID = rd.Grid((4,), (0.25,))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(models(), st.floats(1e-3, 0.1))
 # data of 1e-155 squares below the smallest normal float; CG used to break down on it
 @example(rd.ModelSpec(
@@ -78,7 +77,7 @@ def test_random_models_keep_the_guarantees(m, tau):
         assert a.values.tobytes() == b.values.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(models(species=st.integers(2, 3), powers=st.floats(1.0, 3.0)), st.floats(1e-3, 0.1),
        st.floats(-10.0, -6.0).map(lambda exponent: 10.0**exponent))
 def test_random_picard_steps_are_guaranteed_fixed_points(m, tau, linear_tol):
@@ -128,7 +127,7 @@ def skt_specs_and_densities(draw):
     return specs, np.array(columns).T
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(skt_specs_and_densities())
 def test_eval_coefficient_is_the_value_the_scheme_uses(specs_and_densities):
     # eval_coefficient at a density vector r gives, bit for bit, the value
@@ -144,30 +143,70 @@ def test_eval_coefficient_is_the_value_the_scheme_uses(specs_and_densities):
 
 @st.composite
 def tridiagonal_systems(draw):
-    """A 1D grid of 1..300 cells and the diagonal d of diag(d) - L on it:
-    d spreads by up to 1e6 over the cells from its least value, which is
-    1e-3 to 1e3 times the coupling w = 1 / h^2 (the implicit step's
-    h^2 / (tau A) is about 2e-3 to 2e-2 on the xval1d benchmark workload),
-    and a right-hand side of either sign."""
-    n = draw(st.integers(1, 300))
-    grid = rd.Grid((n,), (draw(st.floats(0.01, 1.0)),))
-    w = 1.0 / grid.spacing[0] ** 2
-    least = w * 10.0 ** draw(st.floats(-3.0, 3.0))
-    spread = 10.0 ** draw(st.floats(0.0, 6.0))
-    d = least * spread ** draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
-    r = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3) | st.just(0.0)))
-    return grid, d, r
+    """A 1D grid of 1..1024 cells, the diagonal d of diag(d) - L on it and a
+    right-hand side of either sign that peaks anywhere from 1e-300 to 1e300.
+    d is a scalar, or spreads by up to 1e6 over the cells from its least
+    value. d / w reaches from 1e-3 to 1e300 for the coupling w = 1 / h^2: the
+    implicit step's h^2 / (tau A) is about 2e-3 to 2e-2 on the xval1d
+    benchmark workload, and from d / w of about 2^512 the scan of the
+    elimination runs in more than one segment."""
+    n = draw(st.integers(1, 1024))
+    h = draw(st.floats(0.01, 1.0))
+    grid = rd.Grid((n,), (h,))
+    w = 1.0 / (h * h)
+    spread = draw(st.floats(0.0, 6.0))
+    least = w * 10.0 ** draw(st.floats(-3.0, 300.0 - spread))
+    if draw(st.booleans()):
+        d = least
+    else:
+        d = least * 10.0 ** (spread * draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0))))
+    peak = 10.0 ** draw(st.floats(-300.0, 300.0))
+    r = peak * draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0) | st.just(0.0)))
+    return grid, w, d, r
 
 
-@settings(max_examples=100, deadline=None)
+def eliminate_by_loops(d, w, r):
+    """The elimination of diag(d) - w L_1 (L_1 the Laplacian at h = 1) by two
+    Python loops over the cells: the reference the scan must agree with."""
+    pivots, t = [], 0.0
+    for di in d[:-1]:
+        e = di + t
+        pivot = e + w
+        pivots.append(pivot)
+        t = w * (e / pivot)
+    pivots.append(d[-1] + t)
+    v, forward = 0.0, []
+    for ri, p in zip(r.tolist(), pivots):
+        v = (ri + w * v) / p
+        forward.append(v)
+    x, back = 0.0, []
+    for vi, p in zip(reversed(forward), reversed(pivots)):
+        x = vi + (w / p) * x
+        back.append(x)
+    return np.array(back[::-1])
+
+
+@settings(max_examples=examples(100), deadline=None)
 @given(tridiagonal_systems())
 def test_elimination_solves_accurately_and_keeps_the_sign(system):
-    grid, d, r = system
-    solve = _elimination_solver(d.tolist(), 1.0 / grid.spacing[0] ** 2)
-    # the residual on the assembled matrix, against the stopping rule's 1e-10
+    grid, w, d, r = system
+    solve = grid.solver(d, 1.0)[0]
     x = solve(r)
-    M = np.diag(d) - dense_laplacian(grid)
-    assert np.linalg.norm(r - M @ x) <= 1e-12 * np.linalg.norm(r)
+    diagonal = np.broadcast_to(d, r.shape).tolist()
+    # both sweeps add only nonnegative multiples, so the rounding of either
+    # elimination is relative to its solve of |r|, cell by cell: about one ulp
+    # per cell on the way, n + 1 ulps in all (a constant d rounds its gains
+    # alike in every cell); below the smallest normal float it is absolute
+    scale = eliminate_by_loops(diagonal, w, np.abs(r))
+    reference = eliminate_by_loops(diagonal, w, r)
+    tol = (r.size + 1) * np.finfo(np.float64).eps
+    assert np.all(np.abs(x - reference) <= tol * scale + np.finfo(np.float64).tiny)
+    # the residual on the assembled matrix, against the stopping rule's 1e-10,
+    # of data that peaks at 1
+    unit = r / max(np.abs(r).max(), np.finfo(np.float64).tiny)
+    x = solve(unit)
+    M = np.diag(np.broadcast_to(d, r.shape)) - dense_laplacian(grid)
+    assert np.linalg.norm(unit - M @ x) <= 1e-12 * np.linalg.norm(unit)
     # elimination on this M-matrix only adds and multiplies nonnegative
     # numbers, so nonnegative data gives a nonnegative solution, bit for bit
     assert np.all(solve(np.abs(r)) >= 0.0)
@@ -222,7 +261,7 @@ def config_lines(draw):
     ]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(config_lines(), st.data())
 def test_one_bad_value_is_accepted_or_a_config_error(lines, data):
     rd.parse_config("\n".join(lines))
