@@ -120,49 +120,22 @@ class Grid:
     def solver(self, d, s: float) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
         """A solve of (diag(d) - s L) x = values, and whether CG starts from it.
 
-        `d` > 0 is a scalar or one value per cell, s > 0. In 1D it is exact
-        elimination, which raises `LinearSolverError` for an operator singular
-        to working precision. In 2D it maps the field to cosine coefficients
-        (`_cosine_tables`), divides them by c + s mu, c = d for a scalar, else
-        sqrt(min d) sqrt(max d), and maps them back: the inverse of a constant
-        `d`. For a varying one the lowest `COARSE_MODES_2D` modes per axis take
-        the solve of the Galerkin block E = C_l diag(d) C_l^T + s Lambda_l as
-        W^T (W y), W = L^{-1} for E = L L^T from `_inverse_factor` (SPD whatever
-        the rounding in W; Nicolaides, SIAM J. Numer. Anal. 24(2), 1987), unless
-        a pivot is not positive and finite, or below epsilon times the largest.
-        For a constant `d`, or in 2D without a block, a constant field gives
-        values / c, bit for bit. CG starts from every 1D and every constant solve.
+        `d` > 0 is a scalar or one value per cell, s > 0. A constant `d` (a scalar,
+        or an array whose least and largest values are equal) takes the exact
+        `_shift_solver` of its value; a varying one exact elimination in 1D, which
+        raises `LinearSolverError` for an operator singular to working precision,
+        and in 2D `_coarse_solver`, the one solve that CG does not start from.
         """
         d = np.asarray(d, dtype=np.float64)
-        if d.ndim == 0:
-            lo = hi = c = float(d)
+        d = self._axes_view(d) if d.ndim else d
+        lo, hi = (float(d.min()), float(d.max())) if d.ndim else (float(d),) * 2
+        if lo == hi:
+            solve = _shift_solver(self.cells, self.spacing, lo, s)
+        elif self.ndim == 1:
+            solve = _elimination_solver(d.tolist(), s / (self.spacing[0] * self.spacing[0]))
         else:
-            d = self._axes_view(d)
-            lo, hi = float(d.min()), float(d.max())
-            c = math.sqrt(lo) * math.sqrt(hi)
-        exact = lo == hi
-        if self.ndim == 1:
-            w = s / (self.spacing[0] * self.spacing[0])
-            eliminate = (_constant_elimination(self.n_cells, c, w) if exact
-                         else _elimination_solver(d.tolist(), w))
-            return (lambda values: eliminate(self._axes_view(values))), True
-        t = _cosine_tables(self.cells, self.spacing)
-        spectrum = c + s * t.lam
-        W = None if exact else _coarse_inverse_factor(d, t, s)
-        (C1, C2), (m2, m1) = t.bases, t.low.shape
-
-        def solve(values: np.ndarray) -> np.ndarray:
-            arr = self._axes_view(values)
-            if W is None and (arr == arr.flat[0]).all():
-                return arr.reshape(-1) / c
-            spectral = C2 @ arr @ C1.T
-            coarse = None if W is None else W.T @ (W @ spectral[:m2, :m1].reshape(-1))
-            spectral /= spectrum
-            if W is not None:
-                spectral[:m2, :m1] = coarse.reshape(m2, m1)
-            return (C2.T @ spectral @ C1).reshape(-1)
-
-        return solve, exact
+            solve = _coarse_solver(self.cells, self.spacing, d, s, math.sqrt(lo) * math.sqrt(hi))
+        return (lambda values: solve(self._axes_view(values))), lo == hi or self.ndim == 1
 
 
 def _elimination_solver(d: list[float], w: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -229,15 +202,32 @@ def _recurrence(gains: np.ndarray, p) -> Callable[[np.ndarray, np.ndarray], np.n
 
 
 @functools.lru_cache(maxsize=8)
-def _constant_elimination(n: int, c: float, w: float) -> Callable[[np.ndarray], np.ndarray]:
-    """`_elimination_solver` of d = c, once per operator; a constant field gives r / c."""
-    eliminate = _elimination_solver([c] * n, w)
-    return lambda r: r / c if (r == r[0]).all() else eliminate(r)
+def _shift_solver(cells: tuple[int, ...], spacing: tuple[float, ...], c: float,
+                  s: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact solve of (c - s L) x = values on a field's axes view, once per operator.
+
+    In 1D `_elimination_solver` of d = c; in 2D the cosine coefficients divided
+    by c + s mu, where an overflow solves a mode to 0, below the others' rounding.
+    A constant field, in the kernel of L, gives values / c, bit for bit.
+    """
+    if len(cells) == 1:
+        solve = _elimination_solver([c] * cells[0], s / (spacing[0] * spacing[0]))
+    else:
+        (C1, C2), lam = _cosine_tables(cells, spacing)[:2]
+        with np.errstate(over="ignore"):
+            spectrum = c + s * lam
+
+        def solve(arr: np.ndarray) -> np.ndarray:
+            spectral = C2 @ arr @ C1.T
+            spectral /= spectrum
+            return (C2.T @ spectral @ C1).reshape(-1)
+
+    return lambda arr: arr.reshape(-1) / c if (arr == arr.flat[0]).all() else solve(arr)
 
 
 # The coarse block of `Grid.solver` on a 2D grid has prod(m) rows, m modes
 # per axis. Per solve, its assembly costs about 2 m N + 2 m^5 multiply-adds
-# for N cells (`_coarse_inverse_factor`), and its inverse factor about
+# for N cells (`_coarse_solver`), and its inverse factor about
 # 2 (prod m)^3 / 3; each CG iteration applies it for 2 (prod m)^2. At 128^2
 # (a 144-row block) that is 1 M for the assembly and 2 M for the rest, once
 # per solve, and 41 k per iteration, against the 8 M of the four basis
@@ -245,33 +235,43 @@ def _constant_elimination(n: int, c: float, w: float) -> Callable[[np.ndarray], 
 COARSE_MODES_2D = 12
 
 
-def _coarse_inverse_factor(d: np.ndarray, t: _CosineTables, s: float) -> np.ndarray | None:
-    """W = L^{-1} for the Cholesky factor L L^T of the 2D coarse Galerkin block, or None.
+def _coarse_solver(cells: tuple[int, ...], spacing: tuple[float, ...], d: np.ndarray, s: float,
+                   c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The coarse-corrected solve of a varying 2D `d` on a field's axes view.
 
-    `d` is the diagonal on the field's layout (grid axis k along array axis
-    -1 - k). The block is assembled from the 2m - 1 lowest cosine
-    coefficients of `d` per axis, G = K2 d K1^T, which the pair weights of
-    each axis spread over its basis products: E = T2^T G T1 (see
-    `_cosine_tables`). Its diagonal gains s times the low eigenvalues
-    `t.low`. Its rows are the coarse cosine coefficients in the order of the
-    field's layout.
+    The lowest m = `COARSE_MODES_2D` cosine modes per axis take the solve of
+    the Galerkin block E = C_l diag(d) C_l^T + s Lambda_l, which G = K2 d K1^T,
+    the 2m - 1 lowest cosine coefficients of `d` per axis, spreads over each
+    axis's basis products (`_cosine_tables`), as W^T (W y), W = L^{-1} for
+    E = L L^T (SPD whatever the rounding in W; Nicolaides, SIAM J. Numer. Anal.
+    24(2), 1987). The others, and all where E is not finite or a pivot diag(L)^2
+    is not above epsilon times the largest, take `_shift_solver` at c, the
+    geometric mean sqrt(min d) sqrt(max d).
     """
-    m2, m1 = t.low.shape
-    (K1, K2), (T1, T2) = t.cosines, t.pair_weights
-    with np.errstate(over="ignore", invalid="ignore"):
+    t = _cosine_tables(cells, spacing)
+    (C1, C2), (K1, K2), (T1, T2), (m2, m1) = t.bases, t.cosines, t.pair_weights, t.low.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         E = (T2.T @ (K2 @ d @ K1.T) @ T1).reshape(m2, m2, m1, m1)
         E = E.transpose(0, 2, 1, 3).reshape(m2 * m1, m2 * m1)
         E.flat[::E.shape[0] + 1] += s * t.low.reshape(-1)
-        if not np.isfinite(E).all():
-            return None
         try:
-            W = _inverse_factor(E)
+            W = _inverse_factor(E)  # a leaf that is not positive definite raises
         except np.linalg.LinAlgError:
-            return None
-    # pivots = diag(L)^2: one below epsilon times the largest makes E singular
-    # to working precision, and no factor of it solves the coarse modes
-    pivots = W.diagonal() ** -2.0
-    return W if pivots.min() > _EPS * pivots.max() and np.isfinite(W).all() else None
+            return _shift_solver(cells, spacing, c, s)
+        pivots = W.diagonal() ** -2.0
+        if not (np.isfinite(E).all() and np.isfinite(W).all()
+                and pivots.min() > _EPS * pivots.max()):
+            return _shift_solver(cells, spacing, c, s)
+        spectrum = c + s * t.lam
+
+    def solve(arr: np.ndarray) -> np.ndarray:
+        spectral = C2 @ arr @ C1.T
+        coarse = W.T @ (W @ spectral[:m2, :m1].reshape(-1))
+        spectral /= spectrum
+        spectral[:m2, :m1] = coarse.reshape(m2, m1)
+        return (C2.T @ spectral @ C1).reshape(-1)
+
+    return solve
 
 
 def _inverse_factor(E: np.ndarray) -> np.ndarray:

@@ -101,6 +101,7 @@ def cg_solve(
     return x, SolverReport(iterations, res, converged)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_positive` reports non-finite values
 def _pcg(A, b: np.ndarray, x: np.ndarray | None, peak: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, int, float, bool]:
     # the floor keeps the stopping rule meaningful for b close to (or exactly) zero

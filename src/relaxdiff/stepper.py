@@ -17,12 +17,10 @@ Both linear solves are CG solves of one symmetric positive-definite system,
 (diag(d) - s L) z = u: the implicit step with (d, s) = (1 / A, tau), and the
 regularization, one backward heat step of length delta, with (1, delta), so
 the implicit step with A = 1 and tau = delta, bit for bit. `Grid.solver`
-preconditions it and says whether CG starts from its solve, which is exact for
-every 1D d (or rejects it as singular) and every constant one, so that the
-start meets the stopping rule after 0 iterations. A varying 2D d is solved
-exactly on its lowest cosine modes and shifted by the geometric mean of d on
-the rest: the shift alone bounds the iteration count by max A / min A whatever
-the mesh, and with smooth coefficients the block brings it to about one.
+preconditions it and says whether CG starts from its solve, exact for every 1D
+and every constant d: that start meets the stopping rule after 0 iterations.
+For a varying 2D d the geometric-mean shift bounds the iterations by
+max A / min A whatever the mesh, the coarse block to about one for smooth A.
 
 Two structural choices make the scheme's invariants hold at solver accuracy
 rather than "up to discretization":
@@ -276,9 +274,10 @@ def species_step(
         ut_new, rep_reg = _solve_regularize(g, u_new, m.delta[i], cfg.linear_tol)
     # w = delta * u_tilde plus the running sum of dt * A * u
     delta = m.delta[i]
-    w_new = delta * ut_new
-    w_new += state.w[i].values - delta * state.u_tilde[i].values
-    w_new += dt * A * u_new
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        w_new = delta * ut_new
+        w_new += state.w[i].values - delta * state.u_tilde[i].values
+        w_new += dt * A * u_new
     # w sums positive multiples of u_new and ut_new, so it is finite only if they are
     if not np.isfinite(w_new).all():
         raise RelaxdiffError(f"{where}: the next state is not finite")

@@ -6,7 +6,8 @@ import pytest
 import relaxdiff as rd
 from relaxdiff import stepper
 from relaxdiff.errors import DimensionMismatchError, LinearSolverError
-from relaxdiff.grid import COARSE_MODES_2D, MAX_AXIS_CELLS, _cosine_tables, _inverse_factor
+from relaxdiff.grid import (COARSE_MODES_2D, MAX_AXIS_CELLS, _cosine_tables, _inverse_factor,
+                           _shift_solver)
 from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import _solve_implicit
 
@@ -441,8 +442,18 @@ def test_coarse_corrected_solve_of_a_constant_diagonal_is_the_shift(g):
     # the shift is the exact inverse of diag(c) - L, so no coarse block is built
     d = np.full(g.n_cells, 37.5)
     r = np.cos(np.arange(g.n_cells)) + 2.0
-    shift = solve_of(g, shift_of(d))
+    shift = solve_of(g, 37.5)
     assert np.array_equal(solve_of(g, d)(r), shift(r))
+
+
+def test_every_constant_diagonal_of_an_operator_shares_one_shift_solve():
+    # a scalar and a constant array of one value build one cached solve, on
+    # grids that no other test uses
+    for g in (rd.Grid((29,), (0.31,)), make_grid_2d(17, 13, (0.31, 0.29))):
+        misses = _shift_solver.cache_info().misses
+        for d in (2.0, np.full(g.n_cells, 2.0)):
+            assert g.solver(d, 0.5)[1]
+        assert _shift_solver.cache_info().misses == misses + 1
 
 
 def test_solver_starts_cg_from_every_1d_and_every_constant_solve():

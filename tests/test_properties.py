@@ -2,7 +2,13 @@
 time paths, and a config with one bad value is rejected only as a
 ConfigError."""
 
+import contextlib
+import io
+import re
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -10,6 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import relaxdiff as rd
+from relaxdiff.cli import main
+from relaxdiff.config import MODES
 from relaxdiff.fixedpoint import picard_step_with_info
 from relaxdiff.model import coefficient_fields
 from relaxdiff.stepper import species_step
@@ -212,6 +220,30 @@ def test_elimination_solves_accurately_and_keeps_the_sign(system):
     assert np.all(solve(np.abs(r)) >= 0.0)
 
 
+@st.composite
+def constant_operators(draw):
+    """A 1D or 2D grid of 1..24 cells per axis, a constant diagonal x and a
+    scale s, each from 1e-3 to 1e3, and a right-hand side."""
+    cells = tuple(draw(st.lists(st.integers(1, 24), min_size=1, max_size=2)))
+    grid = rd.Grid(cells, tuple(draw(st.floats(0.01, 1.0)) for _ in cells))
+    magnitude = st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent)
+    x, s = draw(magnitude), draw(magnitude)
+    return grid, x, s, draw(arrays(np.float64, grid.n_cells, elements=st.floats(-10.0, 10.0)))
+
+
+@settings(max_examples=examples(50), deadline=None)
+@given(constant_operators())
+# sqrt(2) * sqrt(2) is 2.0000000000000004, the shift a varying diagonal takes
+@example((rd.Grid((16,), (1 / 16,)), 2.0, 1.0, np.cos(np.arange(16.0))))
+@example((rd.Grid((6, 5), (1 / 6, 0.2)), 2.0, 1.0, np.cos(np.arange(30.0))))
+def test_a_constant_array_solves_the_operator_of_its_value(system):
+    grid, x, s, r = system
+    solve, starts = grid.solver(x, s)
+    array_solve, array_starts = grid.solver(np.full(grid.n_cells, x), s)
+    assert array_starts == starts
+    assert array_solve(r).tobytes() == solve(r).tobytes()
+
+
 def test_subnormal_initial_data_is_rejected():
     # a step of this model lost one ulp of species 3's 5e-324 per cell, 1/6 of
     # its mass: rounding is absolute below the smallest normal float
@@ -281,3 +313,65 @@ def test_one_bad_value_is_accepted_or_a_config_error(lines, data):
         rd.parse_config(text).build_model()
     except rd.ConfigError:
         pass
+
+
+@st.composite
+def extreme_configs(draw):
+    """A valid config whose every physical value ranges over most of float64:
+    a 1D or 2D grid of 1..12 cells per axis with spacings from 1e-100 to 1e100,
+    one or two species with delta, d and couplings from 1e-300 to 1e300 (a
+    coupling may vanish), p in {0.5, 1, 2, 3, 300} and drawn init recipes, and
+    1..5 steps of a tau from 1e-300 to 1e100."""
+    def magnitudes(low, high):
+        return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+    dims = draw(st.integers(1, 2))
+    lines = ["[grid]", f"dims = {dims}"]
+    for axis in range(1, dims + 1):
+        lines += [f"n{axis} = {draw(st.integers(1, 12))}",
+                  f"h{axis} = {draw(magnitudes(-100.0, 100.0))!r}"]
+    n_species = draw(st.integers(1, 2))
+    for i in range(1, n_species + 1):
+        lines += [f"[species.{i}]", f"delta = {draw(magnitudes(-300.0, 300.0))!r}",
+                  "coeff = skt", f"d = {draw(magnitudes(-300.0, 300.0))!r}",
+                  *(f"d_{j} = {draw(st.just(0.0) | magnitudes(-300.0, 300.0))!r}"
+                    for j in range(1, n_species + 1)),
+                  f"p = {draw(st.sampled_from((0.5, 1.0, 2.0, 3.0, 300.0)))!r}",
+                  f"init = {draw(st.sampled_from(INITS))}"]
+    tau = draw(magnitudes(-300.0, 100.0))
+    return lines + [
+        "[scheme]", f"tau = {tau!r}", f"T = {draw(st.integers(1, 5)) * tau!r}",
+        "[run]", "seed = 3", f"spatial = {draw(st.sampled_from(('off', 'on')))}",
+        f"halvings = {draw(st.integers(1, 2))}",
+    ]
+
+
+# The last stderr line of a run that exits 1 or 2: a stopped run's error, or
+# the check that a study or an audit failed (`relaxdiff.cli`)
+STOPPED = re.compile(r"(config )?error: ")
+FAILED_CHECK = re.compile(r"\d+ invariant check\(s\) failed; see |discrepancy did not shrink "
+                          r"|(temporal|spatial) order \S+ outside ")
+
+
+@settings(max_examples=examples(10), deadline=None)
+@given(extreme_configs())
+def test_every_mode_of_a_valid_config_exits_0_1_or_2(lines):
+    # a run either passes (0), fails numerically or a check (1) or rejects its
+    # config (2), and says why; no exception escapes, a RuntimeWarning included
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "run.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        for mode in MODES:
+            out, stderr = Path(work) / mode, io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error", RuntimeWarning)
+                status = main([mode, "--config", str(config), "--output-dir", str(out)])
+            last = (stderr.getvalue().splitlines() or [""])[-1]
+            assert status in (0, 1, 2), (mode, status)
+            if status == 2:
+                assert last.startswith("config error: "), (mode, last)
+            elif status == 1:
+                assert STOPPED.match(last) or FAILED_CHECK.match(last), (mode, last)
+            elif mode == "invariants":
+                rows = (out / "invariants.csv").read_text().splitlines()[1:]
+                assert rows and all(row.endswith(",pass") for row in rows)
