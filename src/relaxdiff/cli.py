@@ -28,7 +28,7 @@ from . import fixedpoint, stepper
 from .config import RunConfig, parse_config
 from .diagnostics import CSV_HEADER, CheckTolerances, check_step, format_number, invariant_rows
 from .errors import ConfigError, RelaxdiffError
-from .grid import integrate
+from .grid import Field, integrate
 from .snapshots import write_snapshot
 from .stepper import w_increment_residual
 
@@ -66,7 +66,7 @@ def run_simulate(cfg: RunConfig) -> int:
                                      + "; ".join(entries))
 
         def on_snapshot(k, state):
-            write_snapshot(outdir / f"snap_{k}.fld", list(state.u), state.time)
+            write_snapshot(outdir / f"snap_{k}.fld", [Field(g, r) for r in state.u], state.time)
 
         stepper.run(model, cfg.scheme, on_step=on_step, on_snapshot=on_snapshot)
 
@@ -140,16 +140,14 @@ def run_converge(cfg: RunConfig) -> int:
         lines = []
         taus = [math.ldexp(cfg.scheme.tau, -k) for k in range(cfg.halvings + 1)]
         finals = [stepper.run(cfg.model, replace(cfg.scheme, tau=tau)) for tau in taus]
-        diffs = [max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.u, b.u))
-                 for a, b in zip(finals, finals[1:])]
-        scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in finals[0].u))
+        diffs = [float(np.max(np.abs(a.u - b.u))) for a, b in zip(finals, finals[1:])]
+        scale = max(1.0, float(np.max(np.abs(finals[0].u))))
         ok = _study(lines, "tau", taus, diffs, scale)
 
         if cfg.spatial:
             # level 0 is the temporal study's first run
             states = finals[:1] + [stepper.run(m, cfg.scheme) for m in refined]
-            sdiffs = [max(float(np.max(np.abs(x.values - fine.coarsen(y.values))))
-                          for x, y in zip(a.u, b.u))
+            sdiffs = [max(float(np.max(np.abs(x - fine.coarsen(y)))) for x, y in zip(a.u, b.u))
                       for a, b, fine in zip(states, states[1:], grids[1:])]
             ok = _study(lines, "h", [g.spacing[0] for g in grids], sdiffs, scale) and ok
 

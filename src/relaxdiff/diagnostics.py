@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import Field, integrate
+from .grid import Field
 from .sparse import LINEAR_TOL, check_step_size
 
 if TYPE_CHECKING:
@@ -81,20 +81,19 @@ def step_records(
     records = []
     for info in infos:
         i = info.species - 1
-        u = after.u[i]
-        ut = after.u_tilde[i]
-        w_inc = after.w[i].values - before.w[i].values
+        u, ut = after.u[i], after.u_tilde[i]
+        w_inc = after.w[i] - before.w[i]
         records.append(
             StepRecord(
                 step=step,
                 time=after.time,
                 species=info.species,
-                mass_u=integrate(g, u),
-                mass_utilde=integrate(g, ut),
-                min_u=float(u.values.min()),
-                max_u=float(u.values.max()),
-                min_utilde=float(ut.values.min()),
-                max_utilde=float(ut.values.max()),
+                mass_u=g.integral(u),
+                mass_utilde=g.integral(ut),
+                min_u=float(u.min()),
+                max_u=float(u.max()),
+                min_utilde=float(ut.min()),
+                max_utilde=float(ut.max()),
                 w_min_increment=float(w_inc.min()),
                 coef_min=info.coefficient_min,
                 coef_max=info.coefficient_max,
@@ -138,12 +137,11 @@ def invariant_rows(
     then how far `min_u`, `min_utilde` and `w_min_increment` dip below zero
     (NaN when the minimum is NaN, so the row fails).
     """
-    g = before.grid
     rows = []
     for r in records:
         sp, i = r.species, r.species - 1
         mass_scale = max(abs(initial_masses[i]), 1e-300)
-        mass_before = integrate(g, before.u[i])
+        mass_before = before.grid.integral(before.u[i])
         rows += [
             (sp, "mass_drift_rel", abs(r.mass_u - initial_masses[i]) / mass_scale,
              tolerances.mass),

@@ -14,14 +14,15 @@ the Jacobi order, in which every species froze at the previous candidate
 about half the sweeps. In that order a sweep reads the density u_tilde_k it
 starts from only if some species j <= k has a coefficient that depends on
 it (`_sweep_reads`; for the benchmark model only u_tilde_2): the rest it
-overwrites before any species reads them. A sweep is a map G from the read
-densities it starts from to those it returns, and the next sweep starts from
-the Anderson mix of the last DEPTH + 1 sweeps rather than from G's last
-output (Anderson, J. ACM 12(4), 1965; Walker & Ni, SIAM J. Numer. Anal.
-49(4), 2011). The loop stops on G's relative residual, the quantity the mix
-minimises, once the coefficients at the step's own regularized densities
-also match those it froze; with no density read, G is constant and one
-sweep is the fixed point. Only the frozen densities are mixed: every
+overwrites before any species reads them. A sweep steps a copy of the
+previous time level's arrays, its start written into their u_tilde rows. It
+is a map G from the read densities it starts from to those it returns, and
+the next sweep starts from the Anderson mix of the last DEPTH + 1 sweeps
+rather than from G's last output (Anderson, J. ACM 12(4), 1965; Walker & Ni,
+SIAM J. Numer. Anal. 49(4), 2011). The loop stops on G's relative residual,
+the quantity the mix minimises, once the coefficients at the step's own
+regularized densities also match those it froze; with no density read, G is
+constant and one sweep is the fixed point. Only the frozen densities are mixed: every
 candidate is still the output of a frozen step, so mass, positivity and the
 monotone w hold whatever the mix is.
 Because the two paths approximate the same (unique, for locally Lipschitz
@@ -142,42 +143,42 @@ def picard_step_with_info(
     Each sweep redoes the frozen-coefficient step from `state` species by
     species, in Gauss-Seidel order: species i freezes its coefficient at the
     newest regularized densities, u_tilde_1..u_tilde_{i-1} from this sweep and
-    the rest from where the sweep starts. Of the start, a sweep reads only
-    the densities `_sweep_reads` names, worked out once per step. The first
-    sweep starts from `state.u_tilde`, every later one from the Anderson mix
+    the rest from where the sweep starts. Of the start, a sweep reads only the
+    densities `_sweep_reads` names, worked out once per step. The first sweep
+    starts from `state.u_tilde`, every later one from the Anderson mix
     (`_anderson_mix`, depth DEPTH) of the read densities the sweeps so far
     started from and returned; the first mix has no history and is the last
-    sweep's output. The first sweep starts its implicit solves from zero,
-    every later one from the z that species solved in the sweep before,
-    unless `Grid.solver` starts them from its own solve (in 1D, and for a
-    constant coefficient). The loop stops when a sweep changes the densities
+    sweep's output. Each sweep writes its start into a copy of `state.u_tilde`,
+    and no sweep writes to `state`. The first sweep starts its implicit solves
+    from zero, every later one from the z that species solved in the sweep
+    before, unless `Grid.solver` starts them from its own solve (in 1D, and for
+    a constant coefficient). The loop stops when a sweep changes the densities
     it read by less than 10 * cfg.linear_tol relative to them in the L2 norm,
     the slack of the solves it iterates (the residual G(x) - x the mix
     minimises), and each species' coefficient at the sweep's own u_tilde,
-    evaluated only once the residual is that small, lies as close to the one
-    it froze: a(u_tilde) ~ u_tilde^p moves about p times as much as u_tilde,
-    and u with it, so a small residual alone can leave u further from the
-    fixed point. With no density read (state-independent coefficients, or
-    a_2(u_tilde_1) with a constant a_1) the first sweep is the fixed point
-    and the loop stops there; for state-independent coefficients it is bit
-    for bit the semi-implicit step. After MAX_SWEEPS sweeps it raises
+    evaluated only once the residual is that small, lies as close to the one it
+    froze: a(u_tilde) ~ u_tilde^p moves about p times as much as u_tilde, and u
+    with it, so a small residual alone can leave u further from the fixed
+    point. With no density read (state-independent coefficients, or
+    a_2(u_tilde_1) with a constant a_1) the first sweep is the fixed point and
+    the loop stops there; for state-independent coefficients it is bit for bit
+    the semi-implicit step. After MAX_SWEEPS sweeps it raises
     `PicardConvergenceError`. Returns the step and its sweeps, the first
     included: the implicit solves per species.
     """
     check_step_size(tau)
     read = _sweep_reads(m)
-    x = np.array([v.values for v in state.u_tilde])[read]  # where the sweep starts
+    x = state.u_tilde[read]  # where the sweep starts, a copy
     history = []
     z, frozen = [None] * state.n_species, [None] * state.n_species
     for sweeps in range(1, MAX_SWEEPS + 1):
-        u, u_tilde, w = list(state.u), list(state.u_tilde), list(state.w)
-        for k, row in zip(read, x):
-            u_tilde[k] = Field(m.grid, row)
+        u, u_tilde, w = state.u.copy(), state.u_tilde.copy(), state.w.copy()
+        u_tilde[read] = x
         for i in range(state.n_species):
             A = frozen[i] = coefficient_fields(m, u_tilde, (i,))[0][0]
             # from the previous sweep's z (zero in the first sweep): only A has changed
             u[i], u_tilde[i], w[i], _, z[i] = species_step(state, m, cfg, i, A, tau, z[i])
-        g = np.array([v.values for v in u_tilde])[read]
+        g = u_tilde[read]
         f = g - x
         change = _relative_norm(f, x)
         if change < 10 * cfg.linear_tol:
@@ -186,7 +187,7 @@ def picard_step_with_info(
             again = coefficient_fields(m, u_tilde, range(state.n_species))[0]
             change = max(change, *(_relative_norm(a - b, b) for a, b in zip(again, frozen)))
             if change < 10 * cfg.linear_tol:
-                return SystemState(state.time + tau, u, u_tilde, w), sweeps
+                return SystemState(state.time + tau, state.grid, u, u_tilde, w), sweeps
         x = _anderson_mix(history, g.ravel(), f.ravel()).reshape(x.shape)
     raise PicardConvergenceError(
         f"step from t = {state.time!r} (tau = {tau!r}): sweep loop did not converge "
@@ -253,18 +254,15 @@ def cross_validate(
     levels = [replace(cfg, tau=math.ldexp(cfg.tau, -k)) for k in range(halvings, -1, -1)]
     rows = []
     scale = 0.0
-    start = initial_state(m, cfg)  # independent of tau, never mutated
+    start = initial_state(m, cfg)  # independent of tau; no step writes to its input
     for cfg_k in reversed(levels):
         semi = march(start, cfg_k, lambda s, dt: step_with_info(s, m, cfg_k, tau=dt), None)
         sweeps = []
         picard = march(start, cfg_k,
                        lambda s, dt: picard_step_with_info(s, m, cfg_k, tau=dt),
                        lambda k, before, after, n: sweeps.append(n))
-        gap = max(
-            float(np.max(np.abs(semi.u[i].values - picard.u[i].values)))
-            for i in range(m.n_species)
-        )
-        scale = max(scale, *(float(np.max(np.abs(f.values))) for f in semi.u))
+        gap = float(np.max(np.abs(semi.u - picard.u)))
+        scale = max(scale, float(np.max(np.abs(semi.u))))
         rows.append(CrossValidationRow(tau=cfg_k.tau, discrepancy=gap, sweeps=sum(sweeps)))
     floor = 10 * cfg.linear_tol * max(1.0, scale)
     return CrossValidationReport(rows=rows, degeneracy_floor=floor)

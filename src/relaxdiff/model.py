@@ -250,20 +250,20 @@ def _validate_coefficients(
 
 
 def coefficient_fields(
-    m: ModelSpec, u_tilde: Sequence[Field], species: Sequence[int]
+    m: ModelSpec, u_tilde: np.ndarray, species: Sequence[int]
 ) -> tuple[list[np.ndarray], list[int]]:
     """Coefficient arrays of the `species` (0-based) at the regularized densities.
 
-    Returns one field and one count per entry of `species`, in its order.
+    `u_tilde` has one row per species, shape (n_species, n_cells). Returns
+    one array and one count per entry of `species`, in its order.
     Negative regularized values (solver round-off) are clamped to zero before
     evaluation and counted per species. The optional `a_max` truncation is
     applied last and its activations are added to the same counter.
     """
-    raw = np.array([f.values for f in u_tilde])
-    R = np.maximum(raw, 0.0)
+    R = np.maximum(u_tilde, 0.0)
     fields, counts = [], []
     for i in species:
-        count = int(np.count_nonzero(raw[i] < 0))
+        count = int(np.count_nonzero(u_tilde[i] < 0))
         # an overflow is reported below as a non-finite coefficient
         with np.errstate(over="ignore", invalid="ignore"):
             A = m.coefficients[i].evaluate_many(R)

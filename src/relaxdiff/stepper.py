@@ -1,15 +1,18 @@
 """Time stepping for the relaxed cross-diffusion system, and the studies that run it.
 
-Each step freezes the diffusion coefficients at the clamped regularization of
-the previous densities, advances every species through one implicit diffusion
-solve, and regularizes the result (a screened-Poisson solve). `species_step`
-is one species' part of such a step for a given coefficient:
-`step_with_info` runs it for every species, frozen at the previous time
-level, and the Picard sweeps of `fixedpoint` run it species by species, each
-frozen at the newest regularized densities or, for the species this sweep
-has not yet updated, at the Anderson mix the sweep starts from. `run` marches the scheme to the
-horizon and hands every step's `diagnostics` rows to its callbacks. The two
-diagnostics that need solves of their own live here too:
+A `SystemState` holds each of u, u_tilde and w as one (species x cells)
+array, one flat field per row. Each step freezes the diffusion coefficients
+at the clamped regularization of the previous densities, advances every
+species through one implicit diffusion solve, and regularizes the result (a
+screened-Poisson solve). `species_step` is one species' part of such a step
+for a given coefficient, returning that species' new rows: `step_with_info`
+runs it for every species, frozen at the previous time level, and writes the
+rows into the next state; the Picard sweeps of `fixedpoint` run it species
+by species, each frozen at the newest regularized densities or, for the
+species this sweep has not yet updated, at the Anderson mix the sweep starts
+from. No step writes to the state it starts from. `run` marches the scheme
+to the horizon and hands every step's `diagnostics` rows to its callbacks.
+The two diagnostics that need solves of their own live here too:
 `w_increment_residual` re-solves the w identity of one step, and
 `fit_linear_bound` runs the growth-in-time study of u_tilde.
 
@@ -207,25 +210,21 @@ def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
 
 @dataclass
 class SystemState:
-    """Densities, their regularizations, and the running w field at one time."""
+    """Densities, their regularizations, and the running w field at one time.
+
+    `u`, `u_tilde` and `w` are C-contiguous float64 arrays of shape
+    (n_species, grid.n_cells): row i holds species i + 1 as a flat field.
+    """
 
     time: float
-    u: tuple[Field, ...]
-    u_tilde: tuple[Field, ...]
-    w: tuple[Field, ...]
-
-    def __post_init__(self):
-        self.u = tuple(self.u)
-        self.u_tilde = tuple(self.u_tilde)
-        self.w = tuple(self.w)
+    grid: Grid
+    u: np.ndarray
+    u_tilde: np.ndarray
+    w: np.ndarray
 
     @property
     def n_species(self) -> int:
         return len(self.u)
-
-    @property
-    def grid(self) -> Grid:
-        return self.u[0].grid
 
 
 @contextmanager
@@ -240,48 +239,45 @@ def _prefix_solver_errors(where: str):
 def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     """State at t = 0: regularized initial data and w = delta * u_tilde."""
     g = m.grid
-    u = tuple(f.copy() for f in m.initial_data)
-    u_tilde, w = [], []
-    for i, (f, d) in enumerate(zip(u, m.delta)):
+    u = np.array([f.values for f in m.initial_data])
+    u_tilde, w = np.empty_like(u), np.empty_like(u)
+    for i, d in enumerate(m.delta):
         where = f"species {i + 1}, initial regularization"
         with _prefix_solver_errors(where):
-            ut, _ = _solve_regularize(g, f.values, d, cfg.linear_tol)
-        w_i = d * ut
+            u_tilde[i], _ = _solve_regularize(g, u[i], d, cfg.linear_tol)
+        np.multiply(d, u_tilde[i], out=w[i])
         # delta > 0, so w is finite only if u_tilde is
-        if not np.isfinite(w_i).all():
+        if not np.isfinite(w[i]).all():
             raise RelaxdiffError(f"{where}: the regularized state is not finite")
-        u_tilde.append(Field(g, ut))
-        w.append(Field(g, w_i))
-    return SystemState(0.0, u, u_tilde, w)
+    return SystemState(0.0, g, u, u_tilde, w)
 
 
 def species_step(
     state: SystemState, m: ModelSpec, cfg: SchemeConfig, i: int, A: np.ndarray,
     dt: float, z_start: np.ndarray | None = None,
-) -> tuple[Field, Field, Field, tuple[SolverReport, SolverReport], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[SolverReport, SolverReport], np.ndarray]:
     """Species `i`'s part of a step of size `dt` with its coefficient frozen at `A`.
 
     The implicit diffusion solve from `state.u[i]` (started from `z_start`
     when given, see `_flux_solve`), then the regularization of the result,
-    then the w update. Returns the next u, u_tilde and w of species `i`, its
-    (implicit, regularize) solve reports and its solved z.
+    then the w update. Returns the next u, u_tilde and w rows of species `i`
+    as new arrays, its (implicit, regularize) solve reports and its solved z.
     """
     g = m.grid
     where = f"species {i + 1}, step from t = {state.time!r}"
     with _prefix_solver_errors(where):
-        u_new, z, rep_impl = _solve_implicit(g, state.u[i].values, A, dt, cfg.linear_tol,
-                                             z_start)
+        u_new, z, rep_impl = _solve_implicit(g, state.u[i], A, dt, cfg.linear_tol, z_start)
         ut_new, rep_reg = _solve_regularize(g, u_new, m.delta[i], cfg.linear_tol)
     # w = delta * u_tilde plus the running sum of dt * A * u
     delta = m.delta[i]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         w_new = delta * ut_new
-        w_new += state.w[i].values - delta * state.u_tilde[i].values
+        w_new += state.w[i] - delta * state.u_tilde[i]
         w_new += dt * A * u_new
     # w sums positive multiples of u_new and ut_new, so it is finite only if they are
     if not np.isfinite(w_new).all():
         raise RelaxdiffError(f"{where}: the next state is not finite")
-    return Field(g, u_new), Field(g, ut_new), Field(g, w_new), (rep_impl, rep_reg), z
+    return u_new, ut_new, w_new, (rep_impl, rep_reg), z
 
 
 def step_with_info(
@@ -290,23 +286,25 @@ def step_with_info(
     """Advance one semi-implicit step of size `tau` and report solve stats.
 
     Every species freezes its coefficient at `state.u_tilde` and runs
-    `species_step` without a warm start, under the `workers` pool.
+    `species_step` without a warm start, under the `workers` pool; the rows
+    that each species returns are written into the next state's arrays.
     """
     check_step_size(tau)
     A_fields, clamp_counts = coefficient_fields(m, state.u_tilde, range(state.n_species))
+    u, u_tilde, w = (np.empty_like(state.u) for _ in range(3))
 
     def advance(i: int):
-        return species_step(state, m, cfg, i, A_fields[i], tau)
+        u[i], u_tilde[i], w[i], reports, _ = species_step(state, m, cfg, i, A_fields[i], tau)
+        return reports
 
     indices = range(state.n_species)
     if cfg.workers > 1 and state.n_species > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(advance, indices))
+            reports = list(pool.map(advance, indices))
     else:
-        results = [advance(i) for i in indices]
+        reports = [advance(i) for i in indices]
 
-    u, u_tilde, w, reports, _ = zip(*results)
-    return SystemState(state.time + tau, u, u_tilde, w), [
+    return SystemState(state.time + tau, state.grid, u, u_tilde, w), [
         SpeciesStepInfo(
             species=i + 1,
             cg_iters_implicit=implicit.iterations,
@@ -389,12 +387,9 @@ def w_increment_residual(
     g = after.grid
     tau = after.time - before.time
     A_fields, _ = coefficient_fields(m, before.u_tilde, range(after.n_species))
-    worst = 0.0
-    for i in range(after.n_species):
-        expected, _ = _solve_regularize(g, tau * A_fields[i] * after.u[i].values, m.delta[i], tol)
-        actual = after.w[i].values - before.w[i].values
-        worst = max(worst, float(np.max(np.abs(actual - expected))))
-    return worst
+    expected = [_solve_regularize(g, tau * A * u, d, tol)[0]
+                for A, u, d in zip(A_fields, after.u, m.delta)]
+    return float(np.max(np.abs(after.w - before.w - expected)))
 
 
 @dataclass(frozen=True)
@@ -431,8 +426,8 @@ def fit_linear_bound(
 
     def on_snapshot(k, state):
         times.append(state.time)
-        scaled_sups.append(max(m.delta[i] * float(np.max(np.abs(state.u_tilde[i].values)))
-                               for i in range(state.n_species)))
+        scaled_sups.append(max(d * float(np.max(np.abs(row)))
+                               for d, row in zip(m.delta, state.u_tilde)))
 
     run(m, replace(cfg, horizon=horizons[-1], output_stride=1), on_snapshot=on_snapshot)
     # the last state with t <= T, up to round-off in the pinned times

@@ -130,9 +130,9 @@ def test_oracle_equivalence():
             state = rd.step_with_info(state, model, cfg, cfg.tau)[0]
             u_ref, ut_ref, w_ref = replay[k + 1]
             for i in range(model.n_species):
-                assert np.max(np.abs(state.u[i].values - u_ref[i])) <= 1e-9
-                assert np.max(np.abs(state.u_tilde[i].values - ut_ref[i])) <= 1e-9
-                assert np.max(np.abs(state.w[i].values - w_ref[i])) <= 1e-9
+                assert np.max(np.abs(state.u[i] - u_ref[i])) <= 1e-9
+                assert np.max(np.abs(state.u_tilde[i] - ut_ref[i])) <= 1e-9
+                assert np.max(np.abs(state.w[i] - w_ref[i])) <= 1e-9
 
 
 @criterion(5, "energy-balance defect on frozen slabs scales like tau (2x per halving, 30% slack)")

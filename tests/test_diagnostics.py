@@ -21,7 +21,7 @@ def run_one_step(m, cfg):
 
 def check(before, after, infos, tolerances):
     """`check_step` on the records of `after`, with the totals before as reference."""
-    masses = [rd.integrate(before.grid, f) for f in before.u]
+    masses = [before.grid.integral(row) for row in before.u]
     return rd.check_step(before, step_records(1, before, after, infos), tolerances, masses)
 
 
@@ -51,35 +51,23 @@ def test_check_step_flags_injected_mass_drift():
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
     before, after, infos = run_one_step(m, cfg)
-    tampered = after.u[1].values.copy()
-    tampered[0] += 1e-3
-    broken = rd.SystemState(
-        time=after.time,
-        u=(after.u[0], rd.Field(g, tampered)),
-        u_tilde=after.u_tilde,
-        w=after.w,
-    )
+    tampered = after.u.copy()
+    tampered[1, 0] += 1e-3
+    broken = dataclasses.replace(after, u=tampered)
     failed = check(before, broken, infos, rd.CheckTolerances())
     mass_rows = [row for row in failed if "mass" in row[1]]
     assert mass_rows and all(sp == 2 for sp, *_ in mass_rows)
 
 
 def test_check_step_flags_negativity_and_monotonicity():
-    g = make_grid_1d(6)
     m = two_species_model(make_grid_1d(6))
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
     before, after, infos = run_one_step(m, cfg)
-    bad_u = after.u[0].values.copy()
-    bad_u[2] = -1e-3
-    bad_u[3] += 1e-3  # keep the mass unchanged
-    bad_w = after.w[0].values.copy()
-    bad_w[1] = before.w[0].values[1] - 1e-3
-    broken = rd.SystemState(
-        time=after.time,
-        u=(rd.Field(g, bad_u), after.u[1]),
-        u_tilde=after.u_tilde,
-        w=(rd.Field(g, bad_w), after.w[1]),
-    )
+    bad_u, bad_w = after.u.copy(), after.w.copy()
+    bad_u[0, 2] = -1e-3
+    bad_u[0, 3] += 1e-3  # keep the mass unchanged
+    bad_w[0, 1] = before.w[0, 1] - 1e-3
+    broken = dataclasses.replace(after, u=bad_u, w=bad_w)
     checks = {row[1] for row in check(before, broken, infos, rd.CheckTolerances())}
     assert "neg_u" in checks
     assert "neg_w_increment" in checks
@@ -90,12 +78,7 @@ def test_check_step_infinite_tolerances_accept_anything():
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
     before, after, infos = run_one_step(m, cfg)
-    garbled = rd.SystemState(
-        time=after.time,
-        u=(rd.Field(g, -np.ones(6)), after.u[1]),
-        u_tilde=after.u_tilde,
-        w=after.w,
-    )
+    garbled = dataclasses.replace(after, u=np.stack([-np.ones(6), after.u[1]]))
     loose = rd.CheckTolerances(mass=math.inf, positivity=math.inf, monotonicity=math.inf)
     assert check(before, garbled, infos, loose) == []
 
@@ -110,10 +93,11 @@ def test_check_step_is_pure():
     m = two_species_model(g)
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
     before, after, infos = run_one_step(m, cfg)
-    snapshot = [f.values.copy() for f in after.u + after.u_tilde + after.w]
+    arrays = (before.u, before.u_tilde, before.w, after.u, after.u_tilde, after.w)
+    snapshot = [a.copy() for a in arrays]
     check(before, after, infos, rd.CheckTolerances())
-    for original, f in zip(snapshot, after.u + after.u_tilde + after.w):
-        assert np.array_equal(original, f.values)
+    for original, a in zip(snapshot, arrays):
+        assert np.array_equal(original, a)
 
 
 def test_check_step_follows_the_records():
@@ -124,7 +108,7 @@ def test_check_step_follows_the_records():
     before, after, infos = run_one_step(m, cfg)
     records = step_records(1, before, after, infos)
     records[1] = dataclasses.replace(records[1], w_min_increment=-1e-3)
-    masses = [rd.integrate(g, f) for f in before.u]
+    masses = [g.integral(row) for row in before.u]
     tolerances = rd.CheckTolerances.from_linear_tol(cfg.linear_tol)
     failed = rd.check_step(before, records, tolerances, masses)
     assert [(sp, check) for sp, check, *_ in failed] == [(2, "neg_w_increment")]
@@ -144,7 +128,7 @@ def test_check_step_fails_a_nan_minimum(column, check):
     before, after, infos = run_one_step(m, cfg)
     records = step_records(1, before, after, infos)
     records[0] = dataclasses.replace(records[0], **{column: math.nan})
-    masses = [rd.integrate(g, f) for f in before.u]
+    masses = [g.integral(row) for row in before.u]
     tolerances = rd.CheckTolerances.from_linear_tol(cfg.linear_tol)
     [(sp, name, value, _)] = rd.check_step(before, records, tolerances, masses)
     assert (sp, name) == (1, check) and math.isnan(value)
@@ -221,8 +205,8 @@ def test_fit_linear_bound_horizon_before_the_first_step_reads_the_initial_state(
     cfg = rd.SchemeConfig(tau=0.01, horizon=1.0)
     fit = rd.fit_linear_bound(m, cfg, horizons=[cfg.tau / 2, 0.05, 0.1])
     start = rd.initial_state(m, cfg)
-    assert fit.sup_utilde[0] == max(d * float(np.max(np.abs(f.values)))
-                                    for d, f in zip(m.delta, start.u_tilde))
+    assert fit.sup_utilde[0] == max(d * float(np.max(np.abs(row)))
+                                    for d, row in zip(m.delta, start.u_tilde))
     assert fit.sup_utilde[0] <= fit.sup_utilde[1] <= fit.sup_utilde[2]
 
 

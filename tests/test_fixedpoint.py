@@ -102,7 +102,7 @@ def test_picard_constant_data_single_sweep():
     nxt, sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
     assert sweeps == 1
     for i in range(2):
-        assert np.array_equal(nxt.u[i].values, state.u[i].values)
+        assert np.array_equal(nxt.u[i], state.u[i])
 
 
 def test_picard_state_independent_coefficients_match_semi_implicit_bitwise():
@@ -119,9 +119,9 @@ def test_picard_state_independent_coefficients_match_semi_implicit_bitwise():
     # the first sweep is the semi-implicit step, and with no density read it
     # is the fixed point
     assert sweeps == 1
-    assert np.array_equal(semi.u[0].values, picard.u[0].values)
-    assert np.array_equal(semi.u_tilde[0].values, picard.u_tilde[0].values)
-    assert np.array_equal(semi.w[0].values, picard.w[0].values)
+    assert np.array_equal(semi.u[0], picard.u[0])
+    assert np.array_equal(semi.u_tilde[0], picard.u_tilde[0])
+    assert np.array_equal(semi.w[0], picard.w[0])
 
 
 def test_picard_preserves_mass_and_positivity():
@@ -131,10 +131,10 @@ def test_picard_preserves_mass_and_positivity():
     state = rd.initial_state(m, cfg)
     nxt = picard_step_with_info(state, m, cfg, cfg.tau)[0]
     for i in range(2):
-        assert abs(rd.integrate(g, nxt.u[i]) - rd.integrate(g, state.u[i])) \
-            <= 1e-12 * rd.integrate(g, state.u[i])
-        assert np.min(nxt.u[i].values) >= -1e-11
-        assert np.min(nxt.w[i].values - state.w[i].values) >= -1e-11
+        assert abs(g.integral(nxt.u[i]) - g.integral(state.u[i])) \
+            <= 1e-12 * g.integral(state.u[i])
+        assert np.min(nxt.u[i]) >= -1e-11
+        assert np.min(nxt.w[i] - state.w[i]) >= -1e-11
 
 
 def test_picard_gap_shrinks_quadratically_per_step():
@@ -147,7 +147,7 @@ def test_picard_gap_shrinks_quadratically_per_step():
         semi = rd.step_with_info(state, m, cfg, cfg.tau)[0]
         # the sweeps stop at 10 * linear_tol = 1e-12
         picard, _ = picard_step_with_info(state, m, cfg, cfg.tau)
-        gaps.append(max(np.max(np.abs(semi.u[i].values - picard.u[i].values))
+        gaps.append(max(np.max(np.abs(semi.u[i] - picard.u[i]))
                         for i in range(2)))
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
     for r in ratios:
@@ -221,11 +221,11 @@ def test_sweep_reads_the_densities_some_earlier_species_depends_on(model, reads)
 
 def plain_sweep(state, m, cfg, u_tilde, z):
     """One unmixed Gauss-Seidel sweep from `u_tilde`, warm-started from `z` (updated)."""
-    u, u_tilde, w = list(state.u), list(u_tilde), list(state.w)
+    u, u_tilde, w = state.u.copy(), u_tilde.copy(), state.w.copy()
     for i in range(m.n_species):
         A = fixedpoint.coefficient_fields(m, u_tilde, (i,))[0][0]
         u[i], u_tilde[i], w[i], _, z[i] = stepper.species_step(state, m, cfg, i, A, cfg.tau, z[i])
-    return u + u_tilde + w, u_tilde
+    return (u, u_tilde, w), u_tilde
 
 
 @pytest.mark.parametrize("model", [state_independent_model, one_way_model])
@@ -242,8 +242,8 @@ def test_picard_empty_read_set_takes_one_sweep_that_is_the_fixed_point(model):
     z = [None] * m.n_species
     _, u_tilde = plain_sweep(state, m, cfg, state.u_tilde, z)
     twice, _ = plain_sweep(state, m, cfg, u_tilde, z)
-    for a, b in zip(picard.u + picard.u_tilde + picard.w, twice):
-        assert np.array_equal(a.values, b.values)
+    for a, b in zip((picard.u, picard.u_tilde, picard.w), twice):
+        assert np.array_equal(a, b)
 
 
 # the p2 model takes 9 mixed sweeps and 18 plain Gauss-Seidel ones
@@ -315,6 +315,42 @@ def test_picard_sweeps_run_in_gauss_seidel_order():
     assert sweeps == 9
 
 
+def state_arrays(state):
+    return state.u, state.u_tilde, state.w
+
+
+# p2_cross_model's step is a mixed one of 9 sweeps; the 2D model's implicit
+# solves run CG from the previous sweep's z
+@pytest.mark.parametrize("model, expected_sweeps", [
+    (p2_cross_model, 9),
+    (lambda: lipschitz_cross_model(make_grid_2d(16, 12)), 6),
+], ids=["1d_p2_cross", "2d_lipschitz_cross"])
+def test_no_step_writes_to_its_inputs(model, expected_sweeps):
+    # a state's rows are writable views of its arrays: a step that wrote to
+    # its input would change the start that every later step and study reads
+    m = model()
+    cfg = rd.SchemeConfig(tau=0.02, horizon=0.04)
+    fingerprint = lambda s: (s.time, [a.tobytes() for a in state_arrays(s)])  # noqa: E731
+    data = [f.values.tobytes() for f in m.initial_data]
+    state = rd.initial_state(m, cfg)
+    start = fingerprint(state)
+    semi, _ = rd.step_with_info(state, m, cfg, cfg.tau)
+    assert fingerprint(state) == start
+    picard, sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
+    assert sweeps == expected_sweeps and fingerprint(state) == start
+    end = fingerprint(semi)
+    rd.w_increment_residual(m, state, semi)
+    assert fingerprint(state) == start and fingerprint(semi) == end
+    final = rd.run(m, cfg)
+    assert [f.values.tobytes() for f in m.initial_data] == data
+    # no returned array shares memory with an input
+    initial = [f.values for f in m.initial_data]
+    for outputs, inputs in ((state, initial), (final, initial),
+                            (semi, state_arrays(state)), (picard, state_arrays(state))):
+        for a in state_arrays(outputs):
+            assert not any(np.shares_memory(a, b) for b in inputs)
+
+
 def test_picard_mix_reaches_the_plain_sweeps_fixed_point(monkeypatch):
     # both loops stop within 10 * linear_tol of one fixed point, and each
     # solve adds about linear_tol: the bound of
@@ -326,9 +362,8 @@ def test_picard_mix_reaches_the_plain_sweeps_fixed_point(monkeypatch):
     monkeypatch.setattr(fixedpoint, "DEPTH", 0)
     plain, plain_sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
     assert mixed_sweeps < plain_sweeps == 18
-    moved = np.linalg.norm(np.concatenate([a.values - b.values
-                                           for a, b in zip(mixed.u, plain.u)]))
-    size = np.linalg.norm(np.concatenate([f.values for f in plain.u]))
+    moved = np.linalg.norm(mixed.u - plain.u)
+    size = np.linalg.norm(plain.u)
     assert moved <= (10 + 10) * cfg.linear_tol * size
 
 
@@ -375,9 +410,9 @@ def test_picard_mix_falls_back_to_the_plain_sweep(monkeypatch, gram_solve):
     # the history restarts at each failure, so every solve has one difference
     assert calls == [1] * (sweeps - 2)
     assert sweeps == plain_sweeps
-    for a, b in zip(fallen_back.u + fallen_back.u_tilde + fallen_back.w,
-                    plain.u + plain.u_tilde + plain.w):
-        assert np.array_equal(a.values, b.values)
+    for a, b in zip((fallen_back.u, fallen_back.u_tilde, fallen_back.w),
+                    (plain.u, plain.u_tilde, plain.w)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("linear_tol", [1e-10, 1e-6])
@@ -395,7 +430,8 @@ def test_picard_sweeps_stop_at_ten_times_linear_tol(monkeypatch, linear_tol):
     def reading(m, u_tilde, species):
         out = fields(m, u_tilde, species)
         if tuple(species) == (0,):  # a sweep starts: species 1 freezes at its start
-            sweeps_seen.append({"start": u_tilde[1].values, "frozen": []})
+            # a copy: the sweep overwrites this row of its u_tilde
+            sweeps_seen.append({"start": u_tilde[1].copy(), "frozen": []})
         if len(species) == 1:
             sweeps_seen[-1]["frozen"].append(out[0][0])
         else:
@@ -405,7 +441,7 @@ def test_picard_sweeps_stop_at_ten_times_linear_tol(monkeypatch, linear_tol):
     def returning(state, m, cfg, i, A, dt, z_start):
         out = step(state, m, cfg, i, A, dt, z_start)
         if i == 1:
-            ends.append(out[1].values)
+            ends.append(out[1])
         return out
 
     monkeypatch.setattr(fixedpoint, "coefficient_fields", reading)
@@ -440,8 +476,8 @@ def test_picard_stop_checks_the_coefficients_at_the_steps_own_u_tilde():
     A = fixedpoint.coefficient_fields(m, new.u_tilde, (0,))[0][0]
     again = stepper.species_step(state, m, cfg, 0, A, cfg.tau)[0]
     assert sweeps == 15
-    moved = np.linalg.norm(again.values - new.u[0].values)
-    assert moved <= (10 + 10) * cfg.linear_tol * np.linalg.norm(new.u[0].values)
+    moved = np.linalg.norm(again - new.u[0])
+    assert moved <= (10 + 10) * cfg.linear_tol * np.linalg.norm(new.u[0])
 
 
 def test_picard_stalled_mix_is_not_convergence(monkeypatch):

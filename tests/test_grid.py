@@ -52,6 +52,9 @@ def test_integrate_examples():
     assert rd.integrate(g, rd.Field.constant(g, 0.0)) == 0.0
     g2 = rd.Grid((2, 2), (0.5, 0.5))
     assert rd.integrate(g2, rd.Field.constant(g2, 1.0)) == pytest.approx(1.0, abs=1e-15)
+    # the integral of a flat array, such as a row of a state, is the same formula
+    rows = np.array([[4 / 3, 2 / 3], [0.1, 0.7]])
+    assert [g.integral(row) for row in rows] == [rd.integrate(g, rd.Field(g, r)) for r in rows]
 
 
 def test_assembled_matrix_small_cases():

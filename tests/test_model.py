@@ -123,7 +123,7 @@ def test_coefficient_fields_clamping(rng):
         coefficients=(rd.SktCoefficients(1.0, (2.0,), 1.0),),
         initial_data=(rd.Field.constant(g, 1.0),),
     )
-    tilde = [rd.Field(g, np.array([0.5, -1e-12, 0.25, -2e-13, 0.0]))]
+    tilde = np.array([[0.5, -1e-12, 0.25, -2e-13, 0.0]])
     fields, counts = coefficient_fields(m, tilde, (0,))
     assert counts == [2]
     assert fields[0][1] == pytest.approx(1.0)  # clamped to zero before evaluating
@@ -137,7 +137,7 @@ def test_coefficient_fields_a_max_truncation():
         initial_data=(rd.Field.constant(g, 1.0),),
         a_max=1.5,
     )
-    tilde = [rd.Field(g, np.array([0.0, 1.0, 2.0, 3.0]))]
+    tilde = np.array([[0.0, 1.0, 2.0, 3.0]])
     fields, counts = coefficient_fields(m, tilde, (0,))
     assert fields[0].tolist() == [1.0, 1.5, 1.5, 1.5]
     assert counts == [3]
