@@ -28,7 +28,7 @@ from .fixedpoint import (
     picard_step_with_info,
     solve_frozen_slab,
 )
-from .grid import Field, Grid, integrate, laplacian_apply
+from .grid import Grid, integrate
 from .model import (
     CoefficientSpec,
     ModelSpec,
@@ -63,7 +63,6 @@ __all__ = [
     "CrossValidationReport",
     "CrossValidationRow",
     "DimensionMismatchError",
-    "Field",
     "Grid",
     "LinearSolverError",
     "ModelSpec",
@@ -88,7 +87,6 @@ __all__ = [
     "implicit_diffusion_step",
     "initial_state",
     "integrate",
-    "laplacian_apply",
     "parse_config",
     "parse_snapshot",
     "picard_step_with_info",

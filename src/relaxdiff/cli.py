@@ -28,7 +28,6 @@ from . import fixedpoint, stepper
 from .config import RunConfig, parse_config
 from .diagnostics import CSV_HEADER, CheckTolerances, check_step, format_number, invariant_rows
 from .errors import ConfigError, RelaxdiffError
-from .grid import Field, integrate
 from .snapshots import write_snapshot
 from .stepper import w_increment_residual
 
@@ -48,7 +47,7 @@ def run_simulate(cfg: RunConfig) -> int:
     outdir = _output_dir(cfg)
     g = model.grid
     tolerances = CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
-    initial_masses = [integrate(g, f) for f in model.initial_data]
+    initial_masses = [g.integral(row) for row in model.initial_data]
 
     diag_path = outdir / "diagnostics.csv"
     with open(diag_path, "w", newline="\n") as diag:
@@ -66,7 +65,7 @@ def run_simulate(cfg: RunConfig) -> int:
                                      + "; ".join(entries))
 
         def on_snapshot(k, state):
-            write_snapshot(outdir / f"snap_{k}.fld", [Field(g, r) for r in state.u], state.time)
+            write_snapshot(outdir / f"snap_{k}.fld", g, state.u, state.time)
 
         stepper.run(model, cfg.scheme, on_step=on_step, on_snapshot=on_snapshot)
 
@@ -184,9 +183,8 @@ def run_invariants(cfg: RunConfig) -> int:
     """Audit run: every per-step invariant, written as machine-readable rows."""
     model = cfg.model
     outdir = _output_dir(cfg)
-    g = model.grid
     tolerances = CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
-    initial_masses = [integrate(g, f) for f in model.initial_data]
+    initial_masses = [model.grid.integral(row) for row in model.initial_data]
     n_steps, _ = stepper.plan_steps(cfg.scheme.tau, cfg.scheme.horizon)
     identity_stride = max(1, n_steps // 8)
     failures = [0]

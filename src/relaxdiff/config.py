@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid
+from .grid import Grid
 from .model import ModelSpec, SktCoefficients, validate_model
 from .stepper import SchemeConfig
 
@@ -98,7 +98,7 @@ class RunConfig:
         the model violates an assumption of the scheme.
         """
         g = grid if grid is not None else self.grid
-        fields = []
+        initial = []
         for idx, sp in enumerate(self.species, start=1):
             if grid is not None and g != self.grid and sp.init.split(":", 1)[0] in (
                 "file", "random"):
@@ -109,11 +109,12 @@ class RunConfig:
             values = build_initial(g, sp.init, self.seed, idx)
             if not np.all(np.isfinite(values)):
                 raise ConfigError(f"species {idx}: init {sp.init!r} gives non-finite values")
-            fields.append(Field(g, values))
+            initial.append(values)
         model = ModelSpec(
+            grid=g,
             delta=tuple(sp.delta for sp in self.species),
             coefficients=tuple(sp.coefficients for sp in self.species),
-            initial_data=tuple(fields),
+            initial_data=initial,
             a_max=self.a_max,
         )
         violations = validate_model(model)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import Field
+from .grid import Grid
 from .sparse import LINEAR_TOL, check_step_size
 
 if TYPE_CHECKING:
@@ -169,34 +169,35 @@ def check_step(
 
 
 def energy_identity_residual(
-    trajectory: Sequence[Field], A_nodes: Sequence[np.ndarray], tau: float
+    grid: Grid, trajectory: Sequence[np.ndarray], A_nodes: Sequence[np.ndarray], tau: float
 ) -> float:
     """Relative defect of the continuous-time energy balance on a slab run.
 
     The balance equates the coefficient-weighted space-time square of the
     trajectory plus half the squared gradient of the accumulated flux
     potential with the pairing of the initial data, `trajectory[0]`, against
-    that potential. The marching scheme satisfies it up to a positive O(tau)
-    remainder, so halving tau should roughly halve the returned value.
+    that potential. Every row and coefficient is a flat field of `grid`,
+    checked by `Grid.field`. The marching scheme satisfies the balance up to a
+    positive O(tau) remainder, so halving tau should roughly halve the
+    returned value.
     """
     check_step_size(tau)
     steps = len(trajectory) - 1
     if len(A_nodes) != steps:
         raise ValueError("one coefficient field per executed step required")
-    g = trajectory[0].grid
-    meas = g.cell_measure
+    meas = grid.cell_measure
     lhs_bulk = 0.0
     rhs = 0.0
-    S = np.zeros(g.n_cells)
-    w0v = trajectory[0].values
+    S = np.zeros(grid.n_cells)
+    w0v = grid.field(trajectory[0])
     for n in range(steps):
-        A = np.asarray(A_nodes[n], dtype=np.float64)
-        w_next = trajectory[n + 1].values
+        A = grid.field(A_nodes[n])
+        w_next = grid.field(trajectory[n + 1])
         z = A * w_next
         lhs_bulk += tau * float(np.einsum("i,i->", z, w_next)) * meas
         rhs += tau * float(np.einsum("i,i->", w0v, z)) * meas
         S = S + tau * z
-    grad_term = 0.5 * float(np.einsum("i,i->", -g.laplacian(S), S)) * meas
+    grad_term = 0.5 * float(np.einsum("i,i->", -grid.laplacian(S), S)) * meas
     lhs = lhs_bulk + grad_term
     denom = abs(rhs) + 1e-14 * abs(lhs) + 1e-300
     return abs(lhs - rhs) / denom

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PicardConvergenceError
-from .grid import Field
+from .grid import Grid
 from .model import ModelSpec, coefficient_fields
 from .sparse import LINEAR_TOL, check_step_size, check_tolerance
 from .stepper import (
@@ -60,22 +60,25 @@ DEPTH = 3
 
 
 def solve_frozen_slab(
+    grid: Grid,
     A_nodes: Sequence[np.ndarray],
-    w0: Field,
+    w0: np.ndarray,
     tau: float,
     *,
     tol: float = LINEAR_TOL,
-) -> list[Field]:
-    """Time-march the linear problem with per-node frozen coefficients on the grid of `w0`.
+) -> np.ndarray:
+    """Time-march the linear problem with per-node frozen coefficients from a flat field `w0`.
 
-    Returns the whole trajectory [w0, w1, ..., wN] with one implicit
-    diffusion solve per node; N = len(A_nodes).
+    Returns the whole trajectory w0, w1, ..., wN as the rows of an
+    (N + 1) x cells array, with one implicit diffusion solve per node;
+    N = len(A_nodes).
     """
     check_step_size(tau)
     check_tolerance(tol)
-    trajectory = [w0.copy()]
-    for A in A_nodes:
-        trajectory.append(implicit_diffusion_step(trajectory[-1], A, tau, tol))
+    trajectory = np.empty((len(A_nodes) + 1, grid.n_cells))
+    trajectory[0] = grid.field(w0)
+    for n, A in enumerate(A_nodes):
+        trajectory[n + 1] = implicit_diffusion_step(grid, trajectory[n], A, tau, tol)
     return trajectory
 
 
@@ -114,8 +117,10 @@ def _anderson_mix(history: list, g: np.ndarray, f: np.ndarray) -> np.ndarray:
     del history[:-(DEPTH + 1)]
     if len(history) == 1:
         return g
-    dG = np.diff([pair[0] for pair in history], axis=0)
-    dF = np.diff([pair[1] for pair in history], axis=0)
+    dG, dF = np.empty((2, len(history) - 1, g.size))
+    for j, ((g0, f0), (g1, f1)) in enumerate(zip(history, history[1:])):
+        np.subtract(g1, g0, out=dG[j])
+        np.subtract(f1, f0, out=dF[j])
     gram = np.einsum("ji,ki->jk", dF, dF)
     rhs = np.einsum("ji,i->j", dF, f)
     with np.errstate(all="ignore"):

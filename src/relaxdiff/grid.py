@@ -102,6 +102,17 @@ class Grid:
             )
         return values.reshape(self.cells[::-1])
 
+    def field(self, values: np.ndarray) -> np.ndarray:
+        """`values` as one flat float64 field of this grid, checked as a library entry checks it.
+
+        A wrong length raises `DimensionMismatchError` (`_axes_view`), a value
+        that is not finite `ValueError`. The result may share memory with `values`.
+        """
+        values = self._axes_view(values).reshape(-1)
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
+        return values
+
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Apply the zero-flux Laplacian to a flat cell array: one 1D stencil per axis."""
         x = self._axes_view(values).reshape(-1)
@@ -363,37 +374,6 @@ def _axis_fluxes(x: np.ndarray, stride: int, n: int, h: float) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class Field:
-    """Scalar values sampled on the cells of one grid, flattened row-major."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.array(self.values, dtype=np.float64).reshape(-1)
-        if self.values.shape != (self.grid.n_cells,):
-            raise DimensionMismatchError(
-                f"{self.values.size} values for a grid of {self.grid.n_cells} cells"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValueError("field values must be finite")
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.n_cells, float(value)))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-def laplacian_apply(f: Field) -> Field:
-    """Zero-flux Laplacian of a field; returns a fresh field on its grid."""
-    return Field(f.grid, f.grid.laplacian(f.values))
-
-
-def integrate(g: Grid, f: Field) -> float:
-    """`Grid.integral` of a field, which must live on `g`."""
-    if f.grid != g:
-        raise DimensionMismatchError("field does not live on this grid")
-    return g.integral(f.values)
+def integrate(g: Grid, values: np.ndarray) -> float:
+    """`Grid.integral` of one flat field of `g`, whose length `_axes_view` checks."""
+    return g.integral(g._axes_view(values).reshape(-1))

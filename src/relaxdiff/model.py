@@ -14,7 +14,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import RelaxdiffError, Violation
-from .grid import Field, Grid
+from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -113,34 +113,34 @@ def truncation_bound(specs: Sequence[CoefficientSpec], k: float) -> float:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Everything that defines one simulation problem except the time scheme.
 
     `delta` holds the per-species relaxation lengths, `coefficients` the
-    per-species diffusion coefficient specs, and `initial_data` one field per
-    species on a shared grid. `a_max` optionally truncates every coefficient
-    from above (off by default); activations of that clamp are reported by
-    the diagnostics so it can be confirmed inert.
+    per-species diffusion coefficient specs, and `initial_data` one flat field
+    of `grid` per species: a read-only, C-contiguous float64 (species x cells)
+    array of its own, each row checked by `Grid.field`. `a_max` optionally
+    truncates every coefficient from above (off by default); activations of
+    that clamp are reported by the diagnostics so it can be confirmed inert.
     """
 
+    grid: Grid
     delta: tuple[float, ...]
     coefficients: tuple[CoefficientSpec, ...]
-    initial_data: tuple[Field, ...]
+    initial_data: np.ndarray
     a_max: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        object.__setattr__(self, "initial_data", tuple(self.initial_data))
+        data = np.array([self.grid.field(row) for row in self.initial_data])
+        data.flags.writeable = False
+        object.__setattr__(self, "initial_data", data)
 
     @property
     def n_species(self) -> int:
         return len(self.delta)
-
-    @property
-    def grid(self) -> Grid:
-        return self.initial_data[0].grid
 
     @property
     def lipschitz(self) -> bool:
@@ -171,16 +171,11 @@ def validate_model(m: ModelSpec) -> list[Violation]:
 
     if m.a_max is not None and not np.isfinite(m.a_max):
         violations.append(Violation("a_max must be finite", detail=f"got {m.a_max!r}"))
-    g = m.initial_data[0].grid
-    for i, (delta, spec, init) in enumerate(
+    for i, (delta, spec, values) in enumerate(
         zip(m.delta, m.coefficients, m.initial_data), start=1
     ):
         if not (0 < delta < np.inf):
             violations.append(Violation("delta must be positive and finite", species=i))
-        if init.grid != g:
-            violations.append(Violation("initial fields must share one grid", species=i))
-            continue
-        values = init.values
         for rule, cells in (
             ("initial data must be nonnegative", np.nonzero(values < 0)[0]),
             # rounding is absolute below the smallest normal float, so mass

@@ -25,36 +25,38 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid
+from .grid import Grid
 
 MAGIC = b"RELAXDIFF v2"
 _VALUE = np.dtype("<f8")
 
 
-def format_snapshot(fields: list[Field], time: float) -> bytes:
-    """The snapshot of `fields`, all on the grid of the first, at `time`."""
-    if not fields or not math.isfinite(time):
+def format_snapshot(grid: Grid, values: np.ndarray, time: float) -> bytes:
+    """The snapshot of `values`, one flat field of `grid` per species row, at `time`.
+
+    Each row is checked by `Grid.field`. No species or a time that is not
+    finite, which the reader rejects, is a `ConfigError`.
+    """
+    rows = [grid.field(row) for row in values]
+    if not rows or not math.isfinite(time):
         raise ConfigError("a snapshot holds at least one species at a finite time")
-    grid = fields[0].grid
     header = [str(grid.ndim)]
     header += [str(n) for n in grid.cells]
     header += [repr(float(h)) for h in grid.spacing]
-    header += [str(len(fields)), repr(float(time))]
+    header += [str(len(rows)), repr(float(time))]
     parts = [MAGIC, b"\n", " ".join(header).encode("ascii"), b"\n"]
-    for f in fields:
-        if f.grid != grid:
-            raise ConfigError("snapshot fields must share one grid")
-        parts.append(f.values.astype(_VALUE).tobytes())
+    parts += [row.astype(_VALUE).tobytes() for row in rows]
     return b"".join(parts)
 
 
-def write_snapshot(path, fields: list[Field], time: float) -> None:
-    data = format_snapshot(fields, time)  # a rejected snapshot creates no file
+def write_snapshot(path, grid: Grid, values: np.ndarray, time: float) -> None:
+    data = format_snapshot(grid, values, time)  # a rejected snapshot creates no file
     with open(path, "wb") as fh:
         fh.write(data)
 
 
-def parse_snapshot(data: bytes) -> tuple[Grid, list[Field], float]:
+def parse_snapshot(data: bytes) -> tuple[Grid, np.ndarray, float]:
+    """The grid, the (species x cells) float64 values and the time of a snapshot."""
     magic, _, rest = data.partition(b"\n")
     if magic != MAGIC:
         raise ConfigError(f"not a {MAGIC.decode()} snapshot (first line {magic[:40]!r})")
@@ -81,15 +83,13 @@ def parse_snapshot(data: bytes) -> tuple[Grid, list[Field], float]:
     if len(body) != expected:
         raise ConfigError(f"snapshot body has {len(body)} bytes, expected {expected} "
                           f"for {n_species} species of {grid.n_cells} cells")
-    fields = []
-    for i, values in enumerate(np.frombuffer(body, _VALUE).reshape(n_species, -1)):
-        try:
-            fields.append(Field(grid, values))
-        except ValueError as exc:
-            raise ConfigError(f"species {i + 1}: {exc}") from exc
-    return grid, fields, time
+    values = np.frombuffer(body, _VALUE).astype(np.float64).reshape(n_species, -1)
+    for i, row in enumerate(values):
+        if not np.isfinite(row).all():
+            raise ConfigError(f"species {i + 1}: snapshot values must be finite")
+    return grid, values, time
 
 
-def read_snapshot(path) -> tuple[Grid, list[Field], float]:
+def read_snapshot(path) -> tuple[Grid, np.ndarray, float]:
     with open(path, "rb") as fh:
         return parse_snapshot(fh.read())

@@ -56,7 +56,7 @@ import numpy as np
 from . import diagnostics
 from .diagnostics import SpeciesStepInfo
 from .errors import LinearSolverError, RelaxdiffError
-from .grid import Field, Grid
+from .grid import Grid
 from .model import ModelSpec, coefficient_fields
 from .sparse import (
     LINEAR_MAX_ITER, LINEAR_TOL, SolverReport, cg_solve, check_step_size, check_tolerance,
@@ -180,32 +180,29 @@ def _solve_implicit(
     return _flux_solve(_ImplicitStepOperator(g, 1.0 / A, tau), u_n, tol, z_start)
 
 
-def regularize(u: Field, delta: float, tol: float = LINEAR_TOL) -> Field:
-    """Solve (I - delta L) v = u with zero-flux boundaries, on the grid of `u`.
+def regularize(grid: Grid, u: np.ndarray, delta: float, tol: float = LINEAR_TOL) -> np.ndarray:
+    """Solve (I - delta L) v = u with zero-flux boundaries for a flat field `u` of `grid`.
 
     The result has exactly the mean of `u` and maps nonnegative input to
-    nonnegative output up to solver round-off.
+    nonnegative output up to solver round-off. `u` is checked by `Grid.field`.
     """
     if not (0 < delta < np.inf):
         raise ValueError("delta must be positive and finite")
-    values, _ = _solve_regularize(u.grid, u.values, delta, tol)
-    return Field(u.grid, values)
+    return _solve_regularize(grid, grid.field(u), delta, tol)[0]
 
 
-def implicit_diffusion_step(u_n: Field, A: np.ndarray, tau: float,
-                            tol: float = LINEAR_TOL) -> Field:
+def implicit_diffusion_step(grid: Grid, u_n: np.ndarray, A: np.ndarray, tau: float,
+                            tol: float = LINEAR_TOL) -> np.ndarray:
     """One backward step of u_t = L(A * u) with the per-cell coefficients A frozen.
 
-    Solves (I - tau L diag(A)) u_new = u_n on the grid of `u_n` through the
-    symmetric substitution z = A * u_new. The column sums of the step matrix
-    all equal 1, so the cell total of u is conserved; the M-matrix structure
-    keeps nonnegative data nonnegative.
+    Solves (I - tau L diag(A)) u_new = u_n for flat fields `u_n` and `A` of
+    `grid`, each checked by `Grid.field`, through the symmetric substitution
+    z = A * u_new. The column sums of the step matrix all equal 1, so the cell
+    total of u is conserved; the M-matrix structure keeps nonnegative data
+    nonnegative.
     """
     check_step_size(tau)
-    g = u_n.grid
-    A = Field(g, A).values  # one finite coefficient per cell, or the error of a field
-    values, _, _ = _solve_implicit(g, u_n.values, A, tau, tol)
-    return Field(g, values)
+    return _solve_implicit(grid, grid.field(u_n), grid.field(A), tau, tol)[0]
 
 
 @dataclass
@@ -239,7 +236,7 @@ def _prefix_solver_errors(where: str):
 def initial_state(m: ModelSpec, cfg: SchemeConfig) -> SystemState:
     """State at t = 0: regularized initial data and w = delta * u_tilde."""
     g = m.grid
-    u = np.array([f.values for f in m.initial_data])
+    u = m.initial_data.copy()
     u_tilde, w = np.empty_like(u), np.empty_like(u)
     for i, d in enumerate(m.delta):
         where = f"species {i + 1}, initial regularization"

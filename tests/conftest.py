@@ -42,12 +42,13 @@ def two_species_model(grid, delta=(0.01, 0.02), d=(0.1, 0.05),
     u1 = np.maximum(0.0, 1.0 - ((x - 0.3 * grid.lengths[0]) / (0.25 * grid.lengths[0])) ** 2) ** 2
     u2 = np.where(x < grid.lengths[0] / 2, 0.0, 1.0)
     return rd.ModelSpec(
+        grid=grid,
         delta=delta,
         coefficients=(
             rd.SktCoefficients(d[0], couplings[0], p),
             rd.SktCoefficients(d[1], couplings[1], p),
         ),
-        initial_data=(rd.Field(grid, u1), rd.Field(grid, u2)),
+        initial_data=(u1, u2),
     )
 
 
@@ -56,12 +57,13 @@ def lipschitz_cross_model(grid, base=0.05, coupling=1.0, delta=0.01, amplitude=0
     profile = cosine_profile(grid, amplitude)
     mirrored = cosine_profile(grid, -amplitude)
     return rd.ModelSpec(
+        grid=grid,
         delta=(delta, delta),
         coefficients=(
             rd.SktCoefficients(base, (0.0, coupling)),
             rd.SktCoefficients(base, (coupling, 0.0)),
         ),
-        initial_data=(rd.Field(grid, profile), rd.Field(grid, mirrored)),
+        initial_data=(profile, mirrored),
     )
 
 
@@ -72,10 +74,16 @@ def run_with_rows(model, cfg):
     return state, rows
 
 
-def readme_config_2d():
-    """The README's example config on 24 x 24 cells at T = 0.1, the 2D copy that CI runs."""
+def readme_config():
+    """The README's example config, as printed."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (text,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    return text
+
+
+def readme_config_2d():
+    """The README's example config on 24 x 24 cells at T = 0.1, the 2D copy that CI runs."""
+    text = readme_config()
     h = repr(1.0 / 24)
     return (text.replace("dims = 1\n", "dims = 2\n").replace("n1 = 128\n", "n1 = 24\n")
             .replace("h1 = 0.0078125\n", f"h1 = {h}\nn2 = 24\nh2 = {h}\n")
@@ -111,7 +119,7 @@ def dense_replay(model, cfg, n_steps, tau=None):
     L = dense_laplacian(g)
     eye = np.eye(n)
 
-    u = [f.values.copy() for f in model.initial_data]
+    u = [row.copy() for row in model.initial_data]
     ut = [np.linalg.solve(eye - model.delta[i] * L, u[i]) for i in range(model.n_species)]
     w = [model.delta[i] * ut[i] for i in range(model.n_species)]
     history = [([v.copy() for v in u], [v.copy() for v in ut], [v.copy() for v in w])]

@@ -48,12 +48,13 @@ def reference_model(grid):
             0.0, 1.0 - ((y - 0.4 * grid.lengths[1]) / (0.3 * grid.lengths[1])) ** 2) ** 2
     stepped = np.where(x < 0.5 * scale, 0.0, 1.0)
     return rd.ModelSpec(
+        grid=grid,
         delta=(0.01, 0.02),
         coefficients=(
             rd.SktCoefficients(0.1, (0.3, 0.6)),
             rd.SktCoefficients(0.05, (0.5, 0.2)),
         ),
-        initial_data=(rd.Field(grid, bump), rd.Field(grid, stepped)),
+        initial_data=(bump, stepped),
     )
 
 
@@ -74,7 +75,7 @@ def reference_runs():
 def test_mass_conservation(reference_runs):
     for label, (model, rows, elapsed) in reference_runs.items():
         g = model.grid
-        initial = [rd.integrate(g, f) for f in model.initial_data]
+        initial = [g.integral(row) for row in model.initial_data]
         for row in rows:
             ref = initial[row.species - 1]
             assert abs(row.mass_u - ref) <= MASS_TOL * ref, (label, row.step, row.species)
@@ -89,7 +90,7 @@ def test_nonnegativity(reference_runs):
         worst_ut = min(row.min_utilde for row in rows)
         assert worst_u >= -POS_TOL, (label, worst_u)
         assert worst_ut >= -POS_TOL, (label, worst_ut)
-        touched = min(float(np.min(f.values)) for f in model.initial_data)
+        touched = float(model.initial_data.min())
         assert touched == 0.0  # the data really does touch zero
 
 
@@ -109,6 +110,7 @@ def test_oracle_equivalence():
     g3 = make_grid_1d(12)
     x = g3.cell_centers()[0]
     three = rd.ModelSpec(
+        grid=g3,
         delta=(0.01, 0.03, 0.02),
         coefficients=(
             rd.SktCoefficients(0.1, (0.2, 0.4, 0.1)),
@@ -116,9 +118,9 @@ def test_oracle_equivalence():
             rd.SktCoefficients(0.15, (0.1, 0.2, 0.3)),
         ),
         initial_data=(
-            rd.Field(g3, 1.0 + 0.5 * np.cos(np.pi * x)),
-            rd.Field(g3, np.where(x < 0.5, 1.0, 0.0)),
-            rd.Field(g3, np.maximum(0.0, 1.0 - ((x - 0.5) / 0.3) ** 2) ** 2),
+            1.0 + 0.5 * np.cos(np.pi * x),
+            np.where(x < 0.5, 1.0, 0.0),
+            np.maximum(0.0, 1.0 - ((x - 0.5) / 0.3) ** 2) ** 2,
         ),
     )
     cases.append((g3, three))
@@ -150,16 +152,16 @@ def test_energy_identity_order():
                     + c[3] * np.sin(np.pi * x))
 
         b = rng.uniform(-0.5, 0.5, 3)
-        w0 = rd.Field(g, 1.0 + b[0] * np.cos(np.pi * x)
-                      + b[1] * np.cos(2 * np.pi * x) + b[2] * np.sin(np.pi * x))
+        w0 = (1.0 + b[0] * np.cos(np.pi * x)
+              + b[1] * np.cos(2 * np.pi * x) + b[2] * np.sin(np.pi * x))
         T = 0.5
         residuals = []
         for n_steps in (16, 32, 64, 128):
             tau = T / n_steps
             A_nodes = [A_of(k * tau) for k in range(n_steps)]
             assert min(float(a.min()) for a in A_nodes) > 0.0
-            trajectory = rd.solve_frozen_slab(A_nodes, w0, tau, tol=1e-13)
-            residuals.append(rd.energy_identity_residual(trajectory, A_nodes, tau))
+            trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau, tol=1e-13)
+            residuals.append(rd.energy_identity_residual(g, trajectory, A_nodes, tau))
         for r1, r2 in zip(residuals, residuals[1:]):
             assert 1.4 <= r1 / r2 <= 2.6, (seed, residuals)
 
@@ -169,14 +171,15 @@ def test_two_path_uniqueness():
     g = make_grid_1d(32)
     x = g.cell_centers()[0]
     model = rd.ModelSpec(
+        grid=g,
         delta=(0.01, 0.01),
         coefficients=(
             rd.SktCoefficients(0.05, (0.0, 1.0)),
             rd.SktCoefficients(0.05, (1.0, 0.0)),
         ),
         initial_data=(
-            rd.Field(g, 1.0 + 0.5 * np.cos(np.pi * x)),
-            rd.Field(g, 1.0 - 0.5 * np.cos(np.pi * x)),
+            1.0 + 0.5 * np.cos(np.pi * x),
+            1.0 - 0.5 * np.cos(np.pi * x),
         ),
     )
     assert model.lipschitz
@@ -276,13 +279,14 @@ def test_heat_decay_rate():
     g = make_grid_1d(n)
     x = g.cell_centers()[0]
     model = rd.ModelSpec(
+        grid=g,
         delta=(0.01,),
         coefficients=(rd.SktCoefficients(d, (0.0,)),),
-        initial_data=(rd.Field(g, 1.0 + 0.5 * np.cos(np.pi * x)),),
+        initial_data=(1.0 + 0.5 * np.cos(np.pi * x),),
     )
     cfg = rd.SchemeConfig(tau=1e-3, horizon=0.4)
     _, rows = run_with_rows(model, cfg)
-    mean = rd.integrate(g, model.initial_data[0])  # unit measure
+    mean = g.integral(model.initial_data[0])  # unit measure
     times = [row.time for row in rows]
     norms = [max(abs(row.max_u - mean), abs(row.min_u - mean)) for row in rows]
     rate = -np.polyfit(times, np.log(norms), 1)[0]

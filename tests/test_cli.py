@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import relaxdiff as rd
 from relaxdiff import cli, config, diagnostics, fixedpoint, stepper
 
-from conftest import dense_replay, readme_config_2d
+from conftest import dense_replay, readme_config, readme_config_2d
 
 BASE = """
 [grid]
@@ -94,10 +95,11 @@ def test_final_snapshot_is_the_run_state_bit_for_bit(tmp_path):
     out = tmp_path / "out"
     last = (out / "diagnostics.csv").read_text().splitlines()[-2:]
     k = int(last[0].split(",")[0])
-    grid, fields, time = rd.read_snapshot(out / f"snap_{k}.fld")
+    grid, values, time = rd.read_snapshot(out / f"snap_{k}.fld")
     assert grid == state.grid and time == state.time
-    assert [f.values.tobytes() for f in fields] == [row.tobytes() for row in state.u]
-    assert [diagnostics.format_number(rd.integrate(grid, f)) for f in fields] == \
+    assert values.tobytes() == state.u.tobytes()
+    # the two-argument integrate of each row, as the benchmark reads a snapshot
+    assert [diagnostics.format_number(rd.integrate(grid, row)) for row in values] == \
         [row.split(",")[3] for row in last]
 
 
@@ -276,10 +278,9 @@ def test_run_config_is_frozen_and_carries_the_model_of_its_seed(tmp_path):
             setattr(part, name, value)
     reseeded = dataclasses.replace(cfg, seed=cfg.seed + 1)
     assert reseeded.seed == cfg.seed + 1
-    first = cfg.model.initial_data[0].values
-    assert not np.array_equal(reseeded.model.initial_data[0].values, first)
-    assert np.array_equal(reseeded.model.initial_data[0].values,
-                          reseeded.build_model().initial_data[0].values)
+    first = cfg.model.initial_data[0]
+    assert not np.array_equal(reseeded.model.initial_data[0], first)
+    assert np.array_equal(reseeded.model.initial_data, reseeded.build_model().initial_data)
 
 
 def test_converge_heat_reduction_first_order(tmp_path):
@@ -741,7 +742,7 @@ def test_invariants_rows_follow_from_the_diagnostics_rows(tmp_path):
                      "--output-dir", str(tmp_path / "inv")]) == 0
     cfg = rd.parse_config(path.read_text())
     model = cfg.build_model()
-    initial = [rd.integrate(model.grid, f) for f in model.initial_data]
+    initial = [model.grid.integral(row) for row in model.initial_data]
     tol = rd.CheckTolerances.from_linear_tol(cfg.scheme.linear_tol)
     fmt = diagnostics.format_number
 
@@ -802,6 +803,49 @@ def test_2d_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config, mod
     for threads in ("1", "2"):
         out = tmp_path / f"out-{threads}"
         proc = run_cli(path, "--output-dir", str(out), mode=mode, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+# numpy's SIMD dispatch targets above its X86_V2 baseline, and a child that
+# prints which of them are on before it runs the CLI with its arguments
+DISPATCH_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+DISPATCH_CHILD = """
+import json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+print(json.dumps({name: __cpu_features__.get(name) for name in sys.argv[1].split()}))
+from relaxdiff.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_1d_outputs_do_not_depend_on_numpys_simd_dispatch(tmp_path):
+    # 1D makes no BLAS call: every byte comes from numpy's own loops, whose
+    # elementwise results and fixed-order sums must not change when numpy
+    # dispatches them to another instruction set
+    path = tmp_path / "readme.cfg"
+    path.write_text(readme_config())
+    src = str(Path(rd.__file__).resolve().parents[1])
+    outputs = []
+    for disabled in ("", " ".join(DISPATCH_TARGETS)):
+        out = tmp_path / f"out-{len(outputs)}"
+        env = {"PYTHONPATH": src}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run(
+            [sys.executable, "-c", DISPATCH_CHILD, " ".join(DISPATCH_TARGETS),
+             "simulate", "--config", str(path), "--output-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout, proc.stderr
+        features = json.loads(proc.stdout.splitlines()[0])
+        if not disabled and not any(features.values()):
+            pytest.skip(f"no dispatch target above the baseline is on here: {features}")
+        # a variable that numpy ignored would compare the default run with itself
+        assert not (disabled and any(features.values())), f"still on: {features}"
         assert proc.returncode == 0, proc.stderr
         outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert outputs[0] and outputs[0] == outputs[1]

@@ -40,7 +40,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.seed == 0
     model = cfg.build_model()
     assert model.n_species == 1
-    assert np.all(model.initial_data[0].values == 1.0)
+    assert np.all(model.initial_data[0] == 1.0)
 
 
 def test_unknown_key_names_line_and_key():
@@ -76,18 +76,18 @@ def readme_python_blocks():
 def test_readme_snapshot_reader_indexes_species_and_axes(tmp_path, rng):
     reader, _ = readme_python_blocks()
     g = make_grid_2d(3, 4)
-    fields = [rd.Field(g, rng.standard_normal(g.n_cells)) for _ in range(2)]
+    fields = [rng.standard_normal(g.n_cells) for _ in range(2)]
     path = tmp_path / "snap_1.fld"
-    rd.write_snapshot(path, fields, 0.5)
+    rd.write_snapshot(path, g, fields, 0.5)
     scope = {"np": np, "path": path}
     exec(compile(reader, "README.md", "exec"), scope)
     u = scope["u"]
     assert scope["magic"] == b"RELAXDIFF v2"
     assert u.shape == (2, 4, 3)
-    assert u.tobytes() == b"".join(f.values.tobytes() for f in fields)
+    assert u.tobytes() == b"".join(f.tobytes() for f in fields)
     x, y = g.cell_centers()
     assert (x[2 * 3 + 1], y[2 * 3 + 1]) == (g.spacing[0] * 1.5, g.spacing[1] * 2.5)
-    assert u[1, 2, 1] == fields[1].values[2 * 3 + 1]  # u[species - 1, i2, i1]
+    assert u[1, 2, 1] == fields[1][2 * 3 + 1]  # u[species - 1, i2, i1]
 
 
 def test_readme_library_sketch_runs(capsys):
@@ -181,7 +181,7 @@ seed = 7
     assert cfg.scheme.workers == 2
     model = cfg.build_model()
     assert rd.validate_model(model) == []
-    assert np.min(model.initial_data[0].values) == 0.0
+    assert np.min(model.initial_data[0]) == 0.0
 
 
 def test_init_recipes():
@@ -229,29 +229,28 @@ def test_build_model_on_refined_grid():
 
 def test_snapshot_round_trip_exact(rng):
     for g in (make_grid_1d(7, 1.3), make_grid_2d(3, 4, (1.0, 0.7))):
-        fields = [rd.Field(g, rng.uniform(0.0, 3.0, g.n_cells)) for _ in range(2)]
+        fields = [rng.uniform(0.0, 3.0, g.n_cells) for _ in range(2)]
         time = float(rng.uniform(0.0, 10.0))
-        data = rd.snapshots.format_snapshot(fields, time)
+        data = rd.snapshots.format_snapshot(g, fields, time)
         magic, header, body = data.split(b"\n", 2)
         assert magic == b"RELAXDIFF v2"
         assert len(body) == 8 * g.n_cells * 2
-        g2, fields2, time2 = rd.parse_snapshot(data)
+        g2, values, time2 = rd.parse_snapshot(data)
         assert g2 == g
         assert time2 == time
-        for a, b in zip(fields, fields2):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(values, fields)
 
 
 def test_snapshot_file_round_trip(tmp_path, rng):
     g = make_grid_1d(5)
-    f = rd.Field(g, rng.standard_normal(5))
+    f = rng.standard_normal(5)
     path = tmp_path / "snap_3.fld"
-    rd.write_snapshot(path, [f], 0.375)
-    g2, fields2, time2 = rd.read_snapshot(path)
-    assert np.array_equal(fields2[0].values, f.values)
+    rd.write_snapshot(path, g, [f], 0.375)
+    g2, values, time2 = rd.read_snapshot(path)
+    assert np.array_equal(values, [f])
     assert time2 == 0.375
     header = b"RELAXDIFF v2\n1 5 0.2 1 0.375\n"
-    assert path.read_bytes() == header + f.values.astype("<f8").tobytes()
+    assert path.read_bytes() == header + f.astype("<f8").tobytes()
     assert path.stat().st_size == len(header) + 8 * 5
 
 

@@ -28,9 +28,10 @@ def check(before, after, infos, tolerances):
 def test_check_step_clean_on_steady_state():
     g = make_grid_1d(8)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.1,),
         coefficients=(rd.SktCoefficients(0.4, (0.2,)),),
-        initial_data=(rd.Field.constant(g, 1.0),),
+        initial_data=(np.full(g.n_cells, 1.0),),
     )
     cfg = rd.SchemeConfig(tau=0.1, horizon=0.1)
     before, after, infos = run_one_step(m, cfg)
@@ -163,9 +164,10 @@ def test_diagnostics_rows_ordered_by_time():
 def test_fit_linear_bound_constant_data_flat():
     g = make_grid_1d(8)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.2,),
         coefficients=(rd.SktCoefficients(0.4, (0.3,)),),
-        initial_data=(rd.Field.constant(g, 1.5),),
+        initial_data=(np.full(g.n_cells, 1.5),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=1.0)
     fit = rd.fit_linear_bound(m, cfg, horizons=[0.25, 0.5, 1.0])
@@ -178,15 +180,16 @@ def test_fit_linear_bound_constant_data_flat():
 def test_fit_linear_bound_heat_reduction_sup_at_initial_time():
     g = make_grid_1d(32)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.1,),
         coefficients=(rd.SktCoefficients(1.0, (0.0,)),),
-        initial_data=(rd.Field(g, cosine_profile(g)),),
+        initial_data=(cosine_profile(g),),
     )
     cfg = rd.SchemeConfig(tau=0.01, horizon=1.0)
     fit = rd.fit_linear_bound(m, cfg, horizons=[0.25, 0.5, 1.0])
     # the sup-norm decays, so the running sup is pinned at t = 0
-    initial = rd.regularize(m.initial_data[0], 0.1)
-    expected = 0.1 * float(np.max(np.abs(initial.values)))
+    initial = rd.regularize(g, m.initial_data[0], 0.1)
+    expected = 0.1 * float(np.max(np.abs(initial)))
     assert fit.sup_utilde == pytest.approx((expected,) * 3, rel=1e-9)
     assert abs(fit.fitted_slope) <= 1e-9 * abs(fit.fitted_intercept)
 
@@ -227,25 +230,25 @@ def test_fit_linear_bound_rejects_a_bad_horizon_before_any_run(bad, monkeypatch)
 def test_energy_identity_residual_zero_data():
     g = make_grid_1d(8)
     A_nodes = [np.ones(8)] * 4
-    w0 = rd.Field.constant(g, 0.0)
-    trajectory = rd.solve_frozen_slab(A_nodes, w0, tau=0.1)
-    assert rd.energy_identity_residual(trajectory, A_nodes, 0.1) == 0.0
+    w0 = np.full(g.n_cells, 0.0)
+    trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau=0.1)
+    assert rd.energy_identity_residual(g, trajectory, A_nodes, 0.1) == 0.0
 
 
 def test_energy_identity_residual_constant_data():
     g = make_grid_1d(8)
     A_nodes = [np.ones(8)] * 5
-    w0 = rd.Field.constant(g, 2.0)
-    trajectory = rd.solve_frozen_slab(A_nodes, w0, tau=0.1)
-    assert rd.energy_identity_residual(trajectory, A_nodes, 0.1) == 0.0
+    w0 = np.full(g.n_cells, 2.0)
+    trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau=0.1)
+    assert rd.energy_identity_residual(g, trajectory, A_nodes, 0.1) == 0.0
 
 
 def test_energy_identity_residual_shape_check():
     g = make_grid_1d(8)
-    w0 = rd.Field.constant(g, 1.0)
-    trajectory = rd.solve_frozen_slab([np.ones(8)] * 3, w0, tau=0.1)
+    w0 = np.full(g.n_cells, 1.0)
+    trajectory = rd.solve_frozen_slab(g, [np.ones(8)] * 3, w0, tau=0.1)
     with pytest.raises(ValueError):
-        rd.energy_identity_residual(trajectory, [np.ones(8)] * 2, 0.1)
+        rd.energy_identity_residual(g, trajectory, [np.ones(8)] * 2, 0.1)
 
 
 def test_energy_identity_residual_halves_with_tau(rng):
@@ -258,14 +261,14 @@ def test_energy_identity_residual_halves_with_tau(rng):
                 + c[2] * np.sin(t + 1.0) * np.cos(2 * np.pi * x) + c[3] * np.sin(np.pi * x))
 
     b = rng.uniform(-0.5, 0.5, 3)
-    w0 = rd.Field(g, 1.0 + b[0] * np.cos(np.pi * x) + b[1] * np.cos(2 * np.pi * x)
-                  + b[2] * np.sin(np.pi * x))
+    w0 = (1.0 + b[0] * np.cos(np.pi * x) + b[1] * np.cos(2 * np.pi * x)
+          + b[2] * np.sin(np.pi * x))
     T = 0.5
     residuals = []
     for n_steps in (16, 32, 64):
         tau = T / n_steps
         A_nodes = [A_of(k * tau) for k in range(n_steps)]
-        trajectory = rd.solve_frozen_slab(A_nodes, w0, tau, tol=1e-13)
-        residuals.append(rd.energy_identity_residual(trajectory, A_nodes, tau))
+        trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau, tol=1e-13)
+        residuals.append(rd.energy_identity_residual(g, trajectory, A_nodes, tau))
     for r1, r2 in zip(residuals, residuals[1:]):
         assert 1.4 <= r1 / r2 <= 2.6

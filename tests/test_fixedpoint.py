@@ -26,20 +26,21 @@ def smooth_coefficient_function(grid, rng, floor=0.5, ceil=2.0):
 def test_slab_constant_steady_state():
     g = make_grid_1d(10)
     A_nodes = [np.ones(10)] * 6
-    w0 = rd.Field.constant(g, 1.25)
-    trajectory = rd.solve_frozen_slab(A_nodes, w0, tau=0.1)
+    w0 = np.full(g.n_cells, 1.25)
+    trajectory = rd.solve_frozen_slab(g, A_nodes, w0, tau=0.1)
+    assert trajectory.shape == (7, 10)
     for f in trajectory:
-        assert np.array_equal(f.values, w0.values)
+        assert np.array_equal(f, w0)
 
 
 def test_slab_single_step_reduces_to_implicit_step():
     g = make_grid_1d(8)
     rng = np.random.default_rng(2)
     A = rng.uniform(0.4, 1.6, 8)
-    w0 = rd.Field(g, rng.uniform(0.0, 2.0, 8))
-    trajectory = rd.solve_frozen_slab([A], w0, tau=0.05)
-    direct = rd.implicit_diffusion_step(w0, A, tau=0.05)
-    assert np.array_equal(trajectory[-1].values, direct.values)
+    w0 = rng.uniform(0.0, 2.0, 8)
+    trajectory = rd.solve_frozen_slab(g, [A], w0, tau=0.05)
+    direct = rd.implicit_diffusion_step(g, w0, A, tau=0.05)
+    assert np.array_equal(trajectory[-1], direct)
     assert len(trajectory) == 2
 
 
@@ -51,14 +52,13 @@ def test_slab_discrete_energy_identity_exact(rng):
     tau = 0.5 / n_steps
     A_nodes = [rng.uniform(0.5, 2.0, 8) for _ in range(n_steps)]
     w0v = rng.uniform(0.0, 2.0, 8)
-    w0 = rd.Field(g, w0v)
-    trajectory = rd.solve_frozen_slab(A_nodes, w0, tau, tol=1e-14)
+    trajectory = rd.solve_frozen_slab(g, A_nodes, w0v, tau, tol=1e-14)
     meas = g.cell_measure
     lhs = rhs = extra = 0.0
     S = np.zeros(8)
     for k, A in enumerate(A_nodes):
-        z = A * trajectory[k + 1].values
-        lhs += tau * float(z @ trajectory[k + 1].values) * meas
+        z = A * trajectory[k + 1]
+        lhs += tau * float(z @ trajectory[k + 1]) * meas
         rhs += tau * float(w0v @ z) * meas
         dS = tau * z
         extra += 0.5 * float((-g.laplacian(dS)) @ dS) * meas
@@ -67,7 +67,7 @@ def test_slab_discrete_energy_identity_exact(rng):
     assert extra > 0.0
     assert abs(lhs + grad + extra - rhs) <= 1e-8 * abs(rhs)
     # the reported residual is exactly the positive remainder term
-    residual = rd.energy_identity_residual(trajectory, A_nodes, tau)
+    residual = rd.energy_identity_residual(g, trajectory, A_nodes, tau)
     assert residual == pytest.approx(extra / abs(rhs), rel=1e-6)
 
 
@@ -81,10 +81,9 @@ def test_slab_l2_bound(rng):
         sup_a = max(float(a.max()) for a in A_nodes)
         inf_a = min(float(a.min()) for a in A_nodes)
         w0v = rng.uniform(0.0, 3.0, 12)
-        w0 = rd.Field(g, w0v)
-        trajectory = rd.solve_frozen_slab(A_nodes, w0, tau)
+        trajectory = rd.solve_frozen_slab(g, A_nodes, w0v, tau)
         meas = g.cell_measure
-        norm_sq = sum(tau * float(f.values @ f.values) * meas for f in trajectory[1:])
+        norm_sq = sum(tau * float(f @ f) * meas for f in trajectory[1:])
         w0_norm = np.sqrt(float(w0v @ w0v) * meas)
         bound = (sup_a / inf_a) * np.sqrt(T) * w0_norm
         assert np.sqrt(norm_sq) <= 1.1 * bound
@@ -93,9 +92,10 @@ def test_slab_l2_bound(rng):
 def test_picard_constant_data_single_sweep():
     g = make_grid_1d(14)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.02, 0.05),
         coefficients=(rd.SktCoefficients(0.3, (0.2, 0.4)), rd.SktCoefficients(0.4, (0.1, 0.3))),
-        initial_data=(rd.Field.constant(g, 1.0), rd.Field.constant(g, 2.0)),
+        initial_data=(np.full(g.n_cells, 1.0), np.full(g.n_cells, 2.0)),
     )
     cfg = rd.SchemeConfig(tau=0.1, horizon=0.1)
     state = rd.initial_state(m, cfg)
@@ -108,9 +108,10 @@ def test_picard_constant_data_single_sweep():
 def test_picard_state_independent_coefficients_match_semi_implicit_bitwise():
     g = make_grid_1d(16)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.05,),
         coefficients=(rd.SktCoefficients(0.3, (0.0,)),),
-        initial_data=(rd.Field(g, cosine_profile(g)),),
+        initial_data=(cosine_profile(g),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.05)
     state = rd.initial_state(m, cfg)
@@ -158,21 +159,23 @@ def p2_cross_model():
     """The xval1d benchmark model without its perturbation: 128 cells, p = 2."""
     g = make_grid_1d(128)
     return rd.ModelSpec(
+        grid=g,
         delta=(0.01, 0.01),
         coefficients=(rd.SktCoefficients(0.05, (0.0, 1.0), 2.0),
                       rd.SktCoefficients(0.05, (1.0, 0.0), 2.0)),
-        initial_data=(rd.Field(g, cosine_profile(g, 0.25)),
-                      rd.Field(g, cosine_profile(g, -0.25))),
+        initial_data=(cosine_profile(g, 0.25),
+                      cosine_profile(g, -0.25)),
     )
 
 
 def state_independent_model():
     g = make_grid_1d(128)
     return rd.ModelSpec(
+        grid=g,
         delta=(0.01, 0.02),
         coefficients=(rd.SktCoefficients(0.3, (0.0, 0.0)), rd.SktCoefficients(0.5, (0.0, 0.0))),
-        initial_data=(rd.Field(g, cosine_profile(g, 0.25)),
-                      rd.Field(g, cosine_profile(g, -0.25))),
+        initial_data=(cosine_profile(g, 0.25),
+                      cosine_profile(g, -0.25)),
     )
 
 
@@ -180,26 +183,27 @@ def one_way_model():
     """a_2 = a_2(u_tilde_1) with a constant a_1: no sweep reads its start."""
     g = make_grid_1d(128)
     return rd.ModelSpec(
+        grid=g,
         delta=(0.01, 0.01),
         coefficients=(rd.SktCoefficients(0.05, (0.0, 0.0), 2.0),
                       rd.SktCoefficients(0.05, (1.0, 0.0), 2.0)),
-        initial_data=(rd.Field(g, cosine_profile(g, 0.25)),
-                      rd.Field(g, cosine_profile(g, -0.25))),
+        initial_data=(cosine_profile(g, 0.25),
+                      cosine_profile(g, -0.25)),
     )
 
 
 def tabulated_model():
     g = make_grid_1d(8)
     spec = rd.TabulatedCoefficients(lambda r: 1.0 + r[0], lower_bound=1.0)
-    return rd.ModelSpec(delta=(0.1, 0.1), coefficients=(spec, spec),
-                        initial_data=(rd.Field.constant(g, 1.0),) * 2)
+    return rd.ModelSpec(grid=g, delta=(0.1, 0.1), coefficients=(spec, spec),
+                        initial_data=(np.full(g.n_cells, 1.0),) * 2)
 
 
 def skt_model(*couplings):
     g = make_grid_1d(8)
-    return rd.ModelSpec(delta=(0.1,) * len(couplings),
+    return rd.ModelSpec(grid=g, delta=(0.1,) * len(couplings),
                         coefficients=tuple(rd.SktCoefficients(0.5, c, 2.0) for c in couplings),
-                        initial_data=(rd.Field.constant(g, 1.0),) * len(couplings))
+                        initial_data=(np.full(g.n_cells, 1.0),) * len(couplings))
 
 
 @pytest.mark.parametrize("model, reads", [
@@ -277,8 +281,8 @@ def test_picard_sweeps_warm_start_their_implicit_solves(monkeypatch):
     smooth = p2_cross_model()
     g = make_grid_2d(24, 24)
     rng = np.random.default_rng(7)
-    m = rd.ModelSpec(smooth.delta, smooth.coefficients,
-                     tuple(rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells)) for _ in range(2)))
+    m = rd.ModelSpec(g, smooth.delta, smooth.coefficients,
+                     tuple(rng.uniform(0.5, 1.5, g.n_cells) for _ in range(2)))
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
     solve = stepper.cg_solve
     totals = {}
@@ -331,7 +335,7 @@ def test_no_step_writes_to_its_inputs(model, expected_sweeps):
     m = model()
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.04)
     fingerprint = lambda s: (s.time, [a.tobytes() for a in state_arrays(s)])  # noqa: E731
-    data = [f.values.tobytes() for f in m.initial_data]
+    data = m.initial_data.tobytes()
     state = rd.initial_state(m, cfg)
     start = fingerprint(state)
     semi, _ = rd.step_with_info(state, m, cfg, cfg.tau)
@@ -342,10 +346,9 @@ def test_no_step_writes_to_its_inputs(model, expected_sweeps):
     rd.w_increment_residual(m, state, semi)
     assert fingerprint(state) == start and fingerprint(semi) == end
     final = rd.run(m, cfg)
-    assert [f.values.tobytes() for f in m.initial_data] == data
+    assert m.initial_data.tobytes() == data
     # no returned array shares memory with an input
-    initial = [f.values for f in m.initial_data]
-    for outputs, inputs in ((state, initial), (final, initial),
+    for outputs, inputs in ((state, [m.initial_data]), (final, [m.initial_data]),
                             (semi, state_arrays(state)), (picard, state_arrays(state))):
         for a in state_arrays(outputs):
             assert not any(np.shares_memory(a, b) for b in inputs)
@@ -468,8 +471,8 @@ def test_picard_stop_checks_the_coefficients_at_the_steps_own_u_tilde():
     # of test_random_picard_steps_are_guaranteed_fixed_points; with the
     # coefficients checked too it takes 15 sweeps and moves u by 0.01 of it
     g = make_grid_1d(16)
-    m = rd.ModelSpec(delta=(0.1,), coefficients=(rd.SktCoefficients(0.2, (1.0,), 3.0),),
-                     initial_data=(rd.Field(g, cosine_profile(g, 9.0, 10.0)),))
+    m = rd.ModelSpec(grid=g, delta=(0.1,), coefficients=(rd.SktCoefficients(0.2, (1.0,), 3.0),),
+                     initial_data=(cosine_profile(g, 9.0, 10.0),))
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
     state = rd.initial_state(m, cfg)
     new, sweeps = picard_step_with_info(state, m, cfg, cfg.tau)
@@ -511,9 +514,10 @@ def test_picard_nonconvergence_is_reported(monkeypatch):
 def test_cross_validate_requires_lipschitz():
     g = make_grid_1d(8)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.1,),
         coefficients=(rd.SktCoefficients(0.5, (1.0,), 0.5),),
-        initial_data=(rd.Field(g, cosine_profile(g)),),
+        initial_data=(cosine_profile(g),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.1)
     with pytest.raises(ValueError, match="Lipschitz"):
@@ -550,9 +554,10 @@ def test_cross_validate_rejects_an_invalid_finest_step_before_any_run(monkeypatc
 def test_cross_validate_constant_data_degenerate():
     g = make_grid_1d(12)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.05,),
         coefficients=(rd.SktCoefficients(0.2, (0.5,)),),
-        initial_data=(rd.Field.constant(g, 1.0),),
+        initial_data=(np.full(g.n_cells, 1.0),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.2)
     report = rd.cross_validate(m, cfg, halvings=2)
@@ -564,9 +569,10 @@ def test_cross_validate_constant_data_degenerate():
 def test_cross_validate_state_independent_coefficients_degenerate():
     g = make_grid_1d(12)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.05,),
         coefficients=(rd.SktCoefficients(0.4, (0.0,)),),
-        initial_data=(rd.Field(g, cosine_profile(g)),),
+        initial_data=(cosine_profile(g),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.2)
     report = rd.cross_validate(m, cfg, halvings=2)

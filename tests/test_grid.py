@@ -16,20 +16,20 @@ from conftest import cosine_profile, dense_laplacian, make_grid_1d, make_grid_2d
 
 def test_laplacian_interior_stencil():
     g = rd.Grid((3,), (1.0,))
-    out = rd.laplacian_apply(rd.Field(g, [0.0, 1.0, 0.0]))
-    assert out.values.tolist() == [1.0, -2.0, 1.0]
+    out = g.laplacian([0.0, 1.0, 0.0])
+    assert out.tolist() == [1.0, -2.0, 1.0]
 
 
 def test_laplacian_two_cells():
     g = rd.Grid((2,), (1.0,))
-    out = rd.laplacian_apply(rd.Field(g, [2.0, 0.0]))
-    assert out.values.tolist() == [-2.0, 2.0]
+    out = g.laplacian([2.0, 0.0])
+    assert out.tolist() == [-2.0, 2.0]
 
 
 def test_laplacian_annihilates_constants_exactly():
     for g in (make_grid_1d(7), make_grid_2d(3, 5, (1.0, 0.7))):
-        out = rd.laplacian_apply(rd.Field.constant(g, 3.7))
-        assert np.all(out.values == 0.0)
+        out = g.laplacian(np.full(g.n_cells, 3.7))
+        assert np.all(out == 0.0)
 
 
 def test_laplacian_zero_results_are_positive_zero():
@@ -39,22 +39,21 @@ def test_laplacian_zero_results_are_positive_zero():
 
 
 def test_integrate_rejects_wrong_grid():
+    # a field of a 5-cell grid does not fit a 4-cell one
     g = make_grid_1d(4)
-    other = make_grid_1d(5)
-    f = rd.Field(other, np.zeros(5))
     with pytest.raises(DimensionMismatchError):
-        rd.integrate(g, f)
+        rd.integrate(g, np.zeros(5))
 
 
 def test_integrate_examples():
     g = rd.Grid((2,), (1.0,))
-    assert rd.integrate(g, rd.Field(g, [4 / 3, 2 / 3])) == pytest.approx(2.0, rel=1e-14)
-    assert rd.integrate(g, rd.Field.constant(g, 0.0)) == 0.0
+    assert rd.integrate(g, [4 / 3, 2 / 3]) == pytest.approx(2.0, rel=1e-14)
+    assert rd.integrate(g, np.full(g.n_cells, 0.0)) == 0.0
     g2 = rd.Grid((2, 2), (0.5, 0.5))
-    assert rd.integrate(g2, rd.Field.constant(g2, 1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert rd.integrate(g2, np.full(g2.n_cells, 1.0)) == pytest.approx(1.0, abs=1e-15)
     # the integral of a flat array, such as a row of a state, is the same formula
     rows = np.array([[4 / 3, 2 / 3], [0.1, 0.7]])
-    assert [g.integral(row) for row in rows] == [rd.integrate(g, rd.Field(g, r)) for r in rows]
+    assert [g.integral(row) for row in rows] == [rd.integrate(g, row) for row in rows]
 
 
 def test_assembled_matrix_small_cases():
@@ -90,16 +89,16 @@ def test_assembled_structure(rng):
 def test_conservation_symmetry_negative_semidefinite(rng):
     for g in (make_grid_1d(17, 2.0), make_grid_2d(5, 7, (1.3, 0.4))):
         for _ in range(10):
-            f = rd.Field(g, rng.standard_normal(g.n_cells))
-            v = rd.Field(g, rng.standard_normal(g.n_cells))
-            norm = float(np.linalg.norm(f.values)) + 1e-30
-            lap_f = rd.laplacian_apply(f)
-            lap_v = rd.laplacian_apply(v)
-            assert abs(rd.integrate(g, lap_f)) <= 1e-12 * norm * g.n_cells
-            sym_gap = abs(float(lap_f.values @ v.values) - float(f.values @ lap_v.values))
-            scale = abs(float(lap_f.values @ v.values)) + norm
+            f = rng.standard_normal(g.n_cells)
+            v = rng.standard_normal(g.n_cells)
+            norm = float(np.linalg.norm(f)) + 1e-30
+            lap_f = g.laplacian(f)
+            lap_v = g.laplacian(v)
+            assert abs(g.integral(lap_f)) <= 1e-12 * norm * g.n_cells
+            sym_gap = abs(float(lap_f @ v) - float(f @ lap_v))
+            scale = abs(float(lap_f @ v)) + norm
             assert sym_gap <= 1e-12 * scale
-            assert float(lap_f.values @ f.values) <= 1e-12 * norm**2
+            assert float(lap_f @ f) <= 1e-12 * norm**2
 
 
 def test_grid_validation():
@@ -130,12 +129,31 @@ def test_grid_validation():
     assert g.lengths == (2.0, 0.5)
 
 
-def test_field_validation():
+def test_library_entries_check_each_field():
+    # every entry that takes a flat field checks its length against the grid
+    # (`Grid._axes_view`) and its values for finiteness (`Grid.field`)
     g = make_grid_1d(3)
+    short, nan = [1.0, 2.0], [1.0, np.nan, 2.0]
+    spec = rd.SktCoefficients(1.0, (0.0,))
+    entries = [
+        lambda u: g.field(u),
+        lambda u: rd.ModelSpec(grid=g, delta=(0.1,), coefficients=(spec,), initial_data=(u,)),
+        lambda u: rd.regularize(g, u, 0.1),
+        lambda u: rd.implicit_diffusion_step(g, u, np.ones(3), 0.1),
+        lambda u: rd.implicit_diffusion_step(g, np.ones(3), u, 0.1),
+        lambda u: rd.solve_frozen_slab(g, [], u, 0.1),
+        lambda u: rd.solve_frozen_slab(g, [u], np.ones(3), 0.1),
+        lambda u: rd.energy_identity_residual(g, [u], [], 0.1),
+        lambda u: rd.energy_identity_residual(g, [np.ones(3)] * 2, [u], 0.1),
+        lambda u: rd.snapshots.format_snapshot(g, [u], 0.0),
+    ]
+    for entry in entries:
+        with pytest.raises(DimensionMismatchError):
+            entry(short)
+        with pytest.raises(ValueError, match="finite"):
+            entry(nan)
     with pytest.raises(DimensionMismatchError):
-        rd.Field(g, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        rd.Field(g, [1.0, np.nan, 2.0])
+        rd.integrate(g, short)
 
 
 def test_row_major_axis1_fastest():
@@ -401,11 +419,12 @@ def test_coarse_corrected_solve_is_spd_or_the_shift_at_extreme_spreads(rng):
     # BASE config: its coefficient reaches 4.8e48
     g = make_grid_1d(16)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.01, 0.01),
         coefficients=(rd.SktCoefficients(0.05, (0.0, 1.0), 300.0),
                       rd.SktCoefficients(0.05, (1.0, 0.0))),
-        initial_data=(rd.Field(g, cosine_profile(g, 0.5)),
-                      rd.Field(g, cosine_profile(g, -0.5))),
+        initial_data=(cosine_profile(g, 0.5),
+                      cosine_profile(g, -0.5)),
     )
     cfg = rd.SchemeConfig(tau=0.02, horizon=0.1)
     (A,), _ = coefficient_fields(m, rd.initial_state(m, cfg).u_tilde, [0])

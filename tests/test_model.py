@@ -92,9 +92,10 @@ def test_validate_model_flags_negative_initial():
     values = np.full(6, 0.5)
     values[3] = -0.1
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.1,),
         coefficients=(rd.SktCoefficients(1.0, (0.0,)),),
-        initial_data=(rd.Field(g, values),),
+        initial_data=(values,),
     )
     violations = rd.validate_model(m)
     assert len(violations) == 1
@@ -105,8 +106,8 @@ def test_validate_model_flags_negative_initial():
 def test_validate_model_spot_checks_tabulated_bound():
     bad = rd.TabulatedCoefficients(lambda r: 0.1, lower_bound=1.0)
     g = make_grid_1d(4)
-    m = rd.ModelSpec(delta=(0.1,), coefficients=(bad,),
-                     initial_data=(rd.Field.constant(g, 1.0),))
+    m = rd.ModelSpec(grid=g, delta=(0.1,), coefficients=(bad,),
+                     initial_data=(np.full(g.n_cells, 1.0),))
     violations = rd.validate_model(m)
     assert any("lower bound" in v.condition for v in violations)
 
@@ -119,9 +120,10 @@ def test_validate_model_flags_a_max_below_bound():
 def test_coefficient_fields_clamping(rng):
     g = make_grid_1d(5)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.1,),
         coefficients=(rd.SktCoefficients(1.0, (2.0,), 1.0),),
-        initial_data=(rd.Field.constant(g, 1.0),),
+        initial_data=(np.full(g.n_cells, 1.0),),
     )
     tilde = np.array([[0.5, -1e-12, 0.25, -2e-13, 0.0]])
     fields, counts = coefficient_fields(m, tilde, (0,))
@@ -132,9 +134,10 @@ def test_coefficient_fields_clamping(rng):
 def test_coefficient_fields_a_max_truncation():
     g = make_grid_1d(4)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.1,),
         coefficients=(rd.SktCoefficients(1.0, (1.0,), 1.0),),
-        initial_data=(rd.Field.constant(g, 1.0),),
+        initial_data=(np.full(g.n_cells, 1.0),),
         a_max=1.5,
     )
     tilde = np.array([[0.0, 1.0, 2.0, 3.0]])

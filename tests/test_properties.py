@@ -48,9 +48,10 @@ def models(draw, species=st.integers(1, 3), powers=st.floats(0.5, 3.0)):
     data = arrays(np.float64, grid.n_cells,
                   elements=st.floats(0.0, 10.0, allow_subnormal=False) | st.just(0.0))
     return rd.ModelSpec(
+        grid=grid,
         delta=tuple(draw(st.floats(1e-3, 1.0)) for _ in range(n_species)),
         coefficients=coefficients,
-        initial_data=tuple(rd.Field(grid, draw(data)) for _ in range(n_species)),
+        initial_data=tuple(draw(data) for _ in range(n_species)),
     )
 
 
@@ -61,18 +62,19 @@ TINY_GRID = rd.Grid((4,), (0.25,))
 @given(models(), st.floats(1e-3, 0.1))
 # data of 1e-155 squares below the smallest normal float; CG used to break down on it
 @example(rd.ModelSpec(
+    grid=TINY_GRID,
     delta=(1.0, 1.0, 1.0),
     coefficients=(rd.SktCoefficients(1.0, (0.0, 0.0, 0.0)),
                   rd.SktCoefficients(1.0, (0.0, 0.0, 0.0)),
                   rd.SktCoefficients(1.0, (1.0, 0.0, 0.0))),
-    initial_data=(rd.Field(TINY_GRID, np.array([0.0, 1.0, 1.0, 1.0])),
-                  rd.Field(TINY_GRID, np.zeros(4)),
-                  rd.Field(TINY_GRID, np.full(4, 1.92688797e-155)))), 0.0625)
+    initial_data=(np.array([0.0, 1.0, 1.0, 1.0]),
+                  np.zeros(4),
+                  np.full(4, 1.92688797e-155))), 0.0625)
 def test_random_models_keep_the_guarantees(m, tau):
     assert rd.validate_model(m) == []
     cfg = rd.SchemeConfig(tau=tau, horizon=3 * tau, linear_tol=LINEAR_TOL)
     first, first_rows = run_with_rows(m, cfg)
-    initial = [rd.integrate(m.grid, f) for f in m.initial_data]
+    initial = [m.grid.integral(row) for row in m.initial_data]
     slack = -10 * LINEAR_TOL
     for row in first_rows:
         assert abs(row.mass_u - initial[row.species - 1]) <= 1e-12 * initial[row.species - 1]
@@ -142,8 +144,7 @@ def test_eval_coefficient_is_the_value_the_scheme_uses(specs_and_densities):
     # coefficient_fields gives a cell whose regularized densities are r
     specs, R = specs_and_densities
     grid = rd.Grid((R.shape[1],), (1.0 / R.shape[1],))
-    fields = tuple(rd.Field(grid, row) for row in R)
-    m = rd.ModelSpec(delta=(0.1,) * len(specs), coefficients=specs, initial_data=fields)
+    m = rd.ModelSpec(grid=grid, delta=(0.1,) * len(specs), coefficients=specs, initial_data=R)
     A, _ = coefficient_fields(m, R, range(len(specs)))
     for spec, values in zip(specs, A):
         assert [rd.eval_coefficient(spec, r) for r in R.T] == values.tolist()
@@ -249,20 +250,21 @@ def test_subnormal_initial_data_is_rejected():
     # its mass: rounding is absolute below the smallest normal float
     grid = rd.Grid((3, 3), (1.0, 0.625))
     m = rd.ModelSpec(
+        grid=grid,
         delta=(0.0625, 1.0, 1.0),
         coefficients=(rd.SktCoefficients(1.0, (0.0, 0.0, 0.0), 1.0),
                       rd.SktCoefficients(1.0, (0.0, 0.0, 0.0), 1.0),
                       rd.SktCoefficients(1.0, (1.0, 0.0, 0.0), 1.0)),
-        initial_data=(rd.Field(grid, np.array([0.0, 4.0] + [0.0] * 7)),
-                      rd.Field(grid, np.zeros(9)),
-                      rd.Field(grid, np.full(9, 5e-324))),
+        initial_data=(np.array([0.0, 4.0] + [0.0] * 7),
+                      np.zeros(9),
+                      np.full(9, 5e-324)),
     )
     violations = rd.validate_model(m)
     assert violations and {v.species for v in violations} == {3}
     assert all("subnormal" in v.condition for v in violations)
     smallest_normal = np.finfo(np.float64).tiny
     for value, valid in ((smallest_normal, True), (np.nextafter(smallest_normal, 0), False)):
-        edited = replace(m, initial_data=m.initial_data[:2] + (rd.Field(grid, np.full(9, value)),))
+        edited = replace(m, initial_data=(*m.initial_data[:2], np.full(9, value)))
         assert (rd.validate_model(edited) == []) == valid
 
 

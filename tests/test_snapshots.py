@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaxdiff as rd
-from relaxdiff.errors import ConfigError
+from relaxdiff.errors import ConfigError, DimensionMismatchError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # a grid needs a finite 1 / h^2: (2^-511)^2 is the smallest normal float
@@ -23,12 +23,9 @@ def snapshots(draw):
     grid = rd.Grid(cells, tuple(draw(spacing) for _ in cells))
     special = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                                1.7976931348623157e308])
-    fields = [
-        rd.Field(grid, draw(st.lists(finite | special, min_size=grid.n_cells,
-                                     max_size=grid.n_cells)))
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    return grid, fields, draw(finite)
+    values = [draw(st.lists(finite | special, min_size=grid.n_cells, max_size=grid.n_cells))
+              for _ in range(draw(st.integers(1, 3)))]
+    return grid, values, draw(finite)
 
 
 def bits(values):
@@ -38,14 +35,15 @@ def bits(values):
 @settings(max_examples=60, deadline=None)
 @given(snapshots())
 def test_write_read_reproduces_fields_bit_for_bit(snap):
-    grid, fields, time = snap
+    grid, values, time = snap
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snap.fld"
-        rd.write_snapshot(path, fields, time)
-        grid2, fields2, time2 = rd.read_snapshot(path)
+        rd.write_snapshot(path, grid, values, time)
+        grid2, values2, time2 = rd.read_snapshot(path)
     assert grid2 == grid
     assert bits([time2]) == bits([time])
-    assert [bits(f.values) for f in fields2] == [bits(f.values) for f in fields]
+    assert values2.dtype == np.float64 and values2.flags.c_contiguous
+    assert bits(values2) == bits(values)
 
 
 @settings(max_examples=150, deadline=None)
@@ -53,8 +51,7 @@ def test_write_read_reproduces_fields_bit_for_bit(snap):
 def test_damaged_file_raises_only_config_error(snap, data):
     """A truncated or extended file is rejected; a file with one header token
     replaced may still parse, but nothing other than a ConfigError escapes."""
-    grid, fields, time = snap
-    raw = rd.snapshots.format_snapshot(fields, time)
+    raw = rd.snapshots.format_snapshot(*snap)
     damage = data.draw(st.sampled_from(["truncate", "extend", "mutate"]))
     if damage == "truncate":
         with pytest.raises(ConfigError):
@@ -103,24 +100,25 @@ def test_v1_text_snapshot_is_rejected(tmp_path):
 def test_writer_refuses_what_the_reader_rejects():
     grid = rd.Grid((2,), (0.5,))
     with pytest.raises(ConfigError):
-        rd.snapshots.format_snapshot([], 0.0)
+        rd.snapshots.format_snapshot(grid, [], 0.0)
     with pytest.raises(ConfigError):
-        rd.snapshots.format_snapshot([rd.Field.constant(grid, 1.0)], float("nan"))
+        rd.snapshots.format_snapshot(grid, np.empty((0, 2)), 0.0)
+    with pytest.raises(ConfigError):
+        rd.snapshots.format_snapshot(grid, [np.full(grid.n_cells, 1.0)], float("nan"))
 
 
-def test_writer_rejects_fields_on_two_grids(tmp_path):
-    # the header records one grid, the first field's; a field on another grid
-    # of the same size would be written as if it were on that one
-    grid, other = rd.Grid((4,), (0.25,)), rd.Grid((4,), (0.5,))
-    fields = [rd.Field.constant(grid, 1.0), rd.Field.constant(other, 2.0)]
-    with pytest.raises(ConfigError, match="share one grid"):
-        rd.snapshots.format_snapshot(fields, 0.0)
-    with pytest.raises(ConfigError, match="share one grid"):
-        rd.write_snapshot(tmp_path / "snap.fld", fields[::-1], 0.0)
+def test_writer_rejects_a_row_of_the_wrong_length(tmp_path):
+    # the header records the grid it is given; each row must be one of its fields
+    grid = rd.Grid((4,), (0.25,))
+    with pytest.raises(DimensionMismatchError):
+        rd.snapshots.format_snapshot(grid, [np.ones(4), np.ones(5)], 0.0)
+    with pytest.raises(DimensionMismatchError):
+        rd.write_snapshot(tmp_path / "snap.fld", grid, np.ones(4), 0.0)  # no species axis
+    assert not (tmp_path / "snap.fld").exists()
 
 
 def test_rejected_snapshot_leaves_no_file(tmp_path):
     path = tmp_path / "snap.fld"
     with pytest.raises(ConfigError):
-        rd.write_snapshot(path, [], 0.0)
+        rd.write_snapshot(path, rd.Grid((2,), (0.5,)), [], 0.0)
     assert not path.exists()

@@ -29,88 +29,92 @@ from conftest import (
 
 def heat_model(grid, d=1.0, delta=0.01, amplitude=0.5):
     return rd.ModelSpec(
+        grid=grid,
         delta=(delta,),
         coefficients=(rd.SktCoefficients(d, (0.0,)),),
-        initial_data=(rd.Field(grid, cosine_profile(grid, amplitude)),),
+        initial_data=(cosine_profile(grid, amplitude),),
     )
 
 
 def test_regularize_constant_fixed_point():
     g = make_grid_1d(9)
-    u = rd.Field.constant(g, 2.5)
+    u = np.full(g.n_cells, 2.5)
     for delta in (0.01, 1.0, 10.0):
-        out = rd.regularize(u, delta)
-        assert np.array_equal(out.values, u.values)
+        out = rd.regularize(g, u, delta)
+        assert np.array_equal(out, u)
 
 
 def test_regularize_two_cell_example():
     g = rd.Grid((2,), (1.0,))
-    out = rd.regularize(rd.Field(g, [2.0, 0.0]), 1.0, tol=1e-13)
-    assert out.values == pytest.approx([4 / 3, 2 / 3], rel=1e-12)
+    out = rd.regularize(g, [2.0, 0.0], 1.0, tol=1e-13)
+    assert out == pytest.approx([4 / 3, 2 / 3], rel=1e-12)
 
 
 def test_regularize_preserves_mean(rng):
     for g in (make_grid_1d(33, 1.7), make_grid_2d(6, 5, (1.0, 2.0))):
         for _ in range(8):
-            u = rd.Field(g, rng.uniform(0.0, 3.0, g.n_cells))
+            u = rng.uniform(0.0, 3.0, g.n_cells)
             delta = float(rng.uniform(0.01, 10.0))
-            out = rd.regularize(u, delta)
-            assert rd.integrate(g, out) == pytest.approx(
-                rd.integrate(g, u), rel=1e-13, abs=1e-13)
-            assert np.min(out.values) >= -1e-12
+            out = rd.regularize(g, u, delta)
+            assert g.integral(out) == pytest.approx(g.integral(u), rel=1e-13, abs=1e-13)
+            assert np.min(out) >= -1e-12
 
 
 def test_implicit_step_constant_state_and_coefficients():
     g = make_grid_1d(12)
-    u = rd.Field.constant(g, 1.3)
+    u = np.full(g.n_cells, 1.3)
     A = np.full(g.n_cells, 0.7)
-    out = rd.implicit_diffusion_step(u, A, tau=0.5)
-    assert np.array_equal(out.values, u.values)
+    out = rd.implicit_diffusion_step(g, u, A, tau=0.5)
+    assert np.array_equal(out, u)
 
 
 def test_implicit_step_two_cell_examples():
     g = rd.Grid((2,), (1.0,))
-    u = rd.Field(g, [2.0, 0.0])
-    out = rd.implicit_diffusion_step(u, [1.0, 1.0], tau=1.0, tol=1e-13)
-    assert out.values == pytest.approx([4 / 3, 2 / 3], rel=1e-12)
-    out2 = rd.implicit_diffusion_step(u, [2.0, 1.0], tau=1.0, tol=1e-13)
-    assert out2.values == pytest.approx([1.0, 1.0], rel=1e-12)
-    assert out2.values.sum() == pytest.approx(2.0, rel=1e-14)
+    u = [2.0, 0.0]
+    out = rd.implicit_diffusion_step(g, u, [1.0, 1.0], tau=1.0, tol=1e-13)
+    assert out == pytest.approx([4 / 3, 2 / 3], rel=1e-12)
+    out2 = rd.implicit_diffusion_step(g, u, [2.0, 1.0], tau=1.0, tol=1e-13)
+    assert out2 == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert out2.sum() == pytest.approx(2.0, rel=1e-14)
 
 
 def test_implicit_step_rejects_nonpositive_coefficients():
     g = make_grid_1d(4)
-    u = rd.Field.constant(g, 1.0)
+    u = np.full(g.n_cells, 1.0)
     for A, error in [([1.0, 0.0, 1.0, 1.0], ValueError), ([1.0, np.inf, 1.0, 1.0], ValueError),
                      ([1.0, np.nan, 1.0, 1.0], ValueError),
                      ([1.0, 1.0, 1.0], DimensionMismatchError)]:
         with pytest.raises(error):
-            rd.implicit_diffusion_step(u, A, tau=0.1)
+            rd.implicit_diffusion_step(g, u, A, tau=0.1)
+
+
+# the grid of the single operations' checks below, with 8 cells
+G8 = make_grid_1d(8)
 
 
 def one_implicit_step(u, tau):
-    return rd.implicit_diffusion_step(u, np.ones(u.grid.n_cells), tau)
+    return rd.implicit_diffusion_step(G8, u, np.ones(8), tau)
 
 
 def one_slab_node(u, tau):
-    return rd.solve_frozen_slab([np.ones(u.grid.n_cells)], u, tau)
+    return rd.solve_frozen_slab(G8, [np.ones(8)], u, tau)
 
 
 # an empty slab runs no solve, so only the step-size rule can reject its tau
 def empty_slab(u, tau):
-    return rd.solve_frozen_slab([], u, tau)
+    return rd.solve_frozen_slab(G8, [], u, tau)
 
 
 def empty_slab_energy(u, tau):
-    return rd.energy_identity_residual([u], [], tau)
+    return rd.energy_identity_residual(G8, [u], [], tau)
 
 
 def one_node_slab_energy(u, tau):
-    return rd.energy_identity_residual([u, u], [np.ones(u.grid.n_cells)], tau)
+    return rd.energy_identity_residual(G8, [u, u], [np.ones(8)], tau)
 
 
 def heat_step(step, u, tau):
-    m = heat_model(u.grid)
+    m = heat_model(G8)
     cfg = rd.SchemeConfig(tau=0.1, horizon=1.0)
     return step(rd.initial_state(m, cfg), m, cfg, tau)
 
@@ -123,25 +127,29 @@ def picard_step(u, tau):
     return heat_step(picard_step_with_info, u, tau)
 
 
+def regularize(u, delta):
+    return rd.regularize(G8, u, delta)
+
+
 def regularize_to_tol(u, tol):
-    return rd.regularize(u, 0.1, tol=tol)
+    return rd.regularize(G8, u, 0.1, tol=tol)
 
 
 def implicit_step_to_tol(u, tol):
-    return rd.implicit_diffusion_step(u, np.ones(u.grid.n_cells), 0.1, tol=tol)
+    return rd.implicit_diffusion_step(G8, u, np.ones(8), 0.1, tol=tol)
 
 
 def slab_node_to_tol(u, tol):
-    return rd.solve_frozen_slab([np.ones(u.grid.n_cells)], u, 0.1, tol=tol)
+    return rd.solve_frozen_slab(G8, [np.ones(8)], u, 0.1, tol=tol)
 
 
 def empty_slab_to_tol(u, tol):
-    return rd.solve_frozen_slab([], u, 0.1, tol=tol)
+    return rd.solve_frozen_slab(G8, [], u, 0.1, tol=tol)
 
 
 def cg_to_tol(u, tol):
-    op = stepper._ImplicitStepOperator(u.grid, np.ones(u.grid.n_cells), 1.0)
-    return rd.cg_solve(op, u.values, tol=tol)
+    op = stepper._ImplicitStepOperator(G8, np.ones(8), 1.0)
+    return rd.cg_solve(op, u, tol=tol)
 
 
 # the rule SchemeConfig applies to tau: positive, finite and a finite 1 / tau
@@ -159,14 +167,14 @@ BAD_TOL = [(np.nan, AT_LEAST), (0.0, AT_LEAST), (np.nextafter(2**-52, 0), AT_LEA
                                       empty_slab_energy, one_node_slab_energy,
                                       semi_implicit_step, picard_step)
       for tau, match in BAD_TAU),
-    *((rd.regularize, delta, "delta must be positive and finite")
+    *((regularize, delta, "delta must be positive and finite")
       for delta in (-0.1, 0.0, np.nan, np.inf)),
     *((call, tol, match) for call in (regularize_to_tol, implicit_step_to_tol, slab_node_to_tol,
                                       empty_slab_to_tol, cg_to_tol)
       for tol, match in BAD_TOL),
 ])
 def test_single_operations_reject_bad_scalars_before_solving(call, value, match):
-    u = rd.Field(make_grid_1d(8), np.linspace(0.5, 1.5, 8))
+    u = np.linspace(0.5, 1.5, 8)
     with pytest.raises(ValueError, match=match):
         call(u, value)
 
@@ -177,19 +185,19 @@ def test_single_operations_reject_bad_scalars_before_solving(call, value, match)
 @pytest.mark.parametrize("delta", [0.01, 0.37])
 def test_regularization_is_the_implicit_step_with_unit_coefficient_bit_for_bit(g, delta, rng):
     # both solve (diag(d) - s L) z = u with (d, s) = (1 / A, tau) and (1, delta)
-    u = rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells))
-    step = rd.implicit_diffusion_step(u, np.ones(g.n_cells), delta)
-    assert rd.regularize(u, delta).values.tobytes() == step.values.tobytes()
+    u = rng.uniform(0.5, 1.5, g.n_cells)
+    step = rd.implicit_diffusion_step(g, u, np.ones(g.n_cells), delta)
+    assert rd.regularize(g, u, delta).tobytes() == step.tobytes()
 
 
 def test_implicit_step_conserves_mass_exactly(rng):
     g = make_grid_2d(8, 8)
     for _ in range(5):
-        u = rd.Field(g, rng.uniform(0.0, 2.0, g.n_cells))
+        u = rng.uniform(0.0, 2.0, g.n_cells)
         A = rng.uniform(0.3, 3.0, g.n_cells)
-        out = rd.implicit_diffusion_step(u, A, tau=0.05)
-        assert abs(out.values.sum() - u.values.sum()) <= 1e-12 * u.values.sum()
-        assert np.min(out.values) >= -1e-11
+        out = rd.implicit_diffusion_step(g, u, A, tau=0.05)
+        assert abs(out.sum() - u.sum()) <= 1e-12 * u.sum()
+        assert np.min(out) >= -1e-11
 
 
 def test_nonsymmetric_form_is_m_matrix():
@@ -209,9 +217,10 @@ def test_nonsymmetric_form_is_m_matrix():
 def test_step_constant_data_is_steady_bitwise():
     g = make_grid_2d(5, 4)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.05, 0.2),
         coefficients=(rd.SktCoefficients(0.3, (0.5, 0.1)), rd.SktCoefficients(0.2, (0.0, 1.0))),
-        initial_data=(rd.Field.constant(g, 1.5), rd.Field.constant(g, 0.25)),
+        initial_data=(np.full(g.n_cells, 1.5), np.full(g.n_cells, 0.25)),
     )
     cfg = rd.SchemeConfig(tau=0.1, horizon=1.0)
     state = rd.initial_state(m, cfg)
@@ -225,9 +234,10 @@ def test_step_constant_data_is_steady_bitwise():
 def test_step_heat_reduction_two_cells():
     g = rd.Grid((2,), (1.0,))
     m = rd.ModelSpec(
+        grid=g,
         delta=(1.0,),
         coefficients=(rd.SktCoefficients(1.0, (0.0,)),),
-        initial_data=(rd.Field(g, [2.0, 0.0]),),
+        initial_data=([2.0, 0.0],),
     )
     cfg = rd.SchemeConfig(tau=1.0, horizon=1.0, linear_tol=1e-13)
     state = rd.initial_state(m, cfg)
@@ -258,6 +268,7 @@ def test_trajectory_matches_dense_oracle_small_grids():
     g3 = make_grid_1d(12)
     x = g3.cell_centers()[0]
     m3 = rd.ModelSpec(
+        grid=g3,
         delta=(0.01, 0.03, 0.02),
         coefficients=(
             rd.SktCoefficients(0.1, (0.2, 0.4, 0.1)),
@@ -265,9 +276,9 @@ def test_trajectory_matches_dense_oracle_small_grids():
             rd.SktCoefficients(0.15, (0.1, 0.2, 0.3)),
         ),
         initial_data=(
-            rd.Field(g3, 1.0 + 0.5 * np.cos(np.pi * x)),
-            rd.Field(g3, np.where(x < 0.5, 1.0, 0.0)),
-            rd.Field(g3, np.maximum(0.0, 1.0 - ((x - 0.5) / 0.3) ** 2) ** 2),
+            1.0 + 0.5 * np.cos(np.pi * x),
+            np.where(x < 0.5, 1.0, 0.0),
+            np.maximum(0.0, 1.0 - ((x - 0.5) / 0.3) ** 2) ** 2,
         ),
     )
     cases.append((g3, m3))
@@ -332,7 +343,7 @@ def test_run_shortened_last_step():
     assert plan_steps(cfg.tau, cfg.horizon)[1] != cfg.tau
     assert len({r.step for r in rows}) == 3
     assert state.time == 1.0
-    assert abs(g.integral(state.u[0]) - rd.integrate(g, m.initial_data[0])) <= 1e-12
+    assert abs(g.integral(state.u[0]) - g.integral(m.initial_data[0])) <= 1e-12
 
 
 def test_run_callbacks_see_every_step_and_each_snapshot_step():
@@ -382,9 +393,10 @@ def test_run_keeps_nothing_per_step():
 def test_run_constant_data_rows_identical():
     g = make_grid_1d(10)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.1,),
         coefficients=(rd.SktCoefficients(0.5, (0.4,)),),
-        initial_data=(rd.Field.constant(g, 2.0),),
+        initial_data=(np.full(g.n_cells, 2.0),),
     )
     cfg = rd.SchemeConfig(tau=0.05, horizon=0.5)
     _, rows = run_with_rows(m, cfg)
@@ -399,7 +411,7 @@ def test_run_heat_decay_rate_matches_first_eigenvalue():
     m = heat_model(g, d=d)
     cfg = rd.SchemeConfig(tau=1e-3, horizon=0.4)
     _, rows = run_with_rows(m, cfg)
-    mean = rd.integrate(g, m.initial_data[0])  # domain has measure one
+    mean = g.integral(m.initial_data[0])  # domain has measure one
     times, norms = [], []
     for r in rows:
         times.append(r.time)
@@ -559,10 +571,11 @@ def test_sim2d_step_takes_at_most_two_implicit_iterations():
     g = make_grid_2d(128, 128)
     profile = np.prod([np.cos(np.pi * x) for x in g.cell_centers()], axis=0)
     m = rd.ModelSpec(
+        grid=g,
         delta=(0.01, 0.01),
         coefficients=(rd.SktCoefficients(0.05, (0.0, 1.0)),
                       rd.SktCoefficients(0.05, (1.0, 0.0))),
-        initial_data=(rd.Field(g, 1.0 + 0.25 * profile), rd.Field(g, 1.0 - 0.25 * profile)),
+        initial_data=(1.0 + 0.25 * profile, 1.0 - 0.25 * profile),
     )
     cfg = rd.SchemeConfig(tau=0.01, horizon=0.1)
     _, infos = rd.step_with_info(rd.initial_state(m, cfg), m, cfg, cfg.tau)
@@ -632,23 +645,6 @@ def test_a_2d_step_calls_no_numpy_python_wrappers_but_the_coarse_factorization()
     assert sorted(entered - allowed) == []
 
 
-def test_the_step_path_builds_no_field(monkeypatch):
-    # a state is three arrays; a Field, which copies and checks its values, is
-    # built only at the library's edge (initial data, snapshots, single operations)
-    m = lipschitz_cross_model(make_grid_1d(32))
-    cfg = rd.SchemeConfig(tau=0.02, horizon=0.02)
-    built, init = [], rd.Field.__post_init__
-    monkeypatch.setattr(rd.Field, "__post_init__", lambda f: built.append(f) or init(f))
-    state = rd.initial_state(m, cfg)
-    after, infos = rd.step_with_info(state, m, cfg, cfg.tau)
-    picard_step_with_info(state, m, cfg, cfg.tau)
-    records = diagnostics.step_records(1, state, after, infos)
-    diagnostics.invariant_rows(state, records, rd.CheckTolerances(), [1.0, 1.0])
-    assert built == []
-    rd.Field(m.grid, state.u[0])  # the hook sees a construction
-    assert len(built) == 1
-
-
 def test_a_2d_implicit_solve_of_a_constant_coefficient_starts_exactly():
     # the shift is the exact inverse of a constant diagonal, in 2D too, so the
     # solve starts from it and takes 0 CG iterations
@@ -664,8 +660,8 @@ def test_solver_failure_names_species(rng, monkeypatch):
     # about 1e-13) does not within one iteration
     g = make_grid_1d(64)
     smooth = two_species_model(g)
-    m = rd.ModelSpec(smooth.delta, smooth.coefficients,
-                     tuple(rd.Field(g, rng.uniform(0.5, 1.5, g.n_cells)) for _ in range(2)))
+    m = rd.ModelSpec(g, smooth.delta, smooth.coefficients,
+                     tuple(rng.uniform(0.5, 1.5, g.n_cells) for _ in range(2)))
     good = rd.SchemeConfig(tau=0.01, horizon=0.1)
     state = rd.initial_state(m, good)
     crippled = rd.SchemeConfig(tau=0.01, horizon=0.1, linear_tol=1e-14)
